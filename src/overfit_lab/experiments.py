@@ -16,7 +16,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import EmptyReportError, InvalidParameterError, InvariantViolationError
+from .errors import (
+    EmptyReportError,
+    InvalidParameterError,
+    InvariantViolationError,
+    NumericError,
+)
 from .features import (
     AnalyticKernel,
     FeatureLaw,
@@ -118,7 +123,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One trial's measured quantities; unused fields stay None."""
+    """One trial's measured quantities; unused fields stay None.
+
+    A NaN field is a numeric failure of the trial that produced it and raises
+    NumericError naming the trial.
+    """
 
     experiment: str
     seed: int
@@ -148,7 +157,10 @@ class TrialRecord:
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(v, float) and math.isnan(v):
-                raise InvariantViolationError(f"record field {f.name} is NaN")
+                raise NumericError(
+                    f"trial {self.trial} (N={self.N}, seed {self.seed}): "
+                    f"record field {f.name} is NaN"
+                )
 
 
 GROUP_FIELDS = ("N", "spectrum", "law", "kernel", "m_truncated")

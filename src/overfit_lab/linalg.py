@@ -1,18 +1,33 @@
 """Kernel matrices, extreme singular values, and pseudo-inverse solves.
 
-A Mercer kernel matrix K = Psi^T Lambda Psi is never analysed through its
-explicit entries: forming K squares the condition number and the smallest
-singular values drown in roundoff.  All spectral quantities come from the
-factor G = Lambda^{1/2} Psi, so K's singular values are the squares of G's.
+All spectral quantities of a Mercer kernel K = Psi^T Lambda Psi come from
+the factor G = Lambda^{1/2} Psi, so K's singular values are the squares of
+G's.  Values are produced by one of three routes, recorded in
+``SpectrumSummary.path``:
 
-For steep spectra the factor itself has singular values spanning far more
-than the 1e16 range a bidiagonalization-based SVD can resolve.  G is
-row-graded (G = D * B with D diagonal and B well conditioned), which is
-exactly the class where the Jacobi SVD (LAPACK dgejsv) attains high
-*relative* accuracy for every singular value; we switch to it once the
-eigenvalue spread makes the standard routine's absolute error floor
-(~eps * s_max) visible.  Quantities certified by that path carry no zero
-cutoff, because values far below eps * s_max are still fully accurate.
+* ``"jacobi"`` -- steep spectra (lambda_1/lambda_N > 1e8).  G's singular
+  values span more than the 1e16 range a bidiagonalization-based SVD can
+  resolve.  G is row-graded (G = D * B with D diagonal and B well
+  conditioned), exactly the class where the Jacobi SVD (LAPACK dgejsv)
+  attains high *relative* accuracy for every singular value.  Quantities
+  from this path carry no zero cutoff: values far below eps * s_max are
+  still fully accurate.
+* ``"gram_eigh"`` -- values-only requests on tall factors (M >= N) that are
+  not steep.  The eigenvalues of the formed Gram matrix K = G^T G are a
+  quarter of the cost of an SVD of G, but forming K squares the condition
+  number, so the result is kept only under an a-posteriori certificate.
+  Forming K perturbs it by at most gamma_M * trace(K) in the 2-norm, with
+  gamma_M = M eps / (1 - M eps), and the symmetric eigensolver is backward
+  stable to about N eps lambda_max, so by Weyl's inequality every computed
+  eigenvalue lies within (gamma_M trace(K) + N eps lambda_max) of the exact
+  one.  Divided by the smallest computed eigenvalue this is the relative
+  error bound reported as ``rel_error_bound``; the result is accepted when
+  it is at most GRAM_CERTIFIED_TOLERANCE (2e-6 on K's singular values,
+  1e-6 on G's).  Where s_min collapses (dependent features) the bound
+  fails and the values escalate to the next route.
+* ``"gesdd"`` -- everything else: NumPy's divide-and-conquer SVD of G, whose
+  absolute error is about eps * s_max.  Full SVDs (with vectors) always
+  come from this route or from Jacobi, never from the Gram matrix.
 """
 
 from __future__ import annotations
@@ -37,6 +52,9 @@ from .spectra import Spectrum
 # high-relative-accuracy Jacobi routine
 STEEP_SPECTRUM_RATIO = 1e8
 
+# largest certified relative error accepted from the Gram-eigenvalue route
+GRAM_CERTIFIED_TOLERANCE = 2e-6
+
 # fast-path floors (meaningless noise below these; not applied to Jacobi results)
 SMIN_ZERO_CUTOFF = 1e-13
 PINV_RELATIVE_CUTOFF = 1e-12
@@ -60,7 +78,11 @@ class SpectrumSummary:
 
     ``condition_number`` is +inf when s_min is (or is cut to) zero.
     ``accurate`` records whether the values came from the Jacobi path and are
-    therefore trustworthy below the standard SVD noise floor.
+    therefore trustworthy below the standard SVD noise floor.  ``path`` names
+    the route that produced the values (``"jacobi"``, ``"gram_eigh"`` or
+    ``"gesdd"`` for Mercer kernels, ``"eigh"`` for explicit matrices);
+    ``rel_error_bound`` is the certified relative error of every value on the
+    ``"gram_eigh"`` route and None elsewhere.
     """
 
     s_max: float
@@ -68,6 +90,8 @@ class SpectrumSummary:
     condition_number: float
     full_singular_values: np.ndarray | None = None
     accurate: bool = False
+    path: str = "gesdd"
+    rel_error_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -169,11 +193,16 @@ class KernelMatrix:
         return bool(lam[0] / lam[visible] > STEEP_SPECTRUM_RATIO)
 
     @cached_property
-    def _factor_values(self) -> np.ndarray:
-        """Singular values of G, descending."""
+    def _factor_values(self):
+        """(singular values of G descending, route, certified relative bound)."""
         if self._steep:
-            return _jacobi_svd(self._factor, want_vectors=False)[1]
-        return np.linalg.svd(self._factor, compute_uv=False)
+            return _jacobi_svd(self._factor, want_vectors=False)[1], "jacobi", None
+        g = self._factor
+        if g.shape[0] >= g.shape[1]:
+            certified = _certified_gram_values(g.shape[0], self.entries)
+            if certified is not None:
+                return certified[0], "gram_eigh", certified[1]
+        return np.linalg.svd(g, compute_uv=False), "gesdd", None
 
     @cached_property
     def _factor_svd(self):
@@ -183,7 +212,10 @@ class KernelMatrix:
         else:
             u, s, vh = np.linalg.svd(self._factor, full_matrices=False)
             v = vh.T
-        self.__dict__["_factor_values"] = s
+        # values already measured keep their route, whatever the call order
+        self.__dict__.setdefault(
+            "_factor_values", (s, "jacobi" if self._steep else "gesdd", None)
+        )
         return u, s, v
 
     @cached_property
@@ -227,7 +259,7 @@ def singular_extremes(K: KernelMatrix, full: bool = True) -> SpectrumSummary:
     indistinguishable from it there) and the condition number becomes +inf.
     """
     if K.is_mercer:
-        s = K._factor_values
+        s, path, bound = K._factor_values
         if not np.all(np.isfinite(s)):
             raise NumericError("kernel factor has non-finite singular values")
         vals = s * s
@@ -237,6 +269,7 @@ def singular_extremes(K: KernelMatrix, full: bool = True) -> SpectrumSummary:
     else:
         vals = np.sort(np.abs(K._eigh[0]))[::-1]
         accurate = False
+        path, bound = "eigh", None
     if not np.all(np.isfinite(vals)):
         raise NumericError("kernel matrix has non-finite singular values")
     s_max = float(vals[0])
@@ -250,6 +283,8 @@ def singular_extremes(K: KernelMatrix, full: bool = True) -> SpectrumSummary:
         condition_number=cond,
         full_singular_values=vals if full else None,
         accurate=accurate,
+        path=path,
+        rel_error_bound=bound,
     )
 
 
@@ -297,6 +332,27 @@ def kept_modes(K: KernelMatrix, w: np.ndarray) -> np.ndarray:
     if K.is_mercer and K._steep:
         return w > 0.0
     return w > PINV_RELATIVE_CUTOFF * w[0]
+
+
+def _certified_gram_values(m: int, k: np.ndarray):
+    """Singular values of an M x N factor G from the eigenvalues of K = G^T G.
+
+    Returns (values descending, relative error bound on K's eigenvalues), or
+    None when the bound exceeds GRAM_CERTIFIED_TOLERANCE or K is not finite.
+    See the module docstring for the bound.
+    """
+    eps = np.finfo(np.float64).eps
+    trace = float(np.trace(k))
+    if not np.isfinite(trace):
+        return None
+    lam = np.linalg.eigvalsh(k)[::-1]
+    if not lam[-1] > 0.0:
+        return None
+    gamma = m * eps / (1.0 - m * eps)
+    bound = (gamma * trace + k.shape[0] * eps * lam[0]) / lam[-1]
+    if bound > GRAM_CERTIFIED_TOLERANCE:
+        return None
+    return np.sqrt(lam), float(bound)
 
 
 def _jacobi_svd(g: np.ndarray, want_vectors: bool):

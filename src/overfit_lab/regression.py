@@ -70,7 +70,7 @@ class Interpolant:
         self.kernel = kernel
         self.inconsistency_flag = inconsistency_flag
         self.rank = rank
-        self._dual = None  # w = G alpha, computed stably from the factor SVD
+        self._dual = None  # w = G alpha of the fitted labels, bound by fit_ridgeless
 
     @property
     def design(self) -> DesignMatrix:
@@ -81,13 +81,11 @@ class Interpolant:
         return self.kernel.provenance.spectrum
 
     def prediction_dual(self, y) -> np.ndarray:
-        if self._dual is None:
-            u, s, v = self.kernel._factor_svd
-            w_eigs = s * s
-            keep = kept_modes(self.kernel, w_eigs)
-            coeff = (v[:, keep].T @ np.asarray(y, dtype=np.float64)) / s[keep]
-            self._dual = u[:, keep] @ coeff
-        return self._dual
+        """Dual vector w = U Sigma^-1 V^T y of labels y, so K_x^T K^+ y = G_test^T w."""
+        u, s, v = self.kernel._factor_svd
+        keep = kept_modes(self.kernel, s * s)
+        coeff = (v[:, keep].T @ np.asarray(y, dtype=np.float64)) / s[keep]
+        return u[:, keep] @ coeff
 
 
 def synthesize_labels(d: DesignMatrix, s: Spectrum, t: TargetModel, seed) -> np.ndarray:
@@ -113,7 +111,7 @@ def fit_ridgeless(K: KernelMatrix, y) -> Interpolant:
         )
     sol = min_norm_solve(K, y)
     f = Interpolant(sol.alpha, K, sol.inconsistent, sol.rank)
-    f.prediction_dual(y)  # bind the dual to this y while it is at hand
+    f._dual = f.prediction_dual(y)  # bind the dual to this y while it is at hand
     return f
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import xml.etree.ElementTree as ET
 import pytest
 
 import overfit_lab.cli as cli
+import overfit_lab.experiments as experiments
 from overfit_lab.config import parse_config, serialize_config
 from overfit_lab.csvio import write_csv, write_singular_values_csv, write_spectrum_csv
 from overfit_lab.errors import ConfigError, NumericError, PlotFieldError
@@ -15,12 +17,13 @@ from overfit_lab.experiments import (
 )
 from overfit_lab.plotting import render_plot
 
-# frozen output of run_condnum(n_grid=(8,), trials=2, master_seed=7);
-# schema drift or any nondeterminism shows up as a byte difference here
+# frozen output of run_condnum(n_grid=(8,), trials=2, master_seed=7), whose
+# values come from the certified Gram-eigenvalue route; schema drift or any
+# nondeterminism shows up as a byte difference here
 GOLDEN_CONDNUM = """\
 experiment,seed,N,M,trial,spectrum,law,kernel,s_max,s_min,condition_number,ratio_to_theory,s_min_over_n_lambda_n,s_min_over_n,min_p_squared,mse,bias,variance,m_truncated,variance_full,truncation_gap,truncation_bound,bound_holds
-condnum,1082242704324474087,8,80,0,polynomial,gaussian,,9.937382405140124,0.06365397068214852,156.11567194702937,2.439307374172334,,,,,,,,,,,
-condnum,219182256276397182,8,80,1,polynomial,gaussian,,7.194338032710189,0.05741825807979992,125.2970444124497,1.9577663189445265,,,,,,,,,,,
+condnum,1082242704324474087,8,80,0,polynomial,gaussian,,9.937382405140138,0.06365397068214777,156.11567194703142,2.439307374172366,,,,,,,,,,,
+condnum,219182256276397182,8,80,1,polynomial,gaussian,,7.1943380327101965,0.05741825807979973,125.29704441245023,1.957766318944535,,,,,,,,,,,
 """
 
 
@@ -224,6 +227,20 @@ class TestCli:
         monkeypatch.setattr(cli, "run_experiment", boom)
         assert cli.main(["condnum", "--out", str(tmp_path / "x.csv"),
                          "--n_grid", "8", "--trials", "1"]) == 2
+
+    def test_nan_record_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a NaN reaching a TrialRecord is a numeric failure of that trial
+        real = experiments.row_norm_diagnostics
+
+        def nan_diagnostics(d, n):
+            return dataclasses.replace(real(d, n), min_p_squared=float("nan"))
+
+        monkeypatch.setattr(experiments, "row_norm_diagnostics", nan_diagnostics)
+        code = cli.main(["smin-study", "--out", str(tmp_path / "x.csv"),
+                         "--n_grid", "8", "--trials", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "min_p_squared" in err
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a.csv"

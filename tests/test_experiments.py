@@ -5,6 +5,7 @@ from overfit_lab.errors import (
     EmptyReportError,
     InvalidParameterError,
     InvariantViolationError,
+    NumericError,
 )
 from overfit_lab.experiments import (
     ExperimentConfig,
@@ -116,7 +117,7 @@ class TestAggregate:
             aggregate([])
 
     def test_nan_rejected_at_record_level(self):
-        with pytest.raises(InvariantViolationError):
+        with pytest.raises(NumericError, match="trial 0"):
             TrialRecord("condnum", seed=1, N=8, M=80, trial=0, mse=float("nan"))
 
 

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from overfit_lab.errors import (
     InsufficientTailError,
@@ -9,8 +12,10 @@ from overfit_lab.errors import (
     NumericError,
     ShapeError,
 )
+from overfit_lab.experiments import derive_seed
 from overfit_lab.features import DesignMatrix, FeatureLaw, sample_design
 from overfit_lab.linalg import (
+    GRAM_CERTIFIED_TOLERANCE,
     KernelMatrix,
     assemble_kernel,
     min_norm_solve,
@@ -125,6 +130,7 @@ class TestSingularExtremes:
     def test_identity(self):
         summary = singular_extremes(KernelMatrix.from_entries(np.eye(5)))
         assert summary.condition_number == pytest.approx(1.0)
+        assert summary.path == "eigh" and summary.rel_error_bound is None
 
     def test_rank_deficient_reports_zero(self):
         summary = singular_extremes(KernelMatrix.from_entries(np.ones((2, 2))))
@@ -183,6 +189,91 @@ class TestSingularExtremes:
         jac = singular_extremes(K).full_singular_values
         fast = np.linalg.svd(K.factor, compute_uv=False) ** 2
         np.testing.assert_allclose(jac, fast, rtol=1e-8)
+
+
+def _mp_squared_singular_values(g, dps=50):
+    """Squared singular values of g, descending, by a multiprecision SVD."""
+    with mpmath.workdps(dps):
+        sv = mpmath.svd_r(mpmath.matrix(g.tolist()), compute_uv=False)
+        return np.array(sorted((float(x * x) for x in sv), reverse=True))
+
+
+def _smin_grid_kernel(law, n, trial=0):
+    """Kernel of trial ``trial`` of the default smin-study sweep at N = n."""
+    s = make_spectrum("polynomial", 1.0, 10 * n)
+    seed = derive_seed(2024, "smin_study", n, trial, law)
+    return assemble_kernel(s, sample_design(FeatureLaw(law), 10 * n, n, seed))
+
+
+class TestGramCertificate:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 10),
+        aspect=st.integers(1, 4),
+        decay=st.floats(0.0, 8.0),
+        collapse=st.sampled_from([None, 1e-2, 1e-4, 1e-6, 1e-9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_graded_factor_certified_or_escalated(self, n, aspect, decay, collapse,
+                                                  seed):
+        # G = D * B with D = diag(sqrt(lambda)) graded over up to 1e8 in
+        # lambda (never steep at this aspect) and B optionally given a
+        # near-duplicate column, which collapses s_min
+        m = aspect * n
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((m, n))
+        if collapse is not None:
+            b[:, -1] = b[:, 0] + collapse * rng.standard_normal(m)
+        s = make_spectrum("custom", eigenvalues=10.0 ** (-decay * np.arange(m) / m))
+        K = assemble_kernel(s, DesignMatrix(b, GAUSSIAN))
+        assert not K._steep
+        summary = singular_extremes(K)
+        event(summary.path)
+        if summary.path == "gesdd":
+            assert summary.rel_error_bound is None
+            return
+        assert summary.path == "gram_eigh" and not summary.accurate
+        bound = summary.rel_error_bound
+        assert 0.0 < bound <= GRAM_CERTIFIED_TOLERANCE
+        vals = summary.full_singular_values
+        oracle = _mp_squared_singular_values(K.factor)
+        # the certificate bounds every absolute error by bound * lambda_min
+        err = np.abs(vals - oracle)
+        assert np.all(err <= bound * vals[-1] + np.finfo(float).eps * oracle)
+
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("law", ["cosine", "sine"])
+    def test_collapsing_designs_escalate(self, law, n):
+        for trial in range(2):
+            summary = singular_extremes(_smin_grid_kernel(law, n, trial), full=False)
+            assert summary.path == "gesdd"
+            assert summary.rel_error_bound is None
+
+    @pytest.mark.parametrize("law", ["gaussian", "uniform_subgaussian"])
+    def test_independent_designs_certify_at_scale(self, law):
+        K = _smin_grid_kernel(law, 512)
+        summary = singular_extremes(K, full=False)
+        assert summary.path == "gram_eigh"
+        assert summary.rel_error_bound <= GRAM_CERTIFIED_TOLERANCE
+        ref = np.linalg.svd(K.factor, compute_uv=False) ** 2
+        assert summary.s_min == pytest.approx(ref[-1], rel=summary.rel_error_bound)
+        assert summary.s_max == pytest.approx(ref[0], rel=summary.rel_error_bound)
+
+    def test_values_with_vectors_keep_the_svd_route(self):
+        K = _smin_grid_kernel("gaussian", 64)
+        min_norm_solve(K, np.ones(64))
+        summary = singular_extremes(K)
+        assert summary.path == "gesdd" and summary.rel_error_bound is None
+
+    def test_steep_kernel_keeps_jacobi(self):
+        summary = singular_extremes(_steep_kernel())
+        assert summary.path == "jacobi" and summary.rel_error_bound is None
+
+    def test_wide_factor_skips_gram(self):
+        s = make_spectrum("polynomial", 1.0, 4)
+        psi = np.random.default_rng(2).standard_normal((4, 8))
+        K = assemble_kernel(s, DesignMatrix(psi, GAUSSIAN))
+        assert singular_extremes(K).path == "gesdd"
 
 
 class TestRowNormDiagnostics:

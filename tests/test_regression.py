@@ -4,7 +4,7 @@ import pytest
 from conftest import mc_noise_variance
 from overfit_lab.errors import InvalidParameterError, RankDeficientKernelWarning
 from overfit_lab.features import DesignMatrix, FeatureLaw, sample_design
-from overfit_lab.linalg import assemble_kernel
+from overfit_lab.linalg import assemble_kernel, singular_extremes
 from overfit_lab.regression import (
     TargetModel,
     bias_monte_carlo,
@@ -99,6 +99,34 @@ class TestFitAndPredict:
         test = DesignMatrix(np.array([[0.5, 1.0, 2.0]]), GAUSSIAN)
         preds = predict(f, test)
         np.testing.assert_allclose(preds, [2.0, 4.0, 8.0], rtol=1e-12)
+
+    def test_prediction_dual_follows_its_labels(self):
+        s, d, t = _square_problem(12, seed=7)
+        K = assemble_kernel(s, d)
+        y = synthesize_labels(d, s, t, seed=0)
+        f = fit_ridgeless(K, y)
+        assert np.array_equal(f.prediction_dual(y), f._dual)
+        y_new = 2.0 * y + 1.0
+        w_new = f.prediction_dual(y_new)
+        assert not np.allclose(w_new, f._dual)
+        np.testing.assert_array_equal(w_new, fit_ridgeless(K, y_new)._dual)
+        # the dual bound at fit time is unaffected by later calls
+        np.testing.assert_array_equal(f._dual, fit_ridgeless(K, y)._dual)
+
+    def test_singular_extremes_independent_of_call_order(self):
+        s = make_spectrum("polynomial", 1.0, 640)
+        t = TargetModel(np.random.default_rng(3).standard_normal(640), 1.0)
+        d = sample_design(GAUSSIAN, 640, 64, seed=12)
+        y = synthesize_labels(d, s, t, seed=1)
+        K = assemble_kernel(s, d)
+        before = singular_extremes(K)
+        fit_ridgeless(K, y)
+        after = singular_extremes(K)
+        assert before.path == after.path == "gram_eigh"
+        assert before.s_min == after.s_min and before.s_max == after.s_max
+        np.testing.assert_array_equal(before.full_singular_values,
+                                      after.full_singular_values)
+        assert before.rel_error_bound == after.rel_error_bound
 
     def test_inconsistent_labels_flagged(self):
         s = make_spectrum("custom", eigenvalues=[4.0])
