@@ -16,7 +16,7 @@ from overfit_lab import (
     ExperimentConfig,
     make_spectrum,
     render_plot,
-    run_condnum,
+    run_experiment,
     theoretical_condition_ratio,
     write_csv,
     write_spectrum_csv,
@@ -40,7 +40,7 @@ print("\n== measured / predicted condition number (medians over trials) ==")
 for kind in ("polynomial", "exponential"):
     cfg = ExperimentConfig(experiment="condnum", spectrum=kind, a=1.0,
                            n_grid=(32, 64, 128, 256), trials=10)
-    report = run_condnum(cfg)
+    report = run_experiment(cfg)
     write_csv(report, OUT / f"condnum_{kind}.csv")
     render_plot(report, OUT / f"condnum_{kind}.svg",
                 y_field="ratio_to_theory", log_x=True)

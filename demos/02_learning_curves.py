@@ -11,7 +11,7 @@ CLI equivalent:
 
 from pathlib import Path
 
-from overfit_lab import ExperimentConfig, render_plot, run_learning_curve, write_csv
+from overfit_lab import ExperimentConfig, render_plot, run_experiment, write_csv
 
 OUT = Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -20,7 +20,7 @@ curves = {}
 for kind in ("polynomial", "exponential"):
     cfg = ExperimentConfig(experiment="learning_curve", spectrum=kind, a=1.0,
                            n_grid=(32, 64, 128, 256), trials=10, n_test=500)
-    report = run_learning_curve(cfg)
+    report = run_experiment(cfg)
     write_csv(report, OUT / f"learning_{kind}.csv")
     render_plot(report, OUT / f"learning_{kind}.svg",
                 y_field="mse", log_x=True, log_y=True)

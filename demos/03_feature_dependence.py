@@ -21,7 +21,7 @@ from overfit_lab import (
     make_spectrum,
     render_plot,
     row_norm_diagnostics,
-    run_smin_study,
+    run_experiment,
     sample_design,
     singular_extremes,
     write_csv,
@@ -33,7 +33,7 @@ OUT.mkdir(exist_ok=True)
 
 cfg = ExperimentConfig(experiment="smin_study", spectrum="polynomial", a=1.0,
                        n_grid=(32, 64, 128, 256), trials=10)
-report = run_smin_study(cfg)
+report = run_experiment(cfg)
 write_csv(report, OUT / "smin_study.csv")
 render_plot(report, OUT / "smin_study.svg",
             y_field="s_min_over_n_lambda_n", log_x=True, log_y=True)

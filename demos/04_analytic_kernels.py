@@ -22,7 +22,7 @@ from overfit_lab import (
     ntk_kappa0,
     ntk_kappa1,
     render_plot,
-    run_kernel_interp,
+    run_experiment,
     singular_extremes,
     write_csv,
 )
@@ -38,7 +38,7 @@ for kernel, domain in (("laplacian", "std_normal_1d"), ("ntk_1hidden", "unit_dis
     cfg = ExperimentConfig(experiment="kernel_interp", kernel=kernel,
                            input_domain=domain, n_grid=(16, 32, 64, 128),
                            trials=10, n_test=400)
-    report = run_kernel_interp(cfg)
+    report = run_experiment(cfg)
     write_csv(report, OUT / f"interp_{kernel}.csv")
     render_plot(report, OUT / f"interp_{kernel}.svg",
                 y_field="mse", log_x=True, log_y=True)

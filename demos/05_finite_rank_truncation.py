@@ -15,7 +15,7 @@ from overfit_lab import (
     ExperimentConfig,
     FeatureLaw,
     make_spectrum,
-    run_truncation,
+    run_experiment,
     sample_design,
     truncation_study,
     write_csv,
@@ -36,7 +36,7 @@ for rec in truncation_study(s, d, sigma=1.0, M_list=[2 * n, 4 * n, 10 * n, 40 * 
 cfg = ExperimentConfig(experiment="truncation", spectrum="polynomial", a=1.0,
                        n_grid=(32, 64), trials=10, eta_full=100,
                        truncation_etas=(5, 10, 20))
-report = run_truncation(cfg)
+report = run_experiment(cfg)
 write_csv(report, OUT / "truncation.csv")
 
 print("\nacross seeds: fraction of trials where the bound holds")

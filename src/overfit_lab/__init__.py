@@ -70,12 +70,7 @@ from .experiments import (
     TrialRecord,
     aggregate,
     derive_seed,
-    run_condnum,
     run_experiment,
-    run_kernel_interp,
-    run_learning_curve,
-    run_smin_study,
-    run_truncation,
 )
 from .config import parse_config, serialize_config
 from .csvio import write_csv, write_singular_values_csv, write_spectrum_csv

@@ -1,11 +1,19 @@
-"""Experiment drivers: sweep N, repeat trials, aggregate quartiles.
+"""Experiment sweeps: sweep N, repeat trials, aggregate quartiles.
 
-Every trial derives its RNG seed as a SHA-256 hash of (master_seed,
-experiment, N, trial index, stream tag), so runs are reproducible bit for
-bit, trials never share state, and inserting a new stream cannot shift the
-draws of an existing one.  Records are emitted in deterministic order
-(N, law, trial), and aggregation is pure, so identical configs produce
-identical reports.
+``run_experiment(cfg)`` runs every sweep.  For every N in ``cfg.n_grid``
+and every trial index ``t < cfg.trials`` it calls the experiment's trial
+function ``TRIALS[cfg.experiment](cfg, n, t) -> list[TrialRecord]``, then
+sorts the records and aggregates them.  A trial function is pure: it
+rebuilds whatever it needs from the config (spectrum, true coefficients,
+anchors) and draws every random number from a seed given by
+``derive_seed``, so the (N, t) cells can run in any order or in separate
+processes and still give the same records.
+
+``derive_seed`` hashes (master_seed, experiment, N, trial index, stream tag)
+with SHA-256, so runs are reproducible bit for bit, trials never share
+state, and inserting a new stream cannot shift the draws of an existing one.
+Records are emitted in deterministic order (N, law, m_truncated, trial), and
+aggregation is pure, so identical configs produce identical reports.
 """
 
 from __future__ import annotations
@@ -107,9 +115,12 @@ class ExperimentConfig:
         if any(e < 2 for e in self.truncation_etas):
             raise InvariantViolationError("truncation etas must be at least 2")
 
-    def feature_count(self, n: int) -> int:
-        """M for sample size n: eta*n, capped where the spectrum underflows."""
-        m = self.eta * n
+    def feature_count(self, n: int, eta: int | None = None) -> int:
+        """M for sample size n: eta*n, capped where the spectrum underflows.
+
+        eta defaults to the config's; truncation passes eta_full.
+        """
+        m = (self.eta if eta is None else eta) * n
         if self.spectrum == "exponential":
             cap = max_exponential_length(self.a)
             if cap < n:
@@ -229,140 +240,97 @@ def _group_sort_key(key):
     return tuple("" if k is None else str(k) if isinstance(k, str) else k for k in key)
 
 
-def _sorted_records(records):
-    return sorted(
-        records, key=lambda r: (r.N, r.law or "", r.m_truncated or 0, r.trial)
-    )
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Run cfg's sweep: every N in n_grid, every trial t < trials, then aggregate.
 
-
-def _theory_regime(spectrum_kind: str) -> str:
-    return "exp" if spectrum_kind == "exponential" else "poly"
-
-
-def run_condnum(cfg: ExperimentConfig) -> ExperimentReport:
-    """Condition number of the Mercer kernel against its predicted scale."""
-    _expect(cfg, "condnum")
-    records = []
-    law = FeatureLaw(cfg.law)
-    for n in cfg.n_grid:
-        m = cfg.feature_count(n)
-        s = make_spectrum(cfg.spectrum, cfg.a, m)
-        theory = theoretical_condition_ratio(s, n, _theory_regime(cfg.spectrum))
-        for t in range(cfg.trials):
-            seed = derive_seed(cfg.master_seed, cfg.experiment, n, t)
-            d = sample_design(law, m, n, seed)
-            summary = singular_extremes(assemble_kernel(s, d), full=False)
-            records.append(
-                TrialRecord(
-                    experiment=cfg.experiment,
-                    seed=seed,
-                    N=n,
-                    M=m,
-                    trial=t,
-                    spectrum=cfg.spectrum,
-                    law=cfg.law,
-                    s_max=summary.s_max,
-                    s_min=summary.s_min,
-                    condition_number=summary.condition_number,
-                    ratio_to_theory=summary.condition_number / theory,
-                )
-            )
-    records = _sorted_records(records)
-    return ExperimentReport(cfg, records, aggregate(records))
-
-
-def run_learning_curve(cfg: ExperimentConfig) -> ExperimentReport:
-    """Test error, bias, and variance of the interpolant along the N grid.
-
-    The true coefficient is drawn once per N and shared by all trials of
-    that N; each trial redraws design, label noise, and test inputs.
+    The work of one (N, t) cell is ``TRIALS[cfg.experiment](cfg, n, t)``.
     """
-    _expect(cfg, "learning_curve")
-    records = []
-    law = FeatureLaw(cfg.law)
-    for n in cfg.n_grid:
-        m = cfg.feature_count(n)
-        s = make_spectrum(cfg.spectrum, cfg.a, m)
-        theta_rng = np.random.default_rng(
-            derive_seed(cfg.master_seed, cfg.experiment, n, -1, "theta")
-        )
-        target = TargetModel(theta_rng.standard_normal(m), cfg.sigma)
-        for t in range(cfg.trials):
-            seed = derive_seed(cfg.master_seed, cfg.experiment, n, t)
-            d = sample_design(law, m, n, seed)
-            K = assemble_kernel(s, d)
-            y = synthesize_labels(
-                d, s, target, derive_seed(cfg.master_seed, cfg.experiment, n, t, "noise")
-            )
-            f = fit_ridgeless(K, y)
-            test = sample_design(
-                law, m, cfg.n_test,
-                derive_seed(cfg.master_seed, cfg.experiment, n, t, "test"),
-            )
-            risk = evaluate_risk(
-                f, target, test, cfg.n_test,
-                derive_seed(cfg.master_seed, cfg.experiment, n, t, "bias"),
-            )
-            summary = singular_extremes(K, full=False)
-            records.append(
-                TrialRecord(
-                    experiment=cfg.experiment,
-                    seed=seed,
-                    N=n,
-                    M=m,
-                    trial=t,
-                    spectrum=cfg.spectrum,
-                    law=cfg.law,
-                    mse=risk.empirical_mse,
-                    bias=risk.bias,
-                    variance=risk.variance,
-                    s_max=summary.s_max,
-                    s_min=summary.s_min,
-                    condition_number=summary.condition_number,
-                )
-            )
-    records = _sorted_records(records)
+    trial_fn = TRIALS[cfg.experiment]
+    cells = [(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
+    records = sorted(
+        (rec for n, t in cells for rec in trial_fn(cfg, n, t)),
+        key=lambda r: (r.N, r.law or "", r.m_truncated or 0, r.trial),
+    )
     return ExperimentReport(cfg, records, aggregate(records))
 
 
-def run_smin_study(cfg: ExperimentConfig) -> ExperimentReport:
-    """Smallest singular value across feature laws, normalized two ways.
+def _seed(cfg: ExperimentConfig, n: int, t: int, stream: str = "") -> int:
+    return derive_seed(cfg.master_seed, cfg.experiment, n, t, stream)
+
+
+def _record(cfg: ExperimentConfig, n: int, m: int, t: int, seed: int, **values):
+    """TrialRecord of cfg's experiment; spectrum and law default to cfg's."""
+    return TrialRecord(**{
+        "experiment": cfg.experiment, "seed": seed, "N": n, "M": m, "trial": t,
+        "spectrum": cfg.spectrum, "law": cfg.law, **values,
+    })
+
+
+def _extremes(K) -> dict:
+    """s_max, s_min and condition number of K, as TrialRecord fields."""
+    summary = singular_extremes(K, full=False)
+    return dict(s_max=summary.s_max, s_min=summary.s_min,
+                condition_number=summary.condition_number)
+
+
+def _condnum_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:
+    """Condition number of the Mercer kernel against its predicted scale."""
+    m = cfg.feature_count(n)
+    s = make_spectrum(cfg.spectrum, cfg.a, m)
+    regime = "exp" if cfg.spectrum == "exponential" else "poly"
+    theory = theoretical_condition_ratio(s, n, regime)
+    seed = _seed(cfg, n, t)
+    d = sample_design(FeatureLaw(cfg.law), m, n, seed)
+    ext = _extremes(assemble_kernel(s, d))
+    return [_record(cfg, n, m, t, seed, **ext,
+                    ratio_to_theory=ext["condition_number"] / theory)]
+
+
+def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:
+    """Test error, bias, and variance of the interpolant.
+
+    The true coefficient is drawn from a per-N seed, so all trials of one N
+    share it; each trial redraws design, label noise, and test inputs.
+    """
+    m = cfg.feature_count(n)
+    s = make_spectrum(cfg.spectrum, cfg.a, m)
+    theta_rng = np.random.default_rng(_seed(cfg, n, -1, "theta"))
+    target = TargetModel(theta_rng.standard_normal(m), cfg.sigma)
+    law = FeatureLaw(cfg.law)
+    seed = _seed(cfg, n, t)
+    d = sample_design(law, m, n, seed)
+    K = assemble_kernel(s, d)
+    y = synthesize_labels(d, s, target, _seed(cfg, n, t, "noise"))
+    f = fit_ridgeless(K, y)
+    test = sample_design(law, m, cfg.n_test, _seed(cfg, n, t, "test"))
+    risk = evaluate_risk(f, target, test, cfg.n_test, _seed(cfg, n, t, "bias"))
+    # after the fit, so the values come from its full SVD
+    return [_record(cfg, n, m, t, seed, mse=risk.empirical_mse, bias=risk.bias,
+                    variance=risk.variance, **_extremes(K))]
+
+
+def _smin_study_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:
+    """Smallest singular value for each feature law, normalized two ways.
 
     Runs all four laws regardless of cfg.law: the point of the study is the
     independent-vs-dependent contrast.
     """
-    _expect(cfg, "smin_study")
+    m = cfg.feature_count(n)
+    s = make_spectrum(cfg.spectrum, cfg.a, m)
+    lam_n = float(s.eigenvalues[n - 1])
     records = []
-    for n in cfg.n_grid:
-        m = cfg.feature_count(n)
-        s = make_spectrum(cfg.spectrum, cfg.a, m)
-        lam_n = float(s.eigenvalues[n - 1])
-        for law_name in SMIN_LAWS:
-            law = FeatureLaw(law_name)
-            for t in range(cfg.trials):
-                seed = derive_seed(cfg.master_seed, cfg.experiment, n, t, law_name)
-                d = sample_design(law, m, n, seed)
-                summary = singular_extremes(assemble_kernel(s, d), full=False)
-                diag = row_norm_diagnostics(d, n)
-                records.append(
-                    TrialRecord(
-                        experiment=cfg.experiment,
-                        seed=seed,
-                        N=n,
-                        M=m,
-                        trial=t,
-                        spectrum=cfg.spectrum,
-                        law=law_name,
-                        s_max=summary.s_max,
-                        s_min=summary.s_min,
-                        condition_number=summary.condition_number,
-                        s_min_over_n_lambda_n=summary.s_min / (n * lam_n),
-                        s_min_over_n=summary.s_min / n,
-                        min_p_squared=diag.min_p_squared,
-                    )
-                )
-    records = _sorted_records(records)
-    return ExperimentReport(cfg, records, aggregate(records))
+    for law_name in SMIN_LAWS:
+        seed = _seed(cfg, n, t, law_name)
+        d = sample_design(FeatureLaw(law_name), m, n, seed)
+        ext = _extremes(assemble_kernel(s, d))
+        diag = row_norm_diagnostics(d, n)
+        records.append(_record(
+            cfg, n, m, t, seed, law=law_name, **ext,
+            s_min_over_n_lambda_n=ext["s_min"] / (n * lam_n),
+            s_min_over_n=ext["s_min"] / n,
+            min_p_squared=diag.min_p_squared,
+        ))
+    return records
 
 
 def _kernel_domain(cfg: ExperimentConfig) -> InputDomain:
@@ -373,125 +341,63 @@ def _kernel_domain(cfg: ExperimentConfig) -> InputDomain:
     return InputDomain("std_normal_1d")
 
 
-def run_kernel_interp(cfg: ExperimentConfig) -> ExperimentReport:
+def _kernel_interp_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:
     """Interpolation with an analytic kernel against a fixed in-span target.
 
     The target is a combination of kernel sections at n_anchors anchor points
-    with a unit-norm coefficient vector, both drawn once from the master seed
-    so every N fits the same function.
+    with a unit-norm coefficient vector, both drawn from N-free seeds so every
+    N fits the same function.
     """
-    _expect(cfg, "kernel_interp")
     domain = _kernel_domain(cfg)
     dim = 2 if domain.kind in ("unit_disk_2d", "unit_circle_2d") else 1
     kern = AnalyticKernel(cfg.kernel, dimension=dim, bandwidth=cfg.bandwidth)
-    anchor_seed = derive_seed(cfg.master_seed, cfg.experiment, 0, -1, "anchors")
-    anchors = sample_inputs(domain, cfg.n_anchors, anchor_seed)
-    coeff_rng = np.random.default_rng(
-        derive_seed(cfg.master_seed, cfg.experiment, 0, -1, "anchor-coeffs")
-    )
+    anchors = sample_inputs(domain, cfg.n_anchors, _seed(cfg, 0, -1, "anchors"))
+    coeff_rng = np.random.default_rng(_seed(cfg, 0, -1, "anchor-coeffs"))
     coeffs = coeff_rng.standard_normal(cfg.n_anchors)
     coeffs /= np.linalg.norm(coeffs)
 
-    records = []
-    for n in cfg.n_grid:
-        for t in range(cfg.trials):
-            seed = derive_seed(cfg.master_seed, cfg.experiment, n, t)
-            rng = np.random.default_rng(seed)
-            x_train = sample_inputs(domain, n, rng)
-            if cfg.anchors_in_training:
-                if n < cfg.n_anchors:
-                    raise InvalidParameterError(
-                        "anchors_in_training needs N >= n_anchors"
-                    )
-                x_train[: cfg.n_anchors] = anchors
-            z = anchors if not cfg.anchors_in_training else x_train[: cfg.n_anchors]
-            K = kernel_gram(kern, x_train)
-            f_star_train = kernel_cross(kern, x_train, z) @ coeffs
-            y = f_star_train + cfg.sigma * rng.standard_normal(n)
-            sol = min_norm_solve(K, y)
-            x_test = sample_inputs(
-                domain, cfg.n_test,
-                derive_seed(cfg.master_seed, cfg.experiment, n, t, "test"),
-            )
-            preds = kernel_cross(kern, x_test, x_train) @ sol.alpha
-            truth = kernel_cross(kern, x_test, z) @ coeffs
-            mse = float(np.mean((preds - truth) ** 2))
-            summary = singular_extremes(K, full=False)
-            records.append(
-                TrialRecord(
-                    experiment=cfg.experiment,
-                    seed=seed,
-                    N=n,
-                    M=n,
-                    trial=t,
-                    kernel=cfg.kernel,
-                    law=domain.kind,
-                    mse=mse,
-                    s_max=summary.s_max,
-                    s_min=summary.s_min,
-                    condition_number=summary.condition_number,
-                    s_min_over_n=summary.s_min / n,
-                )
-            )
-    records = _sorted_records(records)
-    return ExperimentReport(cfg, records, aggregate(records))
+    seed = _seed(cfg, n, t)
+    rng = np.random.default_rng(seed)
+    x_train = sample_inputs(domain, n, rng)
+    if cfg.anchors_in_training:
+        if n < cfg.n_anchors:
+            raise InvalidParameterError("anchors_in_training needs N >= n_anchors")
+        x_train[: cfg.n_anchors] = anchors
+    K = kernel_gram(kern, x_train)
+    f_star_train = kernel_cross(kern, x_train, anchors) @ coeffs
+    y = f_star_train + cfg.sigma * rng.standard_normal(n)
+    sol = min_norm_solve(K, y)
+    x_test = sample_inputs(domain, cfg.n_test, _seed(cfg, n, t, "test"))
+    preds = kernel_cross(kern, x_test, x_train) @ sol.alpha
+    truth = kernel_cross(kern, x_test, anchors) @ coeffs
+    ext = _extremes(K)
+    return [_record(cfg, n, n, t, seed, spectrum=None, law=domain.kind,
+                    kernel=cfg.kernel, mse=float(np.mean((preds - truth) ** 2)),
+                    **ext, s_min_over_n=ext["s_min"] / n)]
 
 
-def run_truncation(cfg: ExperimentConfig) -> ExperimentReport:
+def _truncation_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:
     """Variance of truncated kernels versus the full-rank reference."""
-    _expect(cfg, "truncation")
-    records = []
-    law = FeatureLaw(cfg.law)
-    for n in cfg.n_grid:
-        m_full = cfg.eta_full * n
-        if cfg.spectrum == "exponential":
-            m_full = min(m_full, max_exponential_length(cfg.a))
-        s_full = make_spectrum(cfg.spectrum, cfg.a, m_full)
-        m_list = []
-        for e in cfg.truncation_etas:
-            m = min(e * n, m_full)
-            if m not in m_list and m > n:
-                m_list.append(m)
-        for t in range(cfg.trials):
-            seed = derive_seed(cfg.master_seed, cfg.experiment, n, t)
-            d_full = sample_design(law, m_full, n, seed)
-            for rec in truncation_study(s_full, d_full, cfg.sigma, m_list):
-                records.append(
-                    TrialRecord(
-                        experiment=cfg.experiment,
-                        seed=seed,
-                        N=n,
-                        M=m_full,
-                        trial=t,
-                        spectrum=cfg.spectrum,
-                        law=cfg.law,
-                        m_truncated=rec.m_truncated,
-                        variance=rec.variance,
-                        variance_full=rec.variance_full,
-                        truncation_gap=rec.gap,
-                        truncation_bound=rec.bound,
-                        bound_holds=rec.holds,
-                    )
-                )
-    records = _sorted_records(records)
-    return ExperimentReport(cfg, records, aggregate(records))
+    m_full = cfg.feature_count(n, eta=cfg.eta_full)
+    s_full = make_spectrum(cfg.spectrum, cfg.a, m_full)
+    m_list = [m for m in sorted({min(e * n, m_full) for e in cfg.truncation_etas})
+              if m > n]
+    seed = _seed(cfg, n, t)
+    d_full = sample_design(FeatureLaw(cfg.law), m_full, n, seed)
+    return [
+        _record(cfg, n, m_full, t, seed, m_truncated=rec.m_truncated,
+                variance=rec.variance, variance_full=rec.variance_full,
+                truncation_gap=rec.gap, truncation_bound=rec.bound,
+                bound_holds=rec.holds)
+        for rec in truncation_study(s_full, d_full, cfg.sigma, m_list)
+    ]
 
 
-RUNNERS = {
-    "condnum": run_condnum,
-    "learning_curve": run_learning_curve,
-    "smin_study": run_smin_study,
-    "kernel_interp": run_kernel_interp,
-    "truncation": run_truncation,
+# trial_fn(cfg, n, t) -> list[TrialRecord] per experiment; see the module docstring
+TRIALS = {
+    "condnum": _condnum_trial,
+    "learning_curve": _learning_curve_trial,
+    "smin_study": _smin_study_trial,
+    "kernel_interp": _kernel_interp_trial,
+    "truncation": _truncation_trial,
 }
-
-
-def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    return RUNNERS[cfg.experiment](cfg)
-
-
-def _expect(cfg: ExperimentConfig, name: str):
-    if cfg.experiment != name:
-        raise InvalidParameterError(
-            f"config names experiment {cfg.experiment!r}, runner is {name!r}"
-        )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidParameterError, InvariantViolationError, ShapeError
 
-FEATURE_LAWS = ("gaussian", "uniform_subgaussian", "cosine", "sine", "kernel_eigen_proxy")
+FEATURE_LAWS = ("gaussian", "uniform_subgaussian", "cosine", "sine")
 INPUT_DOMAINS = ("std_normal_1d", "unit_disk_2d", "unit_circle_2d", "uniform_interval")
 KERNEL_KINDS = ("laplacian", "gaussian_rbf", "ntk_1hidden")
 
@@ -46,9 +46,7 @@ class FeatureLaw:
     """How the columns of a design matrix are drawn.
 
     gaussian and uniform_subgaussian are isotropic with independent entries;
-    cosine and sine are isotropic with dependent entries.  kernel_eigen_proxy
-    is a reserved tag for designs induced by analytic-kernel eigenvectors and
-    cannot be sampled directly.
+    cosine and sine are isotropic with dependent entries.
     """
 
     kind: str = "gaussian"
@@ -141,13 +139,10 @@ def sample_design(law: FeatureLaw, M: int, N: int, seed) -> DesignMatrix:
         entries = rng.standard_normal((M, N))
     elif law.kind == "uniform_subgaussian":
         entries = rng.uniform(-SQRT3, SQRT3, (M, N))
-    elif law.kind in ("cosine", "sine"):
+    else:  # cosine or sine
         domain = law.input_domain or InputDomain("uniform_interval", 0.0, TWO_PI)
         x = sample_inputs(domain, N, rng)[:, 0]
         entries = fourier_design(x, M, law.kind)
-    else:
-        # kernel_eigen_proxy has no direct sampling law
-        raise InvalidParameterError(f"law {law.kind!r} cannot be sampled directly")
     return DesignMatrix(entries, law, _seed_as_int(seed))
 
 

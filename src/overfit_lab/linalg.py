@@ -226,19 +226,16 @@ class KernelMatrix:
         w, q = np.linalg.eigh(self.entries)
         return w[::-1].copy(), q[:, ::-1].copy()
 
-    def eigensystem(self):
-        """Eigenvalues (descending) and eigenvectors of K in sample space."""
-        if not self.is_mercer:
-            return self._eigh
+    def dual(self, y) -> np.ndarray:
+        """Dual vector w = U_k S_k^-1 V_k^T y of a Mercer kernel over its kept modes.
+
+        For any test factor G_x, G_x^T w = K_x^T K^+ y; unlike K^+ y itself,
+        w stays at the scale of the labels on steep spectra.
+        """
         u, s, v = self._factor_svd
-        w = s * s
-        if s.size == self.size:
-            return w, v
-        # wide factor: nonzero modes are V's columns; complete the null space
-        w = np.concatenate([w, np.zeros(self.size - s.size)])
-        q_full = np.linalg.qr(v, mode="complete")[0]
-        q = np.concatenate([v, q_full[:, s.size:]], axis=1)
-        return w, q
+        keep = kept_modes(self, s * s)
+        y = np.asarray(y, dtype=np.float64)
+        return u[:, keep] @ ((v[:, keep].T @ y) / s[keep])
 
 
 def assemble_kernel(s: Spectrum, d: DesignMatrix) -> KernelMatrix:
@@ -314,7 +311,13 @@ def min_norm_solve(K: KernelMatrix, y) -> MinNormSolution:
         raise ShapeError(f"y has length {y.size}, kernel is {K.size} x {K.size}")
     if not np.all(np.isfinite(y)):
         raise NumericError("right-hand side has non-finite entries")
-    w, q = K.eigensystem()
+    if K.is_mercer:
+        # eigenpairs in sample space: (s_j^2, v_j); a wide factor's missing
+        # modes have eigenvalue 0 and are never kept
+        _, s, q = K._factor_svd
+        w = s * s
+    else:
+        w, q = K._eigh
     keep = kept_modes(K, w)
     qk = q[:, keep]
     proj = qk.T @ y

@@ -34,15 +34,13 @@ def _series_label(key, varying) -> str:
     return "/".join(parts) if parts else "all"
 
 
-def render_plot(report: ExperimentReport, path, x_field: str = "N",
-                y_field: str = "mse", log_x: bool = False, log_y: bool = False):
+def render_plot(report: ExperimentReport, path, y_field: str = "mse",
+                log_x: bool = False, log_y: bool = False):
     """Write a self-contained SVG of per-N aggregates for one value field.
 
     Non-finite aggregate values are dropped; the count of dropped points is
     recorded in a metadata comment at the top of the file.
     """
-    if x_field != "N":
-        raise PlotFieldError(f"x axis must be the sweep variable N, got {x_field!r}")
     aggs = report.aggregates
     present = {f for stats in aggs.values() for f in stats}
     if y_field not in present:
@@ -133,7 +131,7 @@ def render_plot(report: ExperimentReport, path, x_field: str = "N",
         out.append(f'<text x="{MARGIN_L - 8}" y="{_fmt(y + 4)}" font-size="11" '
                    f'text-anchor="end">{_tick_label(vy)}</text>')
     out.append(f'<text x="{MARGIN_L + plot_w / 2}" y="{HEIGHT - 12}" font-size="13" '
-               f'text-anchor="middle">{x_field}</text>')
+               f'text-anchor="middle">N</text>')
     out.append(f'<text x="18" y="{MARGIN_T + plot_h / 2}" font-size="13" '
                f'text-anchor="middle" transform="rotate(-90 18 '
                f'{MARGIN_T + plot_h / 2})">{y_field}</text>')

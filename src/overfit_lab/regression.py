@@ -82,10 +82,7 @@ class Interpolant:
 
     def prediction_dual(self, y) -> np.ndarray:
         """Dual vector w = U Sigma^-1 V^T y of labels y, so K_x^T K^+ y = G_test^T w."""
-        u, s, v = self.kernel._factor_svd
-        keep = kept_modes(self.kernel, s * s)
-        coeff = (v[:, keep].T @ np.asarray(y, dtype=np.float64)) / s[keep]
-        return u[:, keep] @ coeff
+        return self.kernel.dual(y)
 
 
 def synthesize_labels(d: DesignMatrix, s: Spectrum, t: TargetModel, seed) -> np.ndarray:
@@ -188,10 +185,7 @@ def bias_monte_carlo(
         raise InvalidParameterError("n_test must be at least 1")
     if kernel is None:
         kernel = assemble_kernel(s, d)
-    u, sv, v = kernel._factor_svd
-    keep = kept_modes(kernel, sv * sv)
-    clean = (np.sqrt(s.eigenvalues) * t.theta_star) @ d.entries
-    dual = u[:, keep] @ ((v[:, keep].T @ clean) / sv[keep])
+    dual = kernel.dual((np.sqrt(s.eigenvalues) * t.theta_star) @ d.entries)
     test = sample_design(d.law, s.size, n_test, seed)
     g_test = np.sqrt(s.eigenvalues)[:, None] * test.entries
     resid = g_test.T @ t.theta_star - g_test.T @ dual

@@ -10,13 +10,7 @@ import pytest
 
 from conftest import mc_noise_variance
 from overfit_lab.csvio import write_csv
-from overfit_lab.experiments import (
-    ExperimentConfig,
-    run_condnum,
-    run_learning_curve,
-    run_smin_study,
-    run_truncation,
-)
+from overfit_lab.experiments import ExperimentConfig, run_experiment
 from overfit_lab.features import DesignMatrix, FeatureLaw, sample_design
 from overfit_lab.linalg import (
     KernelMatrix,
@@ -50,31 +44,31 @@ def _median_curve(report, field, law=None, kernel=None, spectrum=None):
 
 @pytest.fixture(scope="module")
 def condnum_poly():
-    return run_condnum(ExperimentConfig(
+    return run_experiment(ExperimentConfig(
         experiment="condnum", spectrum="polynomial", a=1.0, n_grid=GRID))
 
 
 @pytest.fixture(scope="module")
 def condnum_exp():
-    return run_condnum(ExperimentConfig(
+    return run_experiment(ExperimentConfig(
         experiment="condnum", spectrum="exponential", a=1.0, n_grid=GRID))
 
 
 @pytest.fixture(scope="module")
 def learning_poly():
-    return run_learning_curve(ExperimentConfig(
+    return run_experiment(ExperimentConfig(
         experiment="learning_curve", spectrum="polynomial", a=1.0, n_grid=GRID))
 
 
 @pytest.fixture(scope="module")
 def learning_exp():
-    return run_learning_curve(ExperimentConfig(
+    return run_experiment(ExperimentConfig(
         experiment="learning_curve", spectrum="exponential", a=1.0, n_grid=GRID))
 
 
 @pytest.fixture(scope="module")
 def smin_report():
-    return run_smin_study(ExperimentConfig(
+    return run_experiment(ExperimentConfig(
         experiment="smin_study", spectrum="polynomial", a=1.0, n_grid=GRID))
 
 
@@ -156,7 +150,7 @@ def test_criterion_07_sub_gaussian_equivalence(smin_report):
 
 
 def test_criterion_08_finite_rank_inequality():
-    report = run_truncation(ExperimentConfig(
+    report = run_experiment(ExperimentConfig(
         experiment="truncation", spectrum="polynomial", a=1.0,
         n_grid=(64,), trials=20, eta_full=100, truncation_etas=(10,)))
     holds = sum(r.bound_holds for r in report.records)
@@ -167,7 +161,7 @@ def test_criterion_08_finite_rank_inequality():
 
 
 def test_criterion_09_exact_recovery():
-    report = run_learning_curve(ExperimentConfig(
+    report = run_experiment(ExperimentConfig(
         experiment="learning_curve", eta=1, sigma=0.0,
         n_grid=(32, 64), trials=3, n_test=200))
     worst = max(r.mse for r in report.records)
@@ -207,8 +201,8 @@ def test_criterion_10_numerical_contracts(tmp_path):
     cfg = ExperimentConfig(experiment="condnum", n_grid=(16, 32), trials=3,
                            master_seed=31)
     p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    write_csv(run_condnum(cfg), p1)
-    write_csv(run_condnum(cfg), p2)
+    write_csv(run_experiment(cfg), p1)
+    write_csv(run_experiment(cfg), p2)
     determinism_ok = p1.read_bytes() == p2.read_bytes()
 
     ok = range_ok and null_ok and gram_ok and factor_ok and determinism_ok

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 import pytest
@@ -13,11 +14,11 @@ from overfit_lab.experiments import (
     ExperimentReport,
     TrialRecord,
     aggregate,
-    run_condnum,
+    run_experiment,
 )
 from overfit_lab.plotting import render_plot
 
-# frozen output of run_condnum(n_grid=(8,), trials=2, master_seed=7), whose
+# frozen output of the condnum sweep (n_grid=(8,), trials=2, master_seed=7), whose
 # values come from the certified Gram-eigenvalue route; schema drift or any
 # nondeterminism shows up as a byte difference here
 GOLDEN_CONDNUM = """\
@@ -25,6 +26,41 @@ experiment,seed,N,M,trial,spectrum,law,kernel,s_max,s_min,condition_number,ratio
 condnum,1082242704324474087,8,80,0,polynomial,gaussian,,9.937382405140138,0.06365397068214777,156.11567194703142,2.439307374172366,,,,,,,,,,,
 condnum,219182256276397182,8,80,1,polynomial,gaussian,,7.1943380327101965,0.05741825807979973,125.29704441245023,1.957766318944535,,,,,,,,,,,
 """
+
+# SHA-256 of the CSV of each tiny sweep below, frozen from the per-experiment
+# sweep functions that run_experiment's single loop replaced; any change to a
+# value, the row order or the schema changes the digest.  The exponential learning curve
+# takes the Jacobi path at N=32; the ntk case puts the anchors in training.
+GOLDEN_SHA256 = {
+    "learning_curve-polynomial": (
+        dict(experiment="learning_curve", n_grid=(8, 16), trials=2, n_test=20),
+        "9ed4904262f44eaf850a3b78485ffefa71896491374f2b0be7425956825e8ea3",
+    ),
+    "learning_curve-exponential": (
+        dict(experiment="learning_curve", spectrum="exponential", n_grid=(16, 32),
+             trials=2, n_test=20),
+        "2a2d17a3eb45f970e21285c6d89b8a74525c9e3a8e2b57d0d65ccebe3eb373ae",
+    ),
+    "smin_study": (
+        dict(experiment="smin_study", n_grid=(8, 16), trials=2),
+        "687f89ad249bc5e60846080ddf9630eca07fc9329d9a9f351865bc6010887c95",
+    ),
+    "kernel_interp": (
+        dict(experiment="kernel_interp", n_grid=(16, 32), trials=2, n_test=20),
+        "e90409d43afcf70275405fb6ab3429c46b9804e98aaae047a6677487251d590a",
+    ),
+    "kernel_interp-anchors": (
+        dict(experiment="kernel_interp", kernel="ntk_1hidden",
+             anchors_in_training=True, n_anchors=4, n_grid=(8, 16), trials=2,
+             n_test=20),
+        "fb1c50edca53473ca7852491bdfc41c66770d4d926d46d4a172db6ddb603ff12",
+    ),
+    "truncation": (
+        dict(experiment="truncation", n_grid=(8, 16), trials=2, eta_full=20,
+             truncation_etas=(5, 10)),
+        "7d31bb90835e3cbb39e945f637f657018fc9494bfef716ce27df2a00be0c91e7",
+    ),
+}
 
 
 class TestParseConfig:
@@ -78,7 +114,7 @@ class TestCsv:
     def _mini_report(self):
         cfg = ExperimentConfig(experiment="condnum", n_grid=(8,), trials=2,
                                master_seed=7)
-        return run_condnum(cfg)
+        return run_experiment(cfg)
 
     def test_empty_report_header_only(self, tmp_path):
         cfg = ExperimentConfig()
@@ -109,6 +145,13 @@ class TestCsv:
         path = tmp_path / "golden.csv"
         write_csv(report, path)
         assert path.read_text() == GOLDEN_CONDNUM
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+    def test_golden_digest(self, tmp_path, name):
+        kw, digest = GOLDEN_SHA256[name]
+        path = tmp_path / f"{name}.csv"
+        write_csv(run_experiment(ExperimentConfig(master_seed=7, **kw)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_inf_sentinel(self, tmp_path):
         cfg = ExperimentConfig()
@@ -241,6 +284,16 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "numeric failure" in err and "min_p_squared" in err
+
+    def test_truncation_underflow_exit_code(self, tmp_path, capsys):
+        # the full-rank spectrum is capped like every other: a=4 underflows
+        # past index 172, so N=256 cannot be simulated and the run fails
+        code = cli.main(["truncation", "--out", str(tmp_path / "t.csv"),
+                         "--spectrum", "exponential", "--a", "4.0",
+                         "--n-grid", "32,64,128,256", "--trials", "1",
+                         "--truncation-etas", "2"])
+        assert code == 1
+        assert "N=256" in capsys.readouterr().err
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a.csv"

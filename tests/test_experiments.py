@@ -12,12 +12,7 @@ from overfit_lab.experiments import (
     TrialRecord,
     aggregate,
     derive_seed,
-    run_condnum,
     run_experiment,
-    run_kernel_interp,
-    run_learning_curve,
-    run_smin_study,
-    run_truncation,
 )
 
 
@@ -123,7 +118,7 @@ class TestAggregate:
 
 class TestCondnum:
     def test_single_trial_shape(self):
-        report = run_condnum(_cfg(experiment="condnum", n_grid=(8,), trials=1))
+        report = run_experiment(_cfg(experiment="condnum", n_grid=(8,), trials=1))
         assert len(report.records) == 1
         rec = report.records[0]
         assert rec.N == 8 and rec.M == 80 and rec.trial == 0
@@ -132,19 +127,11 @@ class TestCondnum:
 
     def test_record_count_and_determinism(self):
         cfg = _cfg(experiment="condnum", n_grid=(8, 16), trials=3)
-        r1 = run_condnum(cfg)
-        r2 = run_condnum(cfg)
+        r1 = run_experiment(cfg)
+        r2 = run_experiment(cfg)
         assert len(r1.records) == 6
         assert r1.records == r2.records
         assert r1.aggregates == r2.aggregates
-
-    def test_runner_mismatch_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            run_condnum(_cfg(experiment="truncation"))
-
-    def test_dispatch(self):
-        cfg = _cfg(experiment="condnum", n_grid=(8,), trials=1)
-        assert run_experiment(cfg).records == run_condnum(cfg).records
 
 
 class TestLearningCurve:
@@ -152,14 +139,14 @@ class TestLearningCurve:
         # sigma = 0 and M = N: interpolation recovers the target exactly
         cfg = _cfg(experiment="learning_curve", eta=1, sigma=0.0,
                    n_grid=(8, 16), trials=2, n_test=50)
-        report = run_learning_curve(cfg)
+        report = run_experiment(cfg)
         assert len(report.records) == 4
         for rec in report.records:
             assert rec.mse <= 1e-8
 
     def test_fields_populated(self):
         cfg = _cfg(experiment="learning_curve", n_grid=(16,), trials=2, n_test=50)
-        report = run_learning_curve(cfg)
+        report = run_experiment(cfg)
         for rec in report.records:
             assert rec.mse is not None and rec.bias is not None
             assert rec.variance is not None and rec.variance > 0
@@ -169,15 +156,15 @@ class TestLearningCurve:
         # seed is the only thing that changes is NOT guaranteed, but the
         # derivation must be deterministic across runs
         cfg = _cfg(experiment="learning_curve", n_grid=(8,), trials=2, n_test=20)
-        a = run_learning_curve(cfg).records
-        b = run_learning_curve(cfg).records
+        a = run_experiment(cfg).records
+        b = run_experiment(cfg).records
         assert a == b
 
 
 class TestSminStudy:
     def test_all_laws_recorded(self):
         cfg = _cfg(experiment="smin_study", n_grid=(16,), trials=2)
-        report = run_smin_study(cfg)
+        report = run_experiment(cfg)
         assert len(report.records) == 2 * 4
         laws = {r.law for r in report.records}
         assert laws == {"gaussian", "uniform_subgaussian", "cosine", "sine"}
@@ -188,7 +175,7 @@ class TestSminStudy:
 
     def test_independent_laws_close(self):
         cfg = _cfg(experiment="smin_study", n_grid=(32, 64), trials=8)
-        aggs = run_smin_study(cfg).aggregates
+        aggs = run_experiment(cfg).aggregates
         for n in (32, 64):
             g = aggs[(n, "polynomial", "gaussian", None, None)]["s_min_over_n_lambda_n"]
             u = aggs[(n, "polynomial", "uniform_subgaussian", None, None)][
@@ -202,14 +189,14 @@ class TestKernelInterp:
         # anchors inside the training set and sigma = 0: exact interpolation
         cfg = _cfg(experiment="kernel_interp", kernel="laplacian", sigma=0.0,
                    anchors_in_training=True, n_grid=(32,), trials=3, n_test=100)
-        report = run_kernel_interp(cfg)
+        report = run_experiment(cfg)
         for rec in report.records:
             assert rec.mse <= 1e-8
 
     def test_laplacian_tempered_band(self):
         cfg = _cfg(experiment="kernel_interp", kernel="laplacian",
                    n_grid=(32, 64, 128, 256), trials=10, n_test=400)
-        aggs = run_kernel_interp(cfg).aggregates
+        aggs = run_experiment(cfg).aggregates
         meds = [aggs[(n, None, "std_normal_1d", "laplacian", None)]["mse"].median
                 for n in (32, 64, 128, 256)]
         assert max(meds) / min(meds) < 5.0
@@ -217,7 +204,7 @@ class TestKernelInterp:
     def test_ntk_disk_error_grows(self):
         cfg = _cfg(experiment="kernel_interp", kernel="ntk_1hidden",
                    n_grid=(16, 32, 64), trials=10, n_test=400)
-        aggs = run_kernel_interp(cfg).aggregates
+        aggs = run_experiment(cfg).aggregates
         meds = [aggs[(n, None, "unit_disk_2d", "ntk_1hidden", None)]["mse"].median
                 for n in (16, 32, 64)]
         assert meds[2] > meds[0]
@@ -226,14 +213,14 @@ class TestKernelInterp:
         cfg = _cfg(experiment="kernel_interp", anchors_in_training=True,
                    n_grid=(8,), trials=1, n_anchors=10)
         with pytest.raises(InvalidParameterError):
-            run_kernel_interp(cfg)
+            run_experiment(cfg)
 
 
 class TestTruncation:
     def test_full_rank_row_has_zero_gap(self):
         cfg = _cfg(experiment="truncation", n_grid=(16,), trials=2,
                    eta_full=20, truncation_etas=(20,))
-        report = run_truncation(cfg)
+        report = run_experiment(cfg)
         for rec in report.records:
             assert rec.m_truncated == 320
             assert rec.truncation_gap == 0.0
@@ -242,11 +229,11 @@ class TestTruncation:
     def test_inequality_mostly_holds(self):
         cfg = _cfg(experiment="truncation", n_grid=(32,), trials=5,
                    eta_full=50, truncation_etas=(10,))
-        report = run_truncation(cfg)
+        report = run_experiment(cfg)
         assert sum(r.bound_holds for r in report.records) >= 4
 
     def test_record_count(self):
         cfg = _cfg(experiment="truncation", n_grid=(16, 32), trials=2,
                    eta_full=50, truncation_etas=(5, 10))
-        report = run_truncation(cfg)
+        report = run_experiment(cfg)
         assert len(report.records) == 2 * 2 * 2

@@ -44,10 +44,6 @@ class TestSampleDesign:
         assert d.entries.shape == (12, 5)
         assert np.abs(d.entries).max() <= math.sqrt(2.0) + 1e-12
 
-    def test_proxy_law_not_samplable(self):
-        with pytest.raises(InvalidParameterError):
-            sample_design(FeatureLaw("kernel_eigen_proxy"), 4, 4, seed=0)
-
     def test_unknown_law_rejected(self):
         with pytest.raises(InvalidParameterError):
             FeatureLaw("poisson")
