@@ -268,7 +268,7 @@ def _record(cfg: ExperimentConfig, n: int, m: int, t: int, seed: int, **values):
 
 def _extremes(K) -> dict:
     """s_max, s_min and condition number of K, as TrialRecord fields."""
-    summary = singular_extremes(K, full=False)
+    summary = singular_extremes(K)
     return dict(s_max=summary.s_max, s_min=summary.s_min,
                 condition_number=summary.condition_number)
 
@@ -379,6 +379,11 @@ def _kernel_interp_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRec
 def _truncation_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:
     """Variance of truncated kernels versus the full-rank reference."""
     m_full = cfg.feature_count(n, eta=cfg.eta_full)
+    if m_full <= n:
+        raise InvariantViolationError(
+            f"truncation needs M_full > N, but at N={n} the spectrum caps "
+            f"M_full at {m_full}"
+        )
     s_full = make_spectrum(cfg.spectrum, cfg.a, m_full)
     m_list = [m for m in sorted({min(e * n, m_full) for e in cfg.truncation_etas})
               if m > n]

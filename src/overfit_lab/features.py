@@ -50,7 +50,6 @@ class FeatureLaw:
     """
 
     kind: str = "gaussian"
-    input_domain: InputDomain | None = None
 
     def __post_init__(self):
         if self.kind not in FEATURE_LAWS:
@@ -140,8 +139,7 @@ def sample_design(law: FeatureLaw, M: int, N: int, seed) -> DesignMatrix:
     elif law.kind == "uniform_subgaussian":
         entries = rng.uniform(-SQRT3, SQRT3, (M, N))
     else:  # cosine or sine
-        domain = law.input_domain or InputDomain("uniform_interval", 0.0, TWO_PI)
-        x = sample_inputs(domain, N, rng)[:, 0]
+        x = sample_inputs(InputDomain("uniform_interval", 0.0, TWO_PI), N, rng)[:, 0]
         entries = fourier_design(x, M, law.kind)
     return DesignMatrix(entries, law, _seed_as_int(seed))
 
@@ -192,8 +190,8 @@ def kernel_cross(kernel: AnalyticKernel, X, Z) -> np.ndarray:
 def kernel_gram(kernel: AnalyticKernel, X):
     """Symmetric Gram matrix of an analytic kernel on sampled points.
 
-    Returned as a :class:`overfit_lab.linalg.KernelMatrix` with analytic
-    provenance.
+    Returned as an explicit :class:`overfit_lab.linalg.KernelMatrix`
+    (``from_entries``: no spectrum or design).
     """
     from .linalg import KernelMatrix  # deferred; linalg imports features types
 
@@ -202,7 +200,7 @@ def kernel_gram(kernel: AnalyticKernel, X):
         raise InvariantViolationError("kernel inputs must be finite")
     entries = kernel_cross(kernel, X, X)
     entries = 0.5 * (entries + entries.T)  # exact symmetry under roundoff
-    return KernelMatrix.from_analytic(entries, kernel, X)
+    return KernelMatrix.from_entries(entries)
 
 
 def _as_points(X, d: int) -> np.ndarray:

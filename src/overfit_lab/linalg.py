@@ -28,6 +28,14 @@ G's.  Values are produced by one of three routes, recorded in
 * ``"gesdd"`` -- everything else: NumPy's divide-and-conquer SVD of G, whose
   absolute error is about eps * s_max.  Full SVDs (with vectors) always
   come from this route or from Jacobi, never from the Gram matrix.
+
+Pseudo-inverse solves, duals and variances all read one cached set of
+sample-space modes, ``KernelMatrix._modes``: (eigenvalues, eigenvectors,
+kept mask).  Mercer kernels take it from the full factor SVD as (s_j^2,
+v_j); explicit matrices (``from_entries``) from a symmetric eigensolver.
+The kept mask is the pseudo-inverse cutoff policy and is computed there
+only: eigenvalues below 1e-12 * s_max are dropped, except on the Jacobi
+path, which keeps every positive eigenvalue.
 """
 
 from __future__ import annotations
@@ -41,11 +49,12 @@ from scipy.linalg.lapack import dgejsv
 
 from .errors import (
     InsufficientTailError,
+    InvalidParameterError,
     InvariantViolationError,
     NumericError,
     ShapeError,
 )
-from .features import AnalyticKernel, DesignMatrix
+from .features import DesignMatrix
 from .spectra import Spectrum
 
 # lambda_1/lambda_min spread beyond which the factor SVD switches to the
@@ -61,37 +70,28 @@ PINV_RELATIVE_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
-class MercerProvenance:
-    spectrum: Spectrum
-    design: DesignMatrix
-
-
-@dataclass(frozen=True)
-class AnalyticProvenance:
-    kernel: AnalyticKernel | None
-    points: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class SpectrumSummary:
     """Extreme singular values of a kernel matrix.
 
     ``condition_number`` is +inf when s_min is (or is cut to) zero.
-    ``accurate`` records whether the values came from the Jacobi path and are
-    therefore trustworthy below the standard SVD noise floor.  ``path`` names
-    the route that produced the values (``"jacobi"``, ``"gram_eigh"`` or
-    ``"gesdd"`` for Mercer kernels, ``"eigh"`` for explicit matrices);
-    ``rel_error_bound`` is the certified relative error of every value on the
-    ``"gram_eigh"`` route and None elsewhere.
+    ``path`` names the route that produced the values (``"jacobi"``,
+    ``"gram_eigh"`` or ``"gesdd"`` for Mercer kernels, ``"eigh"`` for
+    explicit matrices); ``rel_error_bound`` is the certified relative error
+    of every value on the ``"gram_eigh"`` route and None elsewhere.
     """
 
     s_max: float
     s_min: float
     condition_number: float
-    full_singular_values: np.ndarray | None = None
-    accurate: bool = False
-    path: str = "gesdd"
+    full_singular_values: np.ndarray
+    path: str
     rel_error_bound: float | None = None
+
+    @property
+    def accurate(self) -> bool:
+        """Whether the values came from the Jacobi path and are therefore
+        trustworthy below the standard SVD noise floor."""
+        return self.path == "jacobi"
 
 
 @dataclass(frozen=True)
@@ -116,16 +116,19 @@ class MinNormSolution:
 
 
 class KernelMatrix:
-    """Symmetric PSD Gram matrix with provenance.
+    """Symmetric PSD Gram matrix and the one pseudo-inverse it defines.
 
-    Mercer instances keep the factor G = Lambda^{1/2} Psi, build their entries
-    lazily as G^T G, and memoize the factor SVD; every downstream solve,
-    prediction, and variance evaluation reuses it.  Instances are immutable
-    and safe to share across trial workers.
+    Mercer instances keep the factor G = Lambda^{1/2} Psi with the
+    ``spectrum`` and ``design`` it came from, build their entries lazily as
+    G^T G, and memoize the factor SVD.  Explicit instances hold only their
+    entries; their ``spectrum`` and ``design`` are None.  Every downstream
+    solve, prediction, and variance evaluation reuses the cached modes.
+    Instances are immutable and safe to share across trial workers.
     """
 
-    def __init__(self, provenance, entries=None, factor=None, size=None):
-        self.provenance = provenance
+    def __init__(self, entries=None, factor=None, spectrum=None, design=None):
+        self.spectrum = spectrum
+        self.design = design
         if factor is not None:
             factor = np.asarray(factor, dtype=np.float64)
             factor.setflags(write=False)
@@ -143,23 +146,16 @@ class KernelMatrix:
                     )
             entries.setflags(write=False)
         self._entries = entries
-        if size is None:
-            size = entries.shape[0] if entries is not None else factor.shape[1]
-        self.size = int(size)
+        self.size = int(entries.shape[0] if entries is not None else factor.shape[1])
 
     @classmethod
     def from_mercer(cls, spectrum: Spectrum, design: DesignMatrix, factor: np.ndarray):
-        return cls(MercerProvenance(spectrum, design), factor=factor,
-                   size=factor.shape[1])
-
-    @classmethod
-    def from_analytic(cls, entries, kernel=None, points=None):
-        return cls(AnalyticProvenance(kernel, points), entries=entries)
+        return cls(factor=factor, spectrum=spectrum, design=design)
 
     @classmethod
     def from_entries(cls, entries):
-        """Wrap a raw symmetric PSD matrix (no provenance)."""
-        return cls(AnalyticProvenance(None, None), entries=entries)
+        """Wrap a raw symmetric PSD matrix (no spectrum or design)."""
+        return cls(entries=entries)
 
     @property
     def entries(self) -> np.ndarray:
@@ -173,7 +169,7 @@ class KernelMatrix:
 
     @property
     def is_mercer(self) -> bool:
-        return isinstance(self.provenance, MercerProvenance)
+        return self._factor is not None
 
     @property
     def factor(self) -> np.ndarray | None:
@@ -188,7 +184,7 @@ class KernelMatrix:
         g = self._factor
         if g.shape[0] < g.shape[1]:
             return False  # wide factors are rank deficient; fast path + cutoff
-        lam = self.provenance.spectrum.eigenvalues
+        lam = self.spectrum.eigenvalues
         visible = min(len(lam), self.size) - 1
         return bool(lam[0] / lam[visible] > STEEP_SPECTRUM_RATIO)
 
@@ -207,6 +203,12 @@ class KernelMatrix:
     @cached_property
     def _factor_svd(self):
         """(U, s, V) of G with G = U diag(s) V^T; V spans sample space."""
+        if not self.is_mercer:
+            raise InvalidParameterError(
+                "kernel has no Mercer factor: duals, fits and risk terms need a "
+                "kernel from assemble_kernel; explicit matrices are solved "
+                "through min_norm_solve"
+            )
         if self._steep:
             u, s, v = _jacobi_svd(self._factor, want_vectors=True)
         else:
@@ -219,12 +221,28 @@ class KernelMatrix:
         return u, s, v
 
     @cached_property
-    def _eigh(self):
-        """(eigenvalues descending, eigenvectors) for analytic matrices."""
-        if not np.all(np.isfinite(self.entries)):
-            raise NumericError("kernel matrix has non-finite entries")
-        w, q = np.linalg.eigh(self.entries)
-        return w[::-1].copy(), q[:, ::-1].copy()
+    def _modes(self):
+        """(eigenvalues descending, eigenvectors, kept mask) of K in sample space.
+
+        Mercer kernels read the eigenpairs (s_j^2, v_j) from the factor SVD; a
+        wide factor's missing modes have eigenvalue 0 and are never kept.  The
+        mask is the pseudo-inverse cutoff policy (see the module docstring).
+        """
+        if self.is_mercer:
+            _, s, q = self._factor_svd
+            w = s * s
+        else:
+            if not np.all(np.isfinite(self.entries)):
+                raise NumericError("kernel matrix has non-finite entries")
+            w, q = np.linalg.eigh(self.entries)
+            w, q = w[::-1].copy(), q[:, ::-1].copy()
+        if w.size == 0 or w[0] <= 0.0:
+            keep = np.zeros_like(w, dtype=bool)
+        elif self._steep:
+            keep = w > 0.0
+        else:
+            keep = w > PINV_RELATIVE_CUTOFF * w[0]
+        return w, q, keep
 
     def dual(self, y) -> np.ndarray:
         """Dual vector w = U_k S_k^-1 V_k^T y of a Mercer kernel over its kept modes.
@@ -233,7 +251,7 @@ class KernelMatrix:
         w stays at the scale of the labels on steep spectra.
         """
         u, s, v = self._factor_svd
-        keep = kept_modes(self, s * s)
+        keep = self._modes[2]
         y = np.asarray(y, dtype=np.float64)
         return u[:, keep] @ ((v[:, keep].T @ y) / s[keep])
 
@@ -248,7 +266,7 @@ def assemble_kernel(s: Spectrum, d: DesignMatrix) -> KernelMatrix:
     return KernelMatrix.from_mercer(s, d, g)
 
 
-def singular_extremes(K: KernelMatrix, full: bool = True) -> SpectrumSummary:
+def singular_extremes(K: KernelMatrix) -> SpectrumSummary:
     """Largest and smallest singular values of K plus their ratio.
 
     Mercer matrices are measured through the factor; on the fast path an
@@ -262,24 +280,21 @@ def singular_extremes(K: KernelMatrix, full: bool = True) -> SpectrumSummary:
         vals = s * s
         if vals.size < K.size:
             vals = np.concatenate([vals, np.zeros(K.size - vals.size)])
-        accurate = K._steep
     else:
-        vals = np.sort(np.abs(K._eigh[0]))[::-1]
-        accurate = False
+        vals = np.sort(np.abs(K._modes[0]))[::-1]
         path, bound = "eigh", None
     if not np.all(np.isfinite(vals)):
         raise NumericError("kernel matrix has non-finite singular values")
     s_max = float(vals[0])
     s_min = float(vals[-1])
-    if not accurate and s_min < SMIN_ZERO_CUTOFF * s_max:
+    if path != "jacobi" and s_min < SMIN_ZERO_CUTOFF * s_max:
         s_min = 0.0
     cond = math.inf if s_min == 0.0 else s_max / s_min
     return SpectrumSummary(
         s_max=s_max,
         s_min=s_min,
         condition_number=cond,
-        full_singular_values=vals if full else None,
-        accurate=accurate,
+        full_singular_values=vals,
         path=path,
         rel_error_bound=bound,
     )
@@ -301,24 +316,17 @@ def row_norm_diagnostics(d: DesignMatrix, N: int | None = None) -> RowNormDiagno
 def min_norm_solve(K: KernelMatrix, y) -> MinNormSolution:
     """Minimum-norm solution alpha = K^+ y.
 
-    Fast-path results drop eigenvalues below 1e-12 * s_max; Jacobi-certified
-    results keep every positive eigenvalue.  If y has a component outside
-    the numerical range of K larger than 1e-8 * ||y||, the solution is
-    flagged inconsistent.
+    Only K's kept modes are inverted (the cutoff policy in the module
+    docstring); ``rank`` counts them.  If y has a component outside the
+    numerical range of K larger than 1e-8 * ||y||, the solution is flagged
+    inconsistent.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.size != K.size:
         raise ShapeError(f"y has length {y.size}, kernel is {K.size} x {K.size}")
     if not np.all(np.isfinite(y)):
         raise NumericError("right-hand side has non-finite entries")
-    if K.is_mercer:
-        # eigenpairs in sample space: (s_j^2, v_j); a wide factor's missing
-        # modes have eigenvalue 0 and are never kept
-        _, s, q = K._factor_svd
-        w = s * s
-    else:
-        w, q = K._eigh
-    keep = kept_modes(K, w)
+    w, q, keep = K._modes
     qk = q[:, keep]
     proj = qk.T @ y
     alpha = qk @ (proj / w[keep])
@@ -326,15 +334,6 @@ def min_norm_solve(K: KernelMatrix, y) -> MinNormSolution:
     residual = float(np.linalg.norm(y - qk @ proj))
     inconsistent = norm_y > 0 and residual > 1e-8 * norm_y
     return MinNormSolution(alpha=alpha, inconsistent=inconsistent, rank=int(keep.sum()))
-
-
-def kept_modes(K: KernelMatrix, w: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse mode filter matching the documented cutoff policy."""
-    if w.size == 0 or w[0] <= 0.0:
-        return np.zeros_like(w, dtype=bool)
-    if K.is_mercer and K._steep:
-        return w > 0.0
-    return w > PINV_RELATIVE_CUTOFF * w[0]
 
 
 def _certified_gram_values(m: int, k: np.ndarray):

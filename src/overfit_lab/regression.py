@@ -9,6 +9,11 @@ entries of magnitude up to 1/lambda_N, and evaluating predictions as
 G_test^T (G alpha) cancels catastrophically.  Predictions therefore go
 through the dual vector w = U Sigma^-1 V^T y (so K_x^T alpha = G_test^T w),
 whose partial sums never exceed the result's own scale.
+
+Everything here takes the training kernel and reads its ``spectrum`` and
+``design``; the pseudo-inverse (kept modes and dual) is the kernel's own,
+``KernelMatrix.dual``.  The risk terms are ``variance_closed_form(K, sigma)``
+and ``bias_monte_carlo(K, t, n_test, seed)``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .errors import (
     ShapeError,
 )
 from .features import DesignMatrix, sample_design
-from .linalg import KernelMatrix, assemble_kernel, kept_modes, min_norm_solve
+from .linalg import KernelMatrix, assemble_kernel, min_norm_solve
 from .spectra import Spectrum
 
 
@@ -60,29 +65,15 @@ class RiskReport:
             raise InvalidParameterError("n_test must be at least 1")
 
 
+@dataclass(frozen=True)
 class Interpolant:
-    """Fitted minimum-norm interpolant tied to its training kernel."""
+    """Fitted minimum-norm interpolant: its training kernel and the dual
+    ``kernel.dual(y)`` of the fitted labels, so predictions are G_test^T dual."""
 
-    def __init__(self, alpha, kernel: KernelMatrix, inconsistency_flag: bool, rank: int):
-        alpha = np.asarray(alpha, dtype=np.float64)
-        alpha.setflags(write=False)
-        self.alpha = alpha
-        self.kernel = kernel
-        self.inconsistency_flag = inconsistency_flag
-        self.rank = rank
-        self._dual = None  # w = G alpha of the fitted labels, bound by fit_ridgeless
-
-    @property
-    def design(self) -> DesignMatrix:
-        return self.kernel.provenance.design
-
-    @property
-    def spectrum(self) -> Spectrum:
-        return self.kernel.provenance.spectrum
-
-    def prediction_dual(self, y) -> np.ndarray:
-        """Dual vector w = U Sigma^-1 V^T y of labels y, so K_x^T K^+ y = G_test^T w."""
-        return self.kernel.dual(y)
+    kernel: KernelMatrix
+    dual: np.ndarray
+    inconsistency_flag: bool
+    rank: int
 
 
 def synthesize_labels(d: DesignMatrix, s: Spectrum, t: TargetModel, seed) -> np.ndarray:
@@ -100,29 +91,25 @@ def synthesize_labels(d: DesignMatrix, s: Spectrum, t: TargetModel, seed) -> np.
 
 
 def fit_ridgeless(K: KernelMatrix, y) -> Interpolant:
-    """Minimum-norm interpolant of (training inputs, y) under kernel K."""
-    if not K.is_mercer:
-        raise InvalidParameterError(
-            "fit_ridgeless expects a Mercer-assembled kernel; analytic Gram "
-            "matrices are fitted through min_norm_solve directly"
-        )
+    """Minimum-norm interpolant of (training inputs, y) under Mercer kernel K.
+
+    The solve supplies rank and consistency (and validates y); predictions go
+    through the dual.
+    """
     sol = min_norm_solve(K, y)
-    f = Interpolant(sol.alpha, K, sol.inconsistent, sol.rank)
-    f._dual = f.prediction_dual(y)  # bind the dual to this y while it is at hand
-    return f
+    return Interpolant(K, K.dual(y), sol.inconsistent, sol.rank)
 
 
 def predict(f: Interpolant, test_design: DesignMatrix) -> np.ndarray:
     """Evaluate K_x^T alpha at each test column, through the stable dual."""
-    if test_design.num_features != f.spectrum.size:
+    s = f.kernel.spectrum
+    if test_design.num_features != s.size:
         raise ShapeError(
             f"test design has {test_design.num_features} features, "
-            f"expected {f.spectrum.size}"
+            f"expected {s.size}"
         )
-    if f._dual is None:
-        raise NumericError("interpolant has no bound labels")
-    g_test = np.sqrt(f.spectrum.eigenvalues)[:, None] * test_design.entries
-    return g_test.T @ f._dual
+    g_test = np.sqrt(s.eigenvalues)[:, None] * test_design.entries
+    return g_test.T @ f.dual
 
 
 def empirical_test_error(
@@ -136,15 +123,13 @@ def empirical_test_error(
             f"test design has {test_design.num_samples} columns, need {n_test}"
         )
     sub = test_design.entries[:, :n_test]
-    g_test = np.sqrt(f.spectrum.eigenvalues)[:, None] * sub
-    preds = g_test.T @ f._dual
+    g_test = np.sqrt(f.kernel.spectrum.eigenvalues)[:, None] * sub
+    preds = g_test.T @ f.dual
     truth = g_test.T @ t.theta_star
     return float(np.mean((preds - truth) ** 2))
 
 
-def variance_closed_form(
-    s: Spectrum, d: DesignMatrix, sigma: float, kernel: KernelMatrix | None = None
-) -> float:
+def variance_closed_form(K: KernelMatrix, sigma: float) -> float:
     """Noise variance of the interpolant: sigma^2 tr[(Psi^T L^2 Psi) K^-2].
 
     Evaluated through the factor SVD as sigma^2 * sum_j ||L^{1/2} u_j||^2 /
@@ -152,30 +137,20 @@ def variance_closed_form(
     Numerically rank-deficient kernels fall back to the pseudo-inverse and
     emit a RankDeficientKernelWarning.
     """
-    if kernel is None:
-        kernel = assemble_kernel(s, d)
-    u, sv, _ = kernel._factor_svd
-    w_eigs = sv * sv
-    keep = kept_modes(kernel, w_eigs)
-    if int(keep.sum()) < kernel.size:
+    u, _, _ = K._factor_svd
+    w_eigs, _, keep = K._modes
+    if int(keep.sum()) < K.size:
         warnings.warn(
             "kernel numerically rank deficient; variance uses the pseudo-inverse",
             RankDeficientKernelWarning,
             stacklevel=2,
         )
     uk = u[:, keep]
-    weights = np.einsum("kj,k,kj->j", uk, s.eigenvalues, uk)
+    weights = np.einsum("kj,k,kj->j", uk, K.spectrum.eigenvalues, uk)
     return float(sigma**2 * np.sum(weights / w_eigs[keep]))
 
 
-def bias_monte_carlo(
-    s: Spectrum,
-    d: DesignMatrix,
-    t: TargetModel,
-    n_test: int,
-    seed,
-    kernel: KernelMatrix | None = None,
-) -> float:
+def bias_monte_carlo(K: KernelMatrix, t: TargetModel, n_test: int, seed) -> float:
     """Monte-Carlo bias: squared error of the noise-free interpolant.
 
     Regresses the clean labels G^T theta and averages (f*(x) - fhat(x))^2
@@ -183,9 +158,9 @@ def bias_monte_carlo(
     """
     if n_test < 1:
         raise InvalidParameterError("n_test must be at least 1")
-    if kernel is None:
-        kernel = assemble_kernel(s, d)
-    dual = kernel.dual((np.sqrt(s.eigenvalues) * t.theta_star) @ d.entries)
+    K._factor_svd  # explicit kernels (no spectrum) raise InvalidParameterError
+    s, d = K.spectrum, K.design
+    dual = K.dual((np.sqrt(s.eigenvalues) * t.theta_star) @ d.entries)
     test = sample_design(d.law, s.size, n_test, seed)
     g_test = np.sqrt(s.eigenvalues)[:, None] * test.entries
     resid = g_test.T @ t.theta_star - g_test.T @ dual
@@ -201,9 +176,8 @@ def evaluate_risk(
 ) -> RiskReport:
     """Bundle empirical MSE with its bias/variance decomposition."""
     mse = empirical_test_error(f, t, test_design, n_test)
-    bias = bias_monte_carlo(f.spectrum, f.design, t, n_test, bias_seed,
-                            kernel=f.kernel)
-    var = variance_closed_form(f.spectrum, f.design, t.sigma, kernel=f.kernel)
+    bias = bias_monte_carlo(f.kernel, t, n_test, bias_seed)
+    var = variance_closed_form(f.kernel, t.sigma)
     return RiskReport(empirical_mse=mse, bias=bias, variance=var, n_test=n_test)
 
 
@@ -228,7 +202,7 @@ def truncation_study(
     n = d_full.num_samples
     m_full = d_full.num_features
     records = []
-    v_full = variance_closed_form(s_full, d_full, sigma)
+    v_full = variance_closed_form(assemble_kernel(s_full, d_full), sigma)
     for m in M_list:
         m = int(m)
         if m <= n:
@@ -237,7 +211,7 @@ def truncation_study(
             raise InvalidParameterError(f"truncation level M={m} exceeds M_full={m_full}")
         s_m = Spectrum(s_full.eigenvalues[:m], "custom")
         d_m = DesignMatrix(d_full.entries[:m, :], d_full.law, d_full.seed)
-        v_m = variance_closed_form(s_m, d_m, sigma)
+        v_m = variance_closed_form(assemble_kernel(s_m, d_m), sigma)
         gap = abs(v_full - v_m)
         bound = 3.0 * v_m + sigma**2 / n
         records.append(

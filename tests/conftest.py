@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from overfit_lab.linalg import kept_modes
-
 
 def mc_noise_variance(kernel, spectrum, law, sigma, draws=2000, batches=20,
                       n_test=1000, seed=0):
@@ -16,7 +14,7 @@ def mc_noise_variance(kernel, spectrum, law, sigma, draws=2000, batches=20,
     from overfit_lab.features import sample_design
 
     u, s, v = kernel._factor_svd
-    keep = kept_modes(kernel, s * s)
+    keep = kernel._modes[2]
     uk, sk, vk = u[:, keep], s[keep], v[:, keep]
     m = spectrum.size
     sqrt_lam = np.sqrt(spectrum.eigenvalues)

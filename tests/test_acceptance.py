@@ -116,7 +116,7 @@ def test_criterion_05_variance_closed_form():
         s = make_spectrum(kind, 1.0, m)
         d = sample_design(GAUSSIAN, m, n, seed=seed)
         K = assemble_kernel(s, d)
-        closed = variance_closed_form(s, d, sigma=1.0, kernel=K)
+        closed = variance_closed_form(K, sigma=1.0)
         mc = mc_noise_variance(K, s, GAUSSIAN, sigma=1.0, draws=2000,
                                batches=20, n_test=1000, seed=seed + 5000)
         worst = max(worst, abs(closed - mc) / closed)

@@ -287,13 +287,15 @@ class TestCli:
 
     def test_truncation_underflow_exit_code(self, tmp_path, capsys):
         # the full-rank spectrum is capped like every other: a=4 underflows
-        # past index 172, so N=256 cannot be simulated and the run fails
-        code = cli.main(["truncation", "--out", str(tmp_path / "t.csv"),
-                         "--spectrum", "exponential", "--a", "4.0",
-                         "--n-grid", "32,64,128,256", "--trials", "1",
-                         "--truncation-etas", "2"])
-        assert code == 1
-        assert "N=256" in capsys.readouterr().err
+        # past index 172, so N=256 cannot be simulated, and at N=172 the cap
+        # leaves no truncation level above N; either run fails
+        for grid, n in (("32,64,128,256", "N=256"), ("64,172", "N=172")):
+            code = cli.main(["truncation", "--out", str(tmp_path / "t.csv"),
+                             "--spectrum", "exponential", "--a", "4.0",
+                             "--n-grid", grid, "--trials", "1",
+                             "--truncation-etas", "2"])
+            assert code == 1
+            assert n in capsys.readouterr().err
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a.csv"

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from overfit_lab.errors import (
@@ -245,14 +245,14 @@ class TestGramCertificate:
     @pytest.mark.parametrize("law", ["cosine", "sine"])
     def test_collapsing_designs_escalate(self, law, n):
         for trial in range(2):
-            summary = singular_extremes(_smin_grid_kernel(law, n, trial), full=False)
+            summary = singular_extremes(_smin_grid_kernel(law, n, trial))
             assert summary.path == "gesdd"
             assert summary.rel_error_bound is None
 
     @pytest.mark.parametrize("law", ["gaussian", "uniform_subgaussian"])
     def test_independent_designs_certify_at_scale(self, law):
         K = _smin_grid_kernel(law, 512)
-        summary = singular_extremes(K, full=False)
+        summary = singular_extremes(K)
         assert summary.path == "gram_eigh"
         assert summary.rel_error_bound <= GRAM_CERTIFIED_TOLERANCE
         ref = np.linalg.svd(K.factor, compute_uv=False) ** 2
@@ -359,6 +359,37 @@ class TestMinNormSolve:
         assert sol.rank == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    m=st.integers(1, 40),
+    decay=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mercer_and_explicit_solves_agree(n, m, decay, seed):
+    # one cutoff policy for both routes: the factor SVD of G (Mercer) and
+    # the eigendecomposition of the formed K = G^T G (explicit) keep the
+    # same modes.  M < N gives wide, rank-deficient factors.  The kept
+    # eigenvalues span at most 1e6, far above the 1e-12 cutoff, and the
+    # dropped ones are exact zeros (Mercer) or roundoff near eps (explicit).
+    rng = np.random.default_rng(seed)
+    s = make_spectrum("custom", eigenvalues=10.0 ** (-decay * np.arange(m) / m))
+    K = assemble_kernel(s, DesignMatrix(rng.standard_normal((m, n)), GAUSSIAN))
+    assert not K._steep
+    sv = np.linalg.svd(K.factor, compute_uv=False)
+    cond = (sv[0] / sv[-1]) ** 2
+    assume(cond <= 1e6)
+    y = rng.standard_normal(n)
+    mercer = min_norm_solve(K, y)
+    explicit = min_norm_solve(KernelMatrix.from_entries(K.entries), y)
+    assert mercer.rank == explicit.rank == min(m, n)
+    assert mercer.inconsistent == explicit.inconsistent == (m < n)
+    # both routes are backward stable to about M eps ||K||, so alpha moves
+    # by about cond(K) * M * eps <= 1e6 * 40 * 2.2e-16 ~ 1e-8 relative
+    err = np.linalg.norm(mercer.alpha - explicit.alpha)
+    assert err <= 1e-6 * np.linalg.norm(explicit.alpha)
+
+
 class TestConcentrationBounds:
     def test_largest_singular_value_band(self):
         # s_max(K) within [N lam_1 / 2, 3 N lam_1 / 2] in >= 19/20 trials
@@ -367,7 +398,7 @@ class TestConcentrationBounds:
         hits = 0
         for seed in range(20):
             d = sample_design(GAUSSIAN, eta * n, n, seed=seed)
-            s_max = singular_extremes(assemble_kernel(s, d), full=False).s_max
+            s_max = singular_extremes(assemble_kernel(s, d)).s_max
             hits += 0.5 * n <= s_max <= 1.5 * n
         assert hits >= 19
 
@@ -381,5 +412,5 @@ class TestConcentrationBounds:
             floor = 1e-6 * s.eigenvalues[n - 1] / n
             for seed in range(5):
                 d = sample_design(GAUSSIAN, 10 * n, n, seed=100 + seed)
-                s_min = singular_extremes(assemble_kernel(s, d), full=False).s_min
+                s_min = singular_extremes(assemble_kernel(s, d)).s_min
                 assert s_min >= floor

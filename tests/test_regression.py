@@ -3,8 +3,14 @@ import pytest
 
 from conftest import mc_noise_variance
 from overfit_lab.errors import InvalidParameterError, RankDeficientKernelWarning
-from overfit_lab.features import DesignMatrix, FeatureLaw, sample_design
-from overfit_lab.linalg import assemble_kernel, singular_extremes
+from overfit_lab.features import (
+    AnalyticKernel,
+    DesignMatrix,
+    FeatureLaw,
+    kernel_gram,
+    sample_design,
+)
+from overfit_lab.linalg import assemble_kernel, min_norm_solve, singular_extremes
 from overfit_lab.regression import (
     TargetModel,
     bias_monte_carlo,
@@ -75,8 +81,9 @@ class TestFitAndPredict:
 
     def test_zero_labels_zero_coefficients(self):
         s, d, _ = _square_problem(8, seed=2)
-        f = fit_ridgeless(assemble_kernel(s, d), np.zeros(8))
-        np.testing.assert_array_equal(f.alpha, np.zeros(8))
+        K = assemble_kernel(s, d)
+        f = fit_ridgeless(K, np.zeros(8))
+        np.testing.assert_array_equal(min_norm_solve(K, np.zeros(8)).alpha, np.zeros(8))
         assert np.all(predict(f, d) == 0.0)
 
     def test_training_interpolation_bound(self):
@@ -105,13 +112,13 @@ class TestFitAndPredict:
         K = assemble_kernel(s, d)
         y = synthesize_labels(d, s, t, seed=0)
         f = fit_ridgeless(K, y)
-        assert np.array_equal(f.prediction_dual(y), f._dual)
+        assert np.array_equal(K.dual(y), f.dual)
         y_new = 2.0 * y + 1.0
-        w_new = f.prediction_dual(y_new)
-        assert not np.allclose(w_new, f._dual)
-        np.testing.assert_array_equal(w_new, fit_ridgeless(K, y_new)._dual)
+        w_new = K.dual(y_new)
+        assert not np.allclose(w_new, f.dual)
+        np.testing.assert_array_equal(w_new, fit_ridgeless(K, y_new).dual)
         # the dual bound at fit time is unaffected by later calls
-        np.testing.assert_array_equal(f._dual, fit_ridgeless(K, y)._dual)
+        np.testing.assert_array_equal(f.dual, fit_ridgeless(K, y).dual)
 
     def test_singular_extremes_independent_of_call_order(self):
         s = make_spectrum("polynomial", 1.0, 640)
@@ -131,9 +138,26 @@ class TestFitAndPredict:
     def test_inconsistent_labels_flagged(self):
         s = make_spectrum("custom", eigenvalues=[4.0])
         d = DesignMatrix(np.array([[1.0, 1.0]]), GAUSSIAN)
-        f = fit_ridgeless(assemble_kernel(s, d), [1.0, -1.0])
+        K = assemble_kernel(s, d)
+        f = fit_ridgeless(K, [1.0, -1.0])
         assert f.inconsistency_flag
-        np.testing.assert_allclose(f.alpha, [0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(min_norm_solve(K, [1.0, -1.0]).alpha, [0.0, 0.0],
+                                   atol=1e-14)
+
+
+@pytest.mark.parametrize("call", [
+    lambda K, y: K.dual(y),
+    lambda K, y: fit_ridgeless(K, y),
+    lambda K, y: variance_closed_form(K, 1.0),
+    lambda K, y: bias_monte_carlo(K, TargetModel(np.zeros(6)), 10, 0),
+], ids=["dual", "fit_ridgeless", "variance_closed_form", "bias_monte_carlo"])
+def test_explicit_kernel_is_a_validation_error(call):
+    # an analytic Gram matrix has no factor, spectrum or design to fit or
+    # decompose with; that is a caller error (CLI exit 1), not a numeric one
+    x = np.linspace(-1.0, 1.0, 6)
+    K = kernel_gram(AnalyticKernel("laplacian"), x)
+    with pytest.raises(InvalidParameterError, match="no Mercer factor"):
+        call(K, np.ones(6))
 
 
 class TestEmpiricalTestError:
@@ -185,14 +209,16 @@ class TestVarianceClosedForm:
     def test_scalar_case(self):
         s = make_spectrum("custom", eigenvalues=[3.7])
         d = DesignMatrix(np.array([[1.0]]), GAUSSIAN)
-        assert variance_closed_form(s, d, sigma=2.0) == pytest.approx(4.0, rel=1e-12)
+        assert variance_closed_form(assemble_kernel(s, d), sigma=2.0) == pytest.approx(
+            4.0, rel=1e-12
+        )
 
     def test_orthonormal_design_identity_spectrum(self):
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.standard_normal((30, 8)))
         s = make_spectrum("custom", eigenvalues=np.ones(30))
         d = DesignMatrix(q, GAUSSIAN)
-        assert variance_closed_form(s, d, sigma=1.5) == pytest.approx(
+        assert variance_closed_form(assemble_kernel(s, d), sigma=1.5) == pytest.approx(
             1.5**2 * 8, rel=1e-10
         )
 
@@ -206,7 +232,7 @@ class TestVarianceClosedForm:
         inner = d.entries.T @ np.diag(lam**2) @ d.entries
         pinv = np.linalg.pinv(K, rcond=1e-12, hermitian=True)
         oracle = 2.0**2 * np.trace(inner @ pinv @ pinv)
-        got = variance_closed_form(s, d, sigma=2.0)
+        got = variance_closed_form(assemble_kernel(s, d), sigma=2.0)
         assert got == pytest.approx(oracle, rel=1e-8)
 
     @pytest.mark.parametrize("kind,seed", [("polynomial", 11), ("exponential", 14)])
@@ -216,7 +242,7 @@ class TestVarianceClosedForm:
         s = make_spectrum(kind, 1.0, m)
         d = sample_design(GAUSSIAN, m, n, seed=seed)
         K = assemble_kernel(s, d)
-        closed = variance_closed_form(s, d, sigma=1.0, kernel=K)
+        closed = variance_closed_form(K, sigma=1.0)
         mc = mc_noise_variance(K, s, GAUSSIAN, sigma=1.0, draws=2000, batches=20,
                                n_test=1000, seed=seed + 5000)
         assert closed == pytest.approx(mc, rel=0.05)
@@ -225,19 +251,19 @@ class TestVarianceClosedForm:
         s = make_spectrum("custom", eigenvalues=[1.0])
         d = DesignMatrix(np.array([[1.0, 1.0]]), GAUSSIAN)
         with pytest.warns(RankDeficientKernelWarning):
-            variance_closed_form(s, d, sigma=1.0)
+            variance_closed_form(assemble_kernel(s, d), sigma=1.0)
 
 
 class TestBias:
     def test_exact_recovery_bias_vanishes(self):
         s, d, t = _square_problem(16, seed=9)
-        assert bias_monte_carlo(s, d, t, n_test=200, seed=3) <= 1e-10
+        assert bias_monte_carlo(assemble_kernel(s, d), t, n_test=200, seed=3) <= 1e-10
 
     def test_zero_target_zero_bias(self):
         s = make_spectrum("polynomial", 1.0, 40)
         d = sample_design(GAUSSIAN, 40, 8, seed=10)
         t = TargetModel(np.zeros(40), 1.0)
-        assert bias_monte_carlo(s, d, t, n_test=100, seed=4) == 0.0
+        assert bias_monte_carlo(assemble_kernel(s, d), t, n_test=100, seed=4) == 0.0
 
     def test_decomposition_consistency(self):
         # empirical risk over many noise draws matches B + V within 3 MC sigma
@@ -247,8 +273,8 @@ class TestBias:
         rng = np.random.default_rng(31)
         t = TargetModel(rng.standard_normal(m), 1.0)
         K = assemble_kernel(s, d)
-        b = bias_monte_carlo(s, d, t, n_test=4000, seed=32, kernel=K)
-        v = variance_closed_form(s, d, 1.0, kernel=K)
+        b = bias_monte_carlo(K, t, n_test=4000, seed=32)
+        v = variance_closed_form(K, 1.0)
         risks = []
         for i in range(60):
             y = synthesize_labels(d, s, t, seed=900 + i)
