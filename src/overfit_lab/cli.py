@@ -2,10 +2,11 @@
 
     overfit-lab <subcommand> [--config FILE] [--key value ...] --out PATH
 
-Subcommands: condnum, learning-curve, smin-study, kernel-interp, truncation,
-spectrum-dump.  Any config key can be overridden with ``--key value``; the
-environment variable OVERFIT_LAB_SEED overrides master_seed (explicit flags
-still win).  Exit codes: 0 success, 1 validation error, 2 numeric failure.
+Subcommands: the experiments of ``experiments.TRIALS`` spelt with ``-``,
+and spectrum-dump.  Every config key is a flag (``--n_grid`` or ``--n-grid``)
+overriding the config file; the environment variable OVERFIT_LAB_SEED
+overrides master_seed (explicit flags still win).  Exit codes: 0 success,
+1 validation or usage error, 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -13,23 +14,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import csvio, plotting
 from .config import CONFIG_KEYS, parse_config
 from .errors import NumericError, OverfitLabError
-from .experiments import run_experiment
+from .experiments import TRIALS, run_experiment
 from .spectra import make_spectrum
 
-SUBCOMMANDS = {
-    "condnum": "condnum",
-    "learning-curve": "learning_curve",
-    "smin-study": "smin_study",
-    "kernel-interp": "kernel_interp",
-    "truncation": "truncation",
-    "spectrum-dump": None,
-}
+SUBCOMMANDS = {e.replace("_", "-"): e for e in TRIALS} | {"spectrum-dump": None}
 
 PLOT_DEFAULTS = {
     "condnum": ("ratio_to_theory", True, False),
@@ -40,55 +35,41 @@ PLOT_DEFAULTS = {
 }
 
 
-def _split_overrides(tokens):
-    """Turn leftover ``--key value`` pairs into an override dict."""
-    overrides = {}
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if not tok.startswith("--"):
-            raise OverfitLabError(f"unexpected argument {tok!r}")
-        key = tok[2:].replace("-", "_")
-        if "=" in key:
-            key, value = key.split("=", 1)
-        else:
-            if i + 1 >= len(tokens):
-                raise OverfitLabError(f"flag --{key} is missing a value")
-            value = tokens[i + 1]
-            i += 1
-        if key not in CONFIG_KEYS:
-            raise OverfitLabError(f"unknown flag --{key}")
-        overrides[key] = value
-        i += 1
-    return overrides
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are validation errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise OverfitLabError(message)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="overfit-lab",
         description="kernel interpolation experiments with controlled eigen-decay",
+        allow_abbrev=False,
     )
     parser.add_argument("subcommand", choices=sorted(SUBCOMMANDS))
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("--plot", help="optional SVG plot path")
-    args, leftover = parser.parse_known_args(argv)
+    for key in sorted(CONFIG_KEYS):
+        spellings = dict.fromkeys((f"--{key}", f"--{key.replace('_', '-')}"))
+        parser.add_argument(*spellings, dest=key, help=f"config key {key}")
 
     try:
-        overrides = _split_overrides(leftover)
+        args = parser.parse_args(argv)
+        overrides = {k: getattr(args, k) for k in CONFIG_KEYS
+                     if getattr(args, k) is not None}
         env_seed = os.environ.get("OVERFIT_LAB_SEED")
         if env_seed is not None and "master_seed" not in overrides:
             overrides["master_seed"] = env_seed
-        text = ""
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
         if SUBCOMMANDS[args.subcommand] is not None:
             overrides["experiment"] = SUBCOMMANDS[args.subcommand]
         cfg = parse_config(text, overrides)
 
         if args.subcommand == "spectrum-dump":
-            length = cfg.spectrum_length or cfg.eta * max(cfg.n_grid)
+            length = cfg.spectrum_length or cfg.feature_count(max(cfg.n_grid))
             spec = make_spectrum(cfg.spectrum, cfg.a, length)
             csvio.write_spectrum_csv(spec, args.out)
             return 0

@@ -1,8 +1,10 @@
 """Flat key = value config files and override handling.
 
 The format is deliberately plain: one ``key = value`` per line, ``#`` starts
-a comment, keys mirror ExperimentConfig field names.  Overrides (from CLI
-flags) use the same value syntax and win over file values.
+a comment.  ExperimentConfig is the only schema: its field names are the
+keys, and each default's type (int, float, bool, str or tuple of ints) picks
+how a value is parsed and serialized, so a new field needs no edit here.
+Overrides (from CLI flags) use the same value syntax and win over file values.
 """
 
 from __future__ import annotations
@@ -13,41 +15,33 @@ from dataclasses import fields
 from .errors import ConfigError, InvariantViolationError
 from .experiments import ExperimentConfig
 
-_INT_KEYS = {"eta", "trials", "n_test", "master_seed", "n_anchors", "eta_full",
-             "spectrum_length"}
-_FLOAT_KEYS = {"a", "sigma", "bandwidth", "interval_lo", "interval_hi"}
-_STR_KEYS = {"experiment", "spectrum", "law", "kernel", "input_domain", "out"}
-_BOOL_KEYS = {"anchors_in_training"}
-_INT_LIST_KEYS = {"n_grid", "truncation_etas"}
+_KINDS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 
-CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS | _INT_LIST_KEYS
-
-_FIELD_ORDER = [f.name for f in fields(ExperimentConfig)]
+CONFIG_KEYS = frozenset(_KINDS)
 
 
 def _parse_value(key: str, raw: str, where: str):
     raw = raw.strip()
+    kind = _KINDS[key]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
+        if kind is float:
             v = float(raw)
             if math.isnan(v):
                 raise ValueError("nan")
             return v
-        if key in _BOOL_KEYS:
+        if kind is bool:
             low = raw.lower()
             if low in ("true", "1", "yes"):
                 return True
             if low in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if key in _INT_LIST_KEYS:
+        if kind is tuple:
             parts = [p for p in raw.replace(",", " ").split() if p]
             if not parts:
                 raise ValueError("empty list")
             return tuple(int(p) for p in parts)
-        return raw
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: malformed value for key '{key}': {raw!r}") from exc
 
@@ -74,10 +68,8 @@ def parse_config(text: str = "", overrides: dict | None = None) -> ExperimentCon
         key = key.strip().replace("-", "_")
         if key not in CONFIG_KEYS:
             raise ConfigError(f"override: unknown key '{key}'")
-        if isinstance(raw, str):
-            values[key] = _parse_value(key, raw, f"override --{key}")
-        else:
-            values[key] = raw
+        values[key] = (_parse_value(key, raw, f"override --{key}")
+                       if isinstance(raw, str) else raw)
     try:
         cfg = ExperimentConfig(**values)
     except InvariantViolationError as exc:
@@ -92,15 +84,13 @@ def parse_config(text: str = "", overrides: dict | None = None) -> ExperimentCon
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Render a config as parseable text; parse_config round-trips it."""
     lines = []
-    for name in _FIELD_ORDER:
+    for name, kind in _KINDS.items():
         v = getattr(cfg, name)
-        if name in _INT_LIST_KEYS:
+        if kind is tuple:
             rendered = ",".join(str(x) for x in v)
-        elif name in _BOOL_KEYS:
+        elif kind is bool:
             rendered = "true" if v else "false"
-        elif isinstance(v, float):
-            rendered = repr(v)
-        else:
+        else:  # str(float) is its shortest round-trip form
             rendered = str(v)
         lines.append(f"{name} = {rendered}")
     return "\n".join(lines) + "\n"

@@ -31,6 +31,7 @@ from .errors import (
     NumericError,
 )
 from .features import (
+    FEATURE_LAWS,
     AnalyticKernel,
     FeatureLaw,
     InputDomain,
@@ -54,13 +55,13 @@ from .regression import (
 )
 from .spectra import make_spectrum, max_exponential_length, theoretical_condition_ratio
 
-EXPERIMENTS = ("condnum", "learning_curve", "smin_study", "kernel_interp", "truncation")
-SMIN_LAWS = ("gaussian", "uniform_subgaussian", "cosine", "sine")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated knobs for one experiment sweep.
+
+    The only config schema: every field is a config key and a CLI flag,
+    parsed by its default's type; ``experiment`` is a key of TRIALS.
 
     eta >= 2 keeps the over-parameterization assumption; eta == 1 is allowed
     in-process only for the degenerate square-design identity checks (the
@@ -77,7 +78,6 @@ class ExperimentConfig:
     n_test: int = 1000
     sigma: float = 1.0
     master_seed: int = 2024
-    out: str = ""
     kernel: str = "laplacian"
     bandwidth: float = 1.0
     input_domain: str = ""
@@ -94,7 +94,7 @@ class ExperimentConfig:
         object.__setattr__(
             self, "truncation_etas", tuple(int(e) for e in self.truncation_etas)
         )
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in TRIALS:
             raise InvariantViolationError(f"unknown experiment {self.experiment!r}")
         if self.eta < 1:
             raise InvariantViolationError("eta must be at least 1")
@@ -319,7 +319,7 @@ def _smin_study_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord
     s = make_spectrum(cfg.spectrum, cfg.a, m)
     lam_n = float(s.eigenvalues[n - 1])
     records = []
-    for law_name in SMIN_LAWS:
+    for law_name in FEATURE_LAWS:
         seed = _seed(cfg, n, t, law_name)
         d = sample_design(FeatureLaw(law_name), m, n, seed)
         ext = _extremes(assemble_kernel(s, d))

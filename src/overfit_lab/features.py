@@ -58,11 +58,10 @@ class FeatureLaw:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Realized M x N feature block plus the law and seed it came from."""
+    """Realized M x N feature block plus the law it came from."""
 
     entries: np.ndarray
     law: FeatureLaw
-    seed: int | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=np.float64)
@@ -141,11 +140,7 @@ def sample_design(law: FeatureLaw, M: int, N: int, seed) -> DesignMatrix:
     else:  # cosine or sine
         x = sample_inputs(InputDomain("uniform_interval", 0.0, TWO_PI), N, rng)[:, 0]
         entries = fourier_design(x, M, law.kind)
-    return DesignMatrix(entries, law, _seed_as_int(seed))
-
-
-def _seed_as_int(seed):
-    return int(seed) if isinstance(seed, (int, np.integer)) else None
+    return DesignMatrix(entries, law)
 
 
 def ntk_kappa0(t):

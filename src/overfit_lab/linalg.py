@@ -32,7 +32,8 @@ G's.  Values are produced by one of three routes, recorded in
 Pseudo-inverse solves, duals and variances all read one cached set of
 sample-space modes, ``KernelMatrix._modes``: (eigenvalues, eigenvectors,
 kept mask).  Mercer kernels take it from the full factor SVD as (s_j^2,
-v_j); explicit matrices (``from_entries``) from a symmetric eigensolver.
+v_j); explicit matrices (``from_entries``) from a symmetric eigensolver,
+which rejects one with an eigenvalue below -1e-12 * max |eigenvalue|.
 The kept mask is the pseudo-inverse cutoff policy and is computed there
 only: eigenvalues below 1e-12 * s_max are dropped, except on the Jacobi
 path, which keeps every positive eigenvalue.
@@ -149,10 +150,6 @@ class KernelMatrix:
         self.size = int(entries.shape[0] if entries is not None else factor.shape[1])
 
     @classmethod
-    def from_mercer(cls, spectrum: Spectrum, design: DesignMatrix, factor: np.ndarray):
-        return cls(factor=factor, spectrum=spectrum, design=design)
-
-    @classmethod
     def from_entries(cls, entries):
         """Wrap a raw symmetric PSD matrix (no spectrum or design)."""
         return cls(entries=entries)
@@ -227,6 +224,7 @@ class KernelMatrix:
         Mercer kernels read the eigenpairs (s_j^2, v_j) from the factor SVD; a
         wide factor's missing modes have eigenvalue 0 and are never kept.  The
         mask is the pseudo-inverse cutoff policy (see the module docstring).
+        An explicit matrix that is not PSD raises InvariantViolationError.
         """
         if self.is_mercer:
             _, s, q = self._factor_svd
@@ -236,6 +234,10 @@ class KernelMatrix:
                 raise NumericError("kernel matrix has non-finite entries")
             w, q = np.linalg.eigh(self.entries)
             w, q = w[::-1].copy(), q[:, ::-1].copy()
+            if w[-1] < -PINV_RELATIVE_CUTOFF * np.abs(w).max():
+                raise InvariantViolationError(
+                    f"kernel matrix is not positive semi-definite (eigenvalue {w[-1]:.3g})"
+                )
         if w.size == 0 or w[0] <= 0.0:
             keep = np.zeros_like(w, dtype=bool)
         elif self._steep:
@@ -256,14 +258,18 @@ class KernelMatrix:
         return u[:, keep] @ ((v[:, keep].T @ y) / s[keep])
 
 
+def mercer_factor(s: Spectrum, entries) -> np.ndarray:
+    """G = Lambda^{1/2} Psi: the Mercer factor of feature columns ``entries``."""
+    return np.sqrt(s.eigenvalues)[:, None] * entries
+
+
 def assemble_kernel(s: Spectrum, d: DesignMatrix) -> KernelMatrix:
     """Build K = Psi^T Lambda Psi as G^T G with G = Lambda^{1/2} Psi."""
     if s.size != d.num_features:
         raise ShapeError(
             f"spectrum length {s.size} != design feature count {d.num_features}"
         )
-    g = np.sqrt(s.eigenvalues)[:, None] * d.entries
-    return KernelMatrix.from_mercer(s, d, g)
+    return KernelMatrix(factor=mercer_factor(s, d.entries), spectrum=s, design=d)
 
 
 def singular_extremes(K: KernelMatrix) -> SpectrumSummary:

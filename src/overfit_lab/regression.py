@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
 )
 from .features import DesignMatrix, sample_design
-from .linalg import KernelMatrix, assemble_kernel, min_norm_solve
+from .linalg import KernelMatrix, assemble_kernel, mercer_factor, min_norm_solve
 from .spectra import Spectrum
 
 
@@ -108,8 +108,7 @@ def predict(f: Interpolant, test_design: DesignMatrix) -> np.ndarray:
             f"test design has {test_design.num_features} features, "
             f"expected {s.size}"
         )
-    g_test = np.sqrt(s.eigenvalues)[:, None] * test_design.entries
-    return g_test.T @ f.dual
+    return mercer_factor(s, test_design.entries).T @ f.dual
 
 
 def empirical_test_error(
@@ -123,10 +122,13 @@ def empirical_test_error(
             f"test design has {test_design.num_samples} columns, need {n_test}"
         )
     sub = test_design.entries[:, :n_test]
-    g_test = np.sqrt(f.kernel.spectrum.eigenvalues)[:, None] * sub
-    preds = g_test.T @ f.dual
-    truth = g_test.T @ t.theta_star
-    return float(np.mean((preds - truth) ** 2))
+    return _test_mse(f.kernel.spectrum, sub, f.dual, t.theta_star)
+
+
+def _test_mse(s: Spectrum, entries, dual, theta) -> float:
+    """Mean of (G_test^T dual - G_test^T theta)^2 over the test columns."""
+    g_test = mercer_factor(s, entries)
+    return float(np.mean((g_test.T @ dual - g_test.T @ theta) ** 2))
 
 
 def variance_closed_form(K: KernelMatrix, sigma: float) -> float:
@@ -162,9 +164,7 @@ def bias_monte_carlo(K: KernelMatrix, t: TargetModel, n_test: int, seed) -> floa
     s, d = K.spectrum, K.design
     dual = K.dual((np.sqrt(s.eigenvalues) * t.theta_star) @ d.entries)
     test = sample_design(d.law, s.size, n_test, seed)
-    g_test = np.sqrt(s.eigenvalues)[:, None] * test.entries
-    resid = g_test.T @ t.theta_star - g_test.T @ dual
-    return float(np.mean(resid**2))
+    return _test_mse(s, test.entries, dual, t.theta_star)
 
 
 def evaluate_risk(
@@ -210,7 +210,7 @@ def truncation_study(
         if m > m_full:
             raise InvalidParameterError(f"truncation level M={m} exceeds M_full={m_full}")
         s_m = Spectrum(s_full.eigenvalues[:m], "custom")
-        d_m = DesignMatrix(d_full.entries[:m, :], d_full.law, d_full.seed)
+        d_m = DesignMatrix(d_full.entries[:m, :], d_full.law)
         v_m = variance_closed_form(assemble_kernel(s_m, d_m), sigma)
         gap = abs(v_full - v_m)
         bound = 3.0 * v_m + sigma**2 / n

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import math
 import xml.etree.ElementTree as ET
+
+import numpy as np
 import pytest
 
 import overfit_lab.cli as cli
@@ -101,8 +103,13 @@ class TestParseConfig:
             experiment="learning_curve", spectrum="exponential", a=0.5,
             n_grid=(16, 32), trials=4, sigma=0.25, master_seed=99,
             anchors_in_training=True, truncation_etas=(3, 7),
-            interval_hi=1.75, out="results.csv",
+            interval_hi=1.75,
         )
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_round_trip_numpy_scalars(self):
+        # numpy floats serialize as plain decimals (their repr is np.float64(0.5))
+        cfg = ExperimentConfig(a=np.float64(0.5), sigma=np.float64(0.25))
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_invariants_surface_as_config_errors(self):
@@ -260,8 +267,14 @@ class TestCli:
         assert "eta" in capsys.readouterr().err
 
     def test_unknown_flag_exit_code(self, tmp_path):
-        assert cli.main(["condnum", "--out", str(tmp_path / "x.csv"),
-                         "--banana", "1"]) == 1
+        out = ["--out", str(tmp_path / "x.csv")]
+        # usage errors are validation errors (exit 1), never argparse's 2
+        for argv in (["condnum", *out, "--banana", "1"],
+                     ["condnum", *out, "--tri", "1"],  # flags are never abbreviated
+                     ["condnum", "--trials", "1"],  # no --out
+                     ["condnm", *out],
+                     ["condnum", *out, "--trials"]):
+            assert cli.main(argv) == 1, argv
 
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(cfg):
@@ -320,6 +333,20 @@ class TestCli:
         assert lines[0] == "k,lambda_k"
         assert lines[1] == "1,1.0"
         assert len(lines) == 5
+        # the default length is M at the largest N, capped like every sweep
+        assert cli.main(["spectrum-dump", "--out", str(out),
+                         "--spectrum", "exponential"]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 690
+
+    @pytest.mark.parametrize(
+        "key", [f.name for f in dataclasses.fields(ExperimentConfig)])
+    def test_every_config_key_is_a_flag(self, tmp_path, key):
+        # the serialized default of each field, passed in both spellings
+        defaults = dict(line.split(" = ", 1) for line in
+                        serialize_config(ExperimentConfig()).splitlines())
+        for flag in (f"--{key}", f"--{key.replace('_', '-')}"):
+            assert cli.main(["spectrum-dump", "--out", str(tmp_path / "s.csv"),
+                             flag, defaults[key], "--spectrum-length", "4"]) == 0
 
     def test_hyphenated_flags_accepted(self, tmp_path):
         out = tmp_path / "h.csv"

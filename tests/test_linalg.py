@@ -359,6 +359,16 @@ class TestMinNormSolve:
         assert sol.rank == 1
 
 
+@pytest.mark.parametrize("entries", [[[0.0, 1.0], [1.0, 0.0]], -np.eye(3)],
+                         ids=["swap", "negative-identity"])
+def test_indefinite_explicit_matrix_rejected(entries):
+    # both readers of an explicit matrix go through its modes: neither may
+    # report |eigenvalues| or silently drop the negative modes
+    for read in (singular_extremes, lambda K: min_norm_solve(K, np.ones(K.size))):
+        with pytest.raises(InvariantViolationError, match="positive semi-definite"):
+            read(KernelMatrix.from_entries(entries))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 12),
