@@ -42,6 +42,19 @@ class _Parser(argparse.ArgumentParser):
         raise OverfitLabError(message)
 
 
+def _attach_values(argv, flags) -> list[str]:
+    """Rewrite ``--flag value`` as ``--flag=value``.
+
+    A flag takes the next token as its value whatever it looks like;
+    argparse alone reads a value such as ``-1e3`` or ``-inf`` as an option.
+    """
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in flags else None
+        out.append(tok if value is None else f"{tok}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = _Parser(
         prog="overfit-lab",
@@ -52,12 +65,15 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("--plot", help="optional SVG plot path")
+    flags = {"--config", "--out", "--plot"}
     for key in sorted(CONFIG_KEYS):
         spellings = dict.fromkeys((f"--{key}", f"--{key.replace('_', '-')}"))
         parser.add_argument(*spellings, dest=key, help=f"config key {key}")
+        flags.update(spellings)
 
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(
+            sys.argv[1:] if argv is None else argv, flags))
         overrides = {k: getattr(args, k) for k in CONFIG_KEYS
                      if getattr(args, k) is not None}
         env_seed = os.environ.get("OVERFIT_LAB_SEED")

@@ -304,7 +304,7 @@ def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRe
     f = fit_ridgeless(K, y)
     test = sample_design(law, m, cfg.n_test, _seed(cfg, n, t, "test"))
     risk = evaluate_risk(f, target, test, cfg.n_test, _seed(cfg, n, t, "bias"))
-    # after the fit, so the values come from its full SVD
+    # after the fit, so the values are the eigenvalues of the modes it cached
     return [_record(cfg, n, m, t, seed, mse=risk.empirical_mse, bias=risk.bias,
                     variance=risk.variance, **_extremes(K))]
 

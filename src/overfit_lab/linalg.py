@@ -12,31 +12,47 @@ G's.  Values are produced by one of three routes, recorded in
   attains high *relative* accuracy for every singular value.  Quantities
   from this path carry no zero cutoff: values far below eps * s_max are
   still fully accurate.
-* ``"gram_eigh"`` -- values-only requests on tall factors (M >= N) that are
-  not steep.  The eigenvalues of the formed Gram matrix K = G^T G are a
-  quarter of the cost of an SVD of G, but forming K squares the condition
-  number, so the result is kept only under an a-posteriori certificate.
-  Forming K perturbs it by at most gamma_M * trace(K) in the 2-norm, with
-  gamma_M = M eps / (1 - M eps), and the symmetric eigensolver is backward
-  stable to about N eps lambda_max, so by Weyl's inequality every computed
-  eigenvalue lies within (gamma_M trace(K) + N eps lambda_max) of the exact
-  one.  Divided by the smallest computed eigenvalue this is the relative
-  error bound reported as ``rel_error_bound``; the result is accepted when
-  it is at most GRAM_CERTIFIED_TOLERANCE (2e-6 on K's singular values,
-  1e-6 on G's).  Where s_min collapses (dependent features) the bound
-  fails and the values escalate to the next route.
+* ``"gram_eigh"`` -- tall factors (M >= N) that are not steep.  An
+  eigendecomposition of the formed Gram matrix K = G^T G (``eigvalsh`` for
+  values only, ``eigh`` with vectors) costs a fraction of an SVD of G, but
+  forming K squares the condition number, so the result is kept only under
+  an a-posteriori certificate.  Forming K perturbs it by at most
+  gamma_M * trace(K) in the 2-norm, with gamma_M = M eps / (1 - M eps), and
+  the symmetric eigensolver is backward stable to about N eps lambda_max,
+  so the computed eigenpairs are exact for some K + dK with
+  ||dK|| <= gamma_M trace(K) + N eps lambda_max.  By Weyl's inequality
+  every computed eigenvalue lies within ||dK|| of the exact one; divided by
+  the smallest computed eigenvalue, ||dK|| ||K^-1|| is the relative error
+  bound reported as ``rel_error_bound``.  The result is accepted when it is
+  at most GRAM_CERTIFIED_TOLERANCE (2e-6 on K's singular values, 1e-6 on
+  G's).  Where s_min collapses (dependent features) the bound fails and the
+  computation escalates to the next route.
 * ``"gesdd"`` -- everything else: NumPy's divide-and-conquer SVD of G, whose
-  absolute error is about eps * s_max.  Full SVDs (with vectors) always
-  come from this route or from Jacobi, never from the Gram matrix.
+  absolute error is about eps * s_max.
+
+The same bound covers the outputs of a full solve on the ``gram_eigh``
+route.  To first order in dK, the dual G K^-1 y moves by
+-G K^-1 dK alpha with alpha = K^-1 y; since ||G K^-1|| = 1/s_min(G) and
+||dual|| = ||G alpha|| >= s_min(G) ||alpha||, ||d dual|| <= ||dK|| ||K^-1||
+||dual||, so the dual's relative error is at most ``rel_error_bound``.  The
+variance V = sigma^2 tr(B), with B = K^-1 A K^-1 and A = G^T Lambda G both
+PSD, moves by -2 sigma^2 tr(K^-1 dK B), and |tr(K^-1 dK B)| <=
+||K^-1 dK|| tr(B), so its relative error is at most 2 * ``rel_error_bound``.
+The dual is formed as G (K^+ y) with one refinement step whose residual
+y - G^T (G alpha) is taken through G, not K, which removes the roundoff of
+forming K from it.
 
 Pseudo-inverse solves, duals and variances all read one cached set of
 sample-space modes, ``KernelMatrix._modes``: (eigenvalues, eigenvectors,
-kept mask).  Mercer kernels take it from the full factor SVD as (s_j^2,
-v_j); explicit matrices (``from_entries``) from a symmetric eigensolver,
-which rejects one with an eigenvalue below -1e-12 * max |eigenvalue|.
-The kept mask is the pseudo-inverse cutoff policy and is computed there
-only: eigenvalues below 1e-12 * s_max are dropped, except on the Jacobi
-path, which keeps every positive eigenvalue.
+kept mask, route).  Explicit matrices (``from_entries``) and Mercer kernels
+on the ``gram_eigh`` route take it from ``eigh`` of K; an explicit matrix
+with an eigenvalue below -1e-12 * max |eigenvalue| is rejected.  Other
+Mercer kernels take it from the full factor SVD as (s_j^2, v_j), so the
+factor SVD (gesdd or Jacobi) runs only when the certificate fails or the
+spectrum is steep.  Values measured by either call keep their route.  The
+kept mask is the pseudo-inverse cutoff policy and is computed there only:
+eigenvalues below 1e-12 * s_max are dropped, except on the Jacobi path,
+which keeps every positive eigenvalue.
 """
 
 from __future__ import annotations
@@ -121,7 +137,7 @@ class KernelMatrix:
 
     Mercer instances keep the factor G = Lambda^{1/2} Psi with the
     ``spectrum`` and ``design`` it came from, build their entries lazily as
-    G^T G, and memoize the factor SVD.  Explicit instances hold only their
+    G^T G, and memoize their modes.  Explicit instances hold only their
     entries; their ``spectrum`` and ``design`` are None.  Every downstream
     solve, prediction, and variance evaluation reuses the cached modes.
     Instances are immutable and safe to share across trial workers.
@@ -190,72 +206,136 @@ class KernelMatrix:
         """(singular values of G descending, route, certified relative bound)."""
         if self._steep:
             return _jacobi_svd(self._factor, want_vectors=False)[1], "jacobi", None
-        g = self._factor
-        if g.shape[0] >= g.shape[1]:
-            certified = _certified_gram_values(g.shape[0], self.entries)
-            if certified is not None:
-                return certified[0], "gram_eigh", certified[1]
-        return np.linalg.svd(g, compute_uv=False), "gesdd", None
+        gram = self._gram_eigen(vectors=False)
+        if gram is not None:
+            return np.sqrt(gram[0]), "gram_eigh", gram[2]
+        return np.linalg.svd(self._factor, compute_uv=False), "gesdd", None
 
-    @cached_property
-    def _factor_svd(self):
-        """(U, s, V) of G with G = U diag(s) V^T; V spans sample space."""
+    def _gram_eigen(self, vectors: bool):
+        """Eigenvalues (and eigenvectors) of K = G^T G, kept only under the
+        certificate.
+
+        Returns (eigenvalues descending, eigenvectors or None, relative error
+        bound), or None for steep or wide factors, when K is not finite and
+        when the bound exceeds GRAM_CERTIFIED_TOLERANCE.  Values-only requests
+        use ``eigvalsh``.  See the module docstring for the bound and what it
+        covers.
+        """
+        g = self._factor
+        m, n = g.shape
+        if self._steep or m < n:
+            return None
+        k = self.entries
+        trace = float(np.trace(k))
+        if not np.isfinite(trace):
+            return None
+        if vectors:
+            lam, q = _eigh_descending(k)
+        else:
+            lam, q = np.linalg.eigvalsh(k)[::-1], None
+        if not lam[-1] > 0.0:
+            return None
+        eps = np.finfo(np.float64).eps
+        gamma = m * eps / (1.0 - m * eps)
+        bound = (gamma * trace + n * eps * lam[0]) / lam[-1]
+        if bound > GRAM_CERTIFIED_TOLERANCE:
+            return None
+        return lam, q, float(bound)
+
+    def _require_factor(self) -> np.ndarray:
+        """The Mercer factor G; an explicit matrix raises InvalidParameterError."""
         if not self.is_mercer:
             raise InvalidParameterError(
                 "kernel has no Mercer factor: duals, fits and risk terms need a "
                 "kernel from assemble_kernel; explicit matrices are solved "
                 "through min_norm_solve"
             )
+        return self._factor
+
+    @cached_property
+    def _factor_svd(self):
+        """(U, s, V) of G with G = U diag(s) V^T; V spans sample space."""
+        g = self._require_factor()
         if self._steep:
-            u, s, v = _jacobi_svd(self._factor, want_vectors=True)
-        else:
-            u, s, vh = np.linalg.svd(self._factor, full_matrices=False)
-            v = vh.T
-        # values already measured keep their route, whatever the call order
-        self.__dict__.setdefault(
-            "_factor_values", (s, "jacobi" if self._steep else "gesdd", None)
-        )
-        return u, s, v
+            return _jacobi_svd(g, want_vectors=True)
+        u, s, vh = np.linalg.svd(g, full_matrices=False)
+        return u, s, vh.T
 
     @cached_property
     def _modes(self):
-        """(eigenvalues descending, eigenvectors, kept mask) of K in sample space.
+        """(eigenvalues descending, eigenvectors, kept mask, route) of K in
+        sample space.
 
-        Mercer kernels read the eigenpairs (s_j^2, v_j) from the factor SVD; a
-        wide factor's missing modes have eigenvalue 0 and are never kept.  The
-        mask is the pseudo-inverse cutoff policy (see the module docstring).
-        An explicit matrix that is not PSD raises InvariantViolationError.
+        Explicit matrices and Mercer kernels whose Gram matrix passes the
+        certificate take the eigenpairs from ``eigh`` of K (route ``"eigh"`` or
+        ``"gram_eigh"``); other Mercer kernels read (s_j^2, v_j) from the
+        factor SVD (``"gesdd"`` or ``"jacobi"``), where a wide factor's missing
+        modes have eigenvalue 0 and are never kept.  The mask is the
+        pseudo-inverse cutoff policy (see the module docstring).  An explicit
+        matrix that is not PSD raises InvariantViolationError.
         """
         if self.is_mercer:
-            _, s, q = self._factor_svd
-            w = s * s
+            gram = self._gram_eigen(vectors=True)
+            if gram is not None:
+                w, q, bound = gram
+                s, path = np.sqrt(w), "gram_eigh"
+            else:
+                _, s, q = self._factor_svd
+                w, path, bound = s * s, "jacobi" if self._steep else "gesdd", None
+            # values already measured keep their route, whatever the call order
+            self.__dict__.setdefault("_factor_values", (s, path, bound))
         else:
             if not np.all(np.isfinite(self.entries)):
                 raise NumericError("kernel matrix has non-finite entries")
-            w, q = np.linalg.eigh(self.entries)
-            w, q = w[::-1].copy(), q[:, ::-1].copy()
+            w, q = _eigh_descending(self.entries)
+            path = "eigh"
             if w[-1] < -PINV_RELATIVE_CUTOFF * np.abs(w).max():
                 raise InvariantViolationError(
                     f"kernel matrix is not positive semi-definite (eigenvalue {w[-1]:.3g})"
                 )
         if w.size == 0 or w[0] <= 0.0:
             keep = np.zeros_like(w, dtype=bool)
-        elif self._steep:
+        elif path == "jacobi":
             keep = w > 0.0
         else:
             keep = w > PINV_RELATIVE_CUTOFF * w[0]
-        return w, q, keep
+        return w, q, keep, path
 
     def dual(self, y) -> np.ndarray:
-        """Dual vector w = U_k S_k^-1 V_k^T y of a Mercer kernel over its kept modes.
+        """Dual vector G K^+ y of a Mercer kernel over its kept modes.
 
-        For any test factor G_x, G_x^T w = K_x^T K^+ y; unlike K^+ y itself,
-        w stays at the scale of the labels on steep spectra.
+        For any test factor G_x, G_x^T dual = K_x^T K^+ y.  On the ``gram_eigh``
+        route it is formed as G (K^+ y); on the SVD routes as
+        U_k S_k^-1 V_k^T y, which stays at the scale of the labels on steep
+        spectra, where G (K^+ y) cancels.
         """
-        u, s, v = self._factor_svd
-        keep = self._modes[2]
+        g = self._require_factor()
+        w, q, keep, path = self._modes
+        qk = q[:, keep]
         y = np.asarray(y, dtype=np.float64)
-        return u[:, keep] @ ((v[:, keep].T @ y) / s[keep])
+        if path == "gram_eigh":
+            def solve(r):
+                return qk @ ((qk.T @ r) / w[keep])
+
+            alpha = solve(y)
+            # one refinement step on the residual formed through G, which
+            # removes the roundoff of forming K (see the module docstring)
+            alpha += solve(y - g.T @ (g @ alpha))
+            return g @ alpha
+        u, s, _ = self._factor_svd
+        return u[:, keep] @ ((qk.T @ y) / s[keep])
+
+    def _kept_left_vectors(self) -> np.ndarray:
+        """U_k = G V_k S_k^-1, the factor's left singular vectors over the kept
+        modes; on the ``gram_eigh`` route formed from K's eigenvectors and not
+        cached, so no M x N matrix stays on the kernel."""
+        g = self._require_factor()
+        w, q, keep, path = self._modes
+        if path == "gram_eigh":
+            gq = g @ q[:, keep]
+            gq /= np.sqrt(w[keep])
+            return gq
+        return self._factor_svd[0][:, keep]
 
 
 def mercer_factor(s: Spectrum, entries) -> np.ndarray:
@@ -332,7 +412,7 @@ def min_norm_solve(K: KernelMatrix, y) -> MinNormSolution:
         raise ShapeError(f"y has length {y.size}, kernel is {K.size} x {K.size}")
     if not np.all(np.isfinite(y)):
         raise NumericError("right-hand side has non-finite entries")
-    w, q, keep = K._modes
+    w, q, keep, _ = K._modes
     qk = q[:, keep]
     proj = qk.T @ y
     alpha = qk @ (proj / w[keep])
@@ -342,25 +422,10 @@ def min_norm_solve(K: KernelMatrix, y) -> MinNormSolution:
     return MinNormSolution(alpha=alpha, inconsistent=inconsistent, rank=int(keep.sum()))
 
 
-def _certified_gram_values(m: int, k: np.ndarray):
-    """Singular values of an M x N factor G from the eigenvalues of K = G^T G.
-
-    Returns (values descending, relative error bound on K's eigenvalues), or
-    None when the bound exceeds GRAM_CERTIFIED_TOLERANCE or K is not finite.
-    See the module docstring for the bound.
-    """
-    eps = np.finfo(np.float64).eps
-    trace = float(np.trace(k))
-    if not np.isfinite(trace):
-        return None
-    lam = np.linalg.eigvalsh(k)[::-1]
-    if not lam[-1] > 0.0:
-        return None
-    gamma = m * eps / (1.0 - m * eps)
-    bound = (gamma * trace + k.shape[0] * eps * lam[0]) / lam[-1]
-    if bound > GRAM_CERTIFIED_TOLERANCE:
-        return None
-    return np.sqrt(lam), float(bound)
+def _eigh_descending(k: np.ndarray):
+    """Eigenvalues descending and matching eigenvectors of symmetric k."""
+    w, q = np.linalg.eigh(k)
+    return w[::-1].copy(), q[:, ::-1].copy()
 
 
 def _jacobi_svd(g: np.ndarray, want_vectors: bool):

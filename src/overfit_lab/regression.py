@@ -4,11 +4,12 @@ The target function is f*(x) = <theta, Lambda^{1/2} psi(x)>, so clean labels
 are G^T theta with G the training factor.  Test error is always measured
 against the noise-free f* on fresh inputs.
 
-Numerical note: with steep spectra the coefficient vector alpha = K^+ y has
-entries of magnitude up to 1/lambda_N, and evaluating predictions as
-G_test^T (G alpha) cancels catastrophically.  Predictions therefore go
-through the dual vector w = U Sigma^-1 V^T y (so K_x^T alpha = G_test^T w),
-whose partial sums never exceed the result's own scale.
+Numerical note: predictions go through the dual vector w = G K^+ y (so
+K_x^T alpha = G_test^T w), ``KernelMatrix.dual``.  With steep spectra the
+coefficient vector alpha = K^+ y has entries of magnitude up to 1/lambda_N
+and G alpha cancels catastrophically, so there the dual is formed as
+U Sigma^-1 V^T y, whose partial sums never exceed the result's own scale;
+on the certified Gram route it is G alpha (see the ``linalg`` docstring).
 
 Everything here takes the training kernel and reads its ``spectrum`` and
 ``design``; the pseudo-inverse (kept modes and dual) is the kernel's own,
@@ -134,20 +135,20 @@ def _test_mse(s: Spectrum, entries, dual, theta) -> float:
 def variance_closed_form(K: KernelMatrix, sigma: float) -> float:
     """Noise variance of the interpolant: sigma^2 tr[(Psi^T L^2 Psi) K^-2].
 
-    Evaluated through the factor SVD as sigma^2 * sum_j ||L^{1/2} u_j||^2 /
-    s_j(K); every term is a positive sum, so steep spectra lose no accuracy.
-    Numerically rank-deficient kernels fall back to the pseudo-inverse and
-    emit a RankDeficientKernelWarning.
+    Evaluated as sigma^2 * sum_j ||L^{1/2} u_j||^2 / s_j(K) over the kept
+    left singular vectors u_j of the factor (on the certified Gram route
+    u_j = G q_j / sqrt(s_j(K))); every term is a positive sum, so steep
+    spectra lose no accuracy.  Numerically rank-deficient kernels fall back
+    to the pseudo-inverse and emit a RankDeficientKernelWarning.
     """
-    u, _, _ = K._factor_svd
-    w_eigs, _, keep = K._modes
+    uk = K._kept_left_vectors()
+    w_eigs, _, keep, _ = K._modes
     if int(keep.sum()) < K.size:
         warnings.warn(
             "kernel numerically rank deficient; variance uses the pseudo-inverse",
             RankDeficientKernelWarning,
             stacklevel=2,
         )
-    uk = u[:, keep]
     weights = np.einsum("kj,k,kj->j", uk, K.spectrum.eigenvalues, uk)
     return float(sigma**2 * np.sum(weights / w_eigs[keep]))
 
@@ -160,7 +161,7 @@ def bias_monte_carlo(K: KernelMatrix, t: TargetModel, n_test: int, seed) -> floa
     """
     if n_test < 1:
         raise InvalidParameterError("n_test must be at least 1")
-    K._factor_svd  # explicit kernels (no spectrum) raise InvalidParameterError
+    K._require_factor()  # explicit kernels (no spectrum) raise InvalidParameterError
     s, d = K.spectrum, K.design
     dual = K.dual((np.sqrt(s.eigenvalues) * t.theta_star) @ d.entries)
     test = sample_design(d.law, s.size, n_test, seed)

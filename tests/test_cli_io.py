@@ -29,19 +29,21 @@ condnum,1082242704324474087,8,80,0,polynomial,gaussian,,9.937382405140138,0.0636
 condnum,219182256276397182,8,80,1,polynomial,gaussian,,7.1943380327101965,0.05741825807979973,125.29704441245023,1.957766318944535,,,,,,,,,,,
 """
 
-# SHA-256 of the CSV of each tiny sweep below, frozen from the per-experiment
-# sweep functions that run_experiment's single loop replaced; any change to a
-# value, the row order or the schema changes the digest.  The exponential learning curve
-# takes the Jacobi path at N=32; the ntk case puts the anchors in training.
+# SHA-256 of the CSV of each tiny sweep below; any change to a value, the row
+# order or the schema changes the digest.  The learning-curve and truncation
+# digests were re-frozen when the full solve moved to the certified Gram route
+# (values moved by at most 2.6e-10 relative, s_min at exponential N=16).  The
+# exponential learning curve takes the Jacobi path at N=32; the ntk case puts
+# the anchors in training.
 GOLDEN_SHA256 = {
     "learning_curve-polynomial": (
         dict(experiment="learning_curve", n_grid=(8, 16), trials=2, n_test=20),
-        "9ed4904262f44eaf850a3b78485ffefa71896491374f2b0be7425956825e8ea3",
+        "ab8d3ae4ef403c091b35fcd7cd7437bd466fa0032447dff72a129bb21b546377",
     ),
     "learning_curve-exponential": (
         dict(experiment="learning_curve", spectrum="exponential", n_grid=(16, 32),
              trials=2, n_test=20),
-        "2a2d17a3eb45f970e21285c6d89b8a74525c9e3a8e2b57d0d65ccebe3eb373ae",
+        "49a8def53b46c697ba987fcd3ae0fa53d8e037cddc423aad8a01404492c5ecf0",
     ),
     "smin_study": (
         dict(experiment="smin_study", n_grid=(8, 16), trials=2),
@@ -60,7 +62,7 @@ GOLDEN_SHA256 = {
     "truncation": (
         dict(experiment="truncation", n_grid=(8, 16), trials=2, eta_full=20,
              truncation_etas=(5, 10)),
-        "7d31bb90835e3cbb39e945f637f657018fc9494bfef716ce27df2a00be0c91e7",
+        "13d0ea74ee5d23f03c8da539f60fc048761d384aff9eca2e93edcffd4ba9befe",
     ),
 }
 
@@ -347,6 +349,20 @@ class TestCli:
         for flag in (f"--{key}", f"--{key.replace('_', '-')}"):
             assert cli.main(["spectrum-dump", "--out", str(tmp_path / "s.csv"),
                              flag, defaults[key], "--spectrum-length", "4"]) == 0
+
+    def test_flag_values_that_look_like_options(self, tmp_path, capsys):
+        # a flag takes the next token as its value: --key -1e3 is --key=-1e3,
+        # and --a -inf reaches the config's own validation
+        base = ["kernel-interp", "--n-grid", "8", "--trials", "1", "--n-test", "5",
+                "--input-domain", "uniform_interval", "--interval-hi", "1e3"]
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert cli.main(base + ["--interval-lo", "-1e3", "--out", str(spaced)]) == 0
+        assert cli.main(base + ["--interval-lo=-1e3", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        capsys.readouterr()
+        assert cli.main(["condnum", "--out", str(tmp_path / "x.csv"),
+                         "--a", "-inf"]) == 1
+        assert "decay parameter a must be positive" in capsys.readouterr().err
 
     def test_hyphenated_flags_accepted(self, tmp_path):
         out = tmp_path / "h.csv"

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from overfit_lab.errors import (
     NumericError,
 )
 from overfit_lab.experiments import (
+    TRIALS,
     ExperimentConfig,
     TrialRecord,
     aggregate,
@@ -159,6 +162,27 @@ class TestLearningCurve:
         a = run_experiment(cfg).records
         b = run_experiment(cfg).records
         assert a == b
+
+    @pytest.mark.parametrize("law,svds", [
+        ("gaussian", 0), ("uniform_subgaussian", 0), ("cosine", 1),
+    ])
+    def test_factor_svds_per_trial(self, monkeypatch, law, svds):
+        # independent designs take the certified Gram route for the solve,
+        # the risk terms and the reported values, so no factor SVD runs; a
+        # cosine design fails the certificate at N=512 and takes exactly one
+        real_svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "overfit_lab.linalg":
+                calls.append(kwargs.get("compute_uv", True))
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        cfg = _cfg(experiment="learning_curve", law=law, n_grid=(512,), trials=1,
+                   n_test=20)
+        TRIALS["learning_curve"](cfg, 512, 0)
+        assert len(calls) == svds
 
 
 class TestSminStudy:

@@ -1,4 +1,6 @@
 import math
+import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -6,10 +8,12 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from overfit_lab import linalg
 from overfit_lab.errors import (
     InsufficientTailError,
     InvariantViolationError,
     NumericError,
+    RankDeficientKernelWarning,
     ShapeError,
 )
 from overfit_lab.experiments import derive_seed
@@ -22,6 +26,7 @@ from overfit_lab.linalg import (
     row_norm_diagnostics,
     singular_extremes,
 )
+from overfit_lab.regression import variance_closed_form
 from overfit_lab.spectra import make_spectrum
 
 GAUSSIAN = FeatureLaw("gaussian")
@@ -198,6 +203,36 @@ def _mp_squared_singular_values(g, dps=50):
         return np.array(sorted((float(x * x) for x in sv), reverse=True))
 
 
+def _mp_dual(g, y, dps=50):
+    """Dual G (G^T G)^-1 y of a full-rank factor g, by a multiprecision solve."""
+    with mpmath.workdps(dps):
+        gm = mpmath.matrix(g.tolist())
+        dual = gm * mpmath.lu_solve(gm.T * gm, mpmath.matrix(y.tolist()))
+        return np.array([float(x) for x in dual])
+
+
+def _graded_kernel(n, aspect, decay, collapse, seed):
+    """G = D * B with D = diag(sqrt(lambda)) graded over up to 1e8 in lambda
+    (never steep at this aspect) and B optionally given a near-duplicate
+    column, which collapses s_min."""
+    m = aspect * n
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((m, n))
+    if collapse is not None:
+        b[:, -1] = b[:, 0] + collapse * rng.standard_normal(m)
+    s = make_spectrum("custom", eigenvalues=10.0 ** (-decay * np.arange(m) / m))
+    return assemble_kernel(s, DesignMatrix(b, GAUSSIAN))
+
+
+GRADED_FACTORS = dict(
+    n=st.integers(2, 10),
+    aspect=st.integers(1, 4),
+    decay=st.floats(0.0, 8.0),
+    collapse=st.sampled_from([None, 1e-2, 1e-4, 1e-6, 1e-9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
 def _smin_grid_kernel(law, n, trial=0):
     """Kernel of trial ``trial`` of the default smin-study sweep at N = n."""
     s = make_spectrum("polynomial", 1.0, 10 * n)
@@ -207,25 +242,10 @@ def _smin_grid_kernel(law, n, trial=0):
 
 class TestGramCertificate:
     @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(2, 10),
-        aspect=st.integers(1, 4),
-        decay=st.floats(0.0, 8.0),
-        collapse=st.sampled_from([None, 1e-2, 1e-4, 1e-6, 1e-9]),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(**GRADED_FACTORS)
     def test_graded_factor_certified_or_escalated(self, n, aspect, decay, collapse,
                                                   seed):
-        # G = D * B with D = diag(sqrt(lambda)) graded over up to 1e8 in
-        # lambda (never steep at this aspect) and B optionally given a
-        # near-duplicate column, which collapses s_min
-        m = aspect * n
-        rng = np.random.default_rng(seed)
-        b = rng.standard_normal((m, n))
-        if collapse is not None:
-            b[:, -1] = b[:, 0] + collapse * rng.standard_normal(m)
-        s = make_spectrum("custom", eigenvalues=10.0 ** (-decay * np.arange(m) / m))
-        K = assemble_kernel(s, DesignMatrix(b, GAUSSIAN))
+        K = _graded_kernel(n, aspect, decay, collapse, seed)
         assert not K._steep
         summary = singular_extremes(K)
         event(summary.path)
@@ -259,9 +279,17 @@ class TestGramCertificate:
         assert summary.s_min == pytest.approx(ref[-1], rel=summary.rel_error_bound)
         assert summary.s_max == pytest.approx(ref[0], rel=summary.rel_error_bound)
 
-    def test_values_with_vectors_keep_the_svd_route(self):
+    def test_full_solve_reports_its_route(self):
+        # a full solve stays on the Gram route when the certificate holds and
+        # the values it leaves behind carry the bound; a cosine design fails
+        # the certificate and falls back to the factor SVD
         K = _smin_grid_kernel("gaussian", 64)
         min_norm_solve(K, np.ones(64))
+        summary = singular_extremes(K)
+        assert summary.path == "gram_eigh"
+        assert 0.0 < summary.rel_error_bound <= GRAM_CERTIFIED_TOLERANCE
+        K = _smin_grid_kernel("cosine", 256)
+        min_norm_solve(K, np.ones(256))
         summary = singular_extremes(K)
         assert summary.path == "gesdd" and summary.rel_error_bound is None
 
@@ -274,6 +302,40 @@ class TestGramCertificate:
         psi = np.random.default_rng(2).standard_normal((4, 8))
         K = assemble_kernel(s, DesignMatrix(psi, GAUSSIAN))
         assert singular_extremes(K).path == "gesdd"
+
+
+@settings(max_examples=40, deadline=None)
+@given(**GRADED_FACTORS)
+def test_certified_full_solve_agrees_with_svd_route(n, aspect, decay, collapse, seed):
+    # the same factor solved on the certified Gram route and, with the
+    # certificate switched off, on the gesdd route
+    y = np.random.default_rng(seed + 1).standard_normal(n)
+    with mock.patch.object(linalg, "GRAM_CERTIFIED_TOLERANCE", -1.0), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficientKernelWarning)
+        ref = _graded_kernel(n, aspect, decay, collapse, seed)
+        ref_sol, ref_dual = min_norm_solve(ref, y), ref.dual(y)
+        ref_var = variance_closed_form(ref, 1.0)
+    assert ref._modes[3] == "gesdd"
+    K = _graded_kernel(n, aspect, decay, collapse, seed)
+    sol = min_norm_solve(K, y)
+    event(K._modes[3])
+    assert sol.rank == ref_sol.rank and sol.inconsistent == ref_sol.inconsistent
+    if K._modes[3] == "gesdd":
+        return
+    assert K._modes[3] == "gram_eigh" and sol.rank == n and not sol.inconsistent
+    bound = singular_extremes(K).rel_error_bound
+    # the certified bound covers the dual and twice it the variance (module
+    # docstring); gesdd's own error, about M eps sqrt(cond K), is smaller
+    dual_err = np.linalg.norm(K.dual(y) - ref_dual) / np.linalg.norm(ref_dual)
+    var_err = abs(variance_closed_form(K, 1.0) - ref_var) / ref_var
+    assert dual_err <= 2 * bound and var_err <= 2 * (2 * bound)
+    # a certified solve is as good as the SVD's to the 1e-5 relative at which
+    # the reference outputs are compared, and within its bound of a 50-digit
+    # dual
+    assert max(dual_err, var_err) <= 1e-5
+    oracle = _mp_dual(K.factor, y)
+    assert np.linalg.norm(K.dual(y) - oracle) <= bound * np.linalg.norm(oracle)
 
 
 class TestRowNormDiagnostics:
