@@ -32,6 +32,7 @@ from .features import (
     DesignMatrix,
     FeatureLaw,
     InputDomain,
+    fill_design,
     fourier_design,
     kernel_cross,
     kernel_gram,
@@ -46,6 +47,7 @@ from .linalg import (
     RowNormDiagnostics,
     SpectrumSummary,
     assemble_kernel,
+    mercer_factor,
     min_norm_solve,
     row_norm_diagnostics,
     singular_extremes,

@@ -9,6 +9,13 @@ anchors) and draws every random number from a seed given by
 ``derive_seed``, so the (N, t) cells can run in any order or in separate
 processes and still give the same records.
 
+Inside a learning-curve trial the two M x n_test test factors are drawn on a
+two-thread pool that lives only for that trial, while the calling thread
+draws the training design and fits.  The pool threads only fill and scale
+buffers the calling thread allocated (RNG fills and one elementwise
+multiply, which release the GIL); every BLAS call stays on the calling
+thread, so the records are the same bytes as a sequential run's.
+
 ``derive_seed`` hashes (master_seed, experiment, N, trial index, stream tag)
 with SHA-256, so runs are reproducible bit for bit, trials never share
 state, and inserting a new stream cannot shift the draws of an existing one.
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -35,6 +43,7 @@ from .features import (
     AnalyticKernel,
     FeatureLaw,
     InputDomain,
+    fill_design,
     kernel_cross,
     kernel_gram,
     sample_design,
@@ -42,6 +51,7 @@ from .features import (
 )
 from .linalg import (
     assemble_kernel,
+    mercer_factor,
     min_norm_solve,
     row_norm_diagnostics,
     singular_extremes,
@@ -290,7 +300,10 @@ def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRe
     """Test error, bias, and variance of the interpolant.
 
     The true coefficient is drawn from a per-N seed, so all trials of one N
-    share it; each trial redraws design, label noise, and test inputs.
+    share it; each trial redraws design, label noise, and test inputs.  The
+    two M x n_test test factors (streams "test" for the MSE, "bias" for the
+    bias) are drawn on two pool threads while this thread draws the training
+    design and fits; see ``_draw_test_factor`` for what those threads may do.
     """
     m = cfg.feature_count(n)
     s = make_spectrum(cfg.spectrum, cfg.a, m)
@@ -298,15 +311,35 @@ def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRe
     target = TargetModel(theta_rng.standard_normal(m), cfg.sigma)
     law = FeatureLaw(cfg.law)
     seed = _seed(cfg, n, t)
-    d = sample_design(law, m, n, seed)
-    K = assemble_kernel(s, d)
-    y = synthesize_labels(d, s, target, _seed(cfg, n, t, "noise"))
-    f = fit_ridgeless(K, y)
-    test = sample_design(law, m, cfg.n_test, _seed(cfg, n, t, "test"))
-    risk = evaluate_risk(f, target, test, cfg.n_test, _seed(cfg, n, t, "bias"))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        draws = [
+            pool.submit(_draw_test_factor, law, s, np.empty((m, cfg.n_test)),
+                        _seed(cfg, n, t, stream))
+            for stream in ("test", "bias")
+        ]
+        d = sample_design(law, m, n, seed)
+        K = assemble_kernel(s, d)
+        y = synthesize_labels(d, s, target, _seed(cfg, n, t, "noise"))
+        f = fit_ridgeless(K, y)
+        mse_factor, bias_factor = (draw.result() for draw in draws)
+    risk = evaluate_risk(f, target, mse_factor, bias_factor)
     # after the fit, so the values are the eigenvalues of the modes it cached
     return [_record(cfg, n, m, t, seed, mse=risk.empirical_mse, bias=risk.bias,
                     variance=risk.variance, **_extremes(K))]
+
+
+def _draw_test_factor(law: FeatureLaw, s, out, seed):
+    """G_test = Lambda^{1/2} Psi_test drawn into ``out``: the same bits as
+    ``mercer_factor`` of a ``sample_design`` draw.
+
+    Runs on a pool thread, so it only fills and scales a buffer the calling
+    thread allocated: a BLAS call here would make the bytes depend on
+    scheduling, a large allocation would sit in a per-thread malloc arena
+    after the trial, and the module attributes the caller uses
+    (``sample_design`` and the rest) may be wrapped by single-threaded
+    tracing.
+    """
+    return mercer_factor(s, fill_design(law, out, seed), out=out)
 
 
 def _smin_study_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:

@@ -5,6 +5,16 @@ value of feature k at input i.  Independent laws (gaussian, uniform) draw the
 entries i.i.d.; the dependent laws (cosine, sine) evaluate a deterministic
 feature map at randomly drawn scalar inputs, which couples the entries of
 each column.
+
+``fill_design(law, out, seed)`` draws a design into a caller's M x N buffer
+and is the one sampler: ``sample_design`` allocates that buffer with
+``np.empty`` and wraps it.  The fill writes the RNG output straight into the
+buffer (``standard_normal(out=)``; ``random(out=)`` scaled in place to
+low + (high - low) u, numpy's ``uniform``; the phases multiplied into
+``out``, then ``cos``/``sin`` in place), which is bit-for-bit what the
+allocating expressions give and leaves no M x N temporary.  Its M x N work
+(RNG fills and elementwise ufuncs) releases the GIL and it makes no BLAS
+call, so a pool thread may run it.
 """
 
 from __future__ import annotations
@@ -118,29 +128,47 @@ def sample_inputs(domain: InputDomain, N: int, seed) -> np.ndarray:
     return pts * radii[:, None]
 
 
-def fourier_design(x: np.ndarray, M: int, kind: str) -> np.ndarray:
-    """Feature block of sqrt(2)*cos(k*x) (or sin), k = 1..M, one column per x."""
+def fourier_design(x: np.ndarray, M: int, kind: str, out=None) -> np.ndarray:
+    """Feature block of sqrt(2)*cos(k*x) (or sin), k = 1..M, one column per x.
+
+    Written into ``out`` (M x len(x) float64) when given, else into a new array.
+    """
     if kind not in ("cosine", "sine"):
         raise InvalidParameterError(f"fourier_design expects cosine or sine, got {kind!r}")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    phases = np.arange(1, M + 1, dtype=np.float64)[:, None] * x[None, :]
+    if out is None:
+        out = np.empty((M, x.size))
+    np.multiply(np.arange(1, M + 1, dtype=np.float64)[:, None], x[None, :], out=out)
     fn = np.cos if kind == "cosine" else np.sin
-    return math.sqrt(2.0) * fn(phases)
+    fn(out, out=out)
+    out *= math.sqrt(2.0)
+    return out
+
+
+def fill_design(law: FeatureLaw, out: np.ndarray, seed) -> np.ndarray:
+    """Draw an M x N design under ``law`` into the float64 buffer ``out``.
+
+    Deterministic in ``seed``; ``sample_design`` is this fill into a new
+    buffer.  Returns ``out``.
+    """
+    rng = np.random.default_rng(seed)
+    if law.kind == "gaussian":
+        rng.standard_normal(out=out)
+    elif law.kind == "uniform_subgaussian":
+        rng.random(out=out)
+        out *= SQRT3 - (-SQRT3)
+        out += -SQRT3
+    else:  # cosine or sine
+        x = sample_inputs(InputDomain("uniform_interval", 0.0, TWO_PI), out.shape[1], rng)
+        fourier_design(x[:, 0], out.shape[0], law.kind, out)
+    return out
 
 
 def sample_design(law: FeatureLaw, M: int, N: int, seed) -> DesignMatrix:
     """Draw an M x N design matrix under ``law``, deterministically in ``seed``."""
     if M < 1 or N < 1:
         raise InvalidParameterError("design dimensions must be positive")
-    rng = np.random.default_rng(seed)
-    if law.kind == "gaussian":
-        entries = rng.standard_normal((M, N))
-    elif law.kind == "uniform_subgaussian":
-        entries = rng.uniform(-SQRT3, SQRT3, (M, N))
-    else:  # cosine or sine
-        x = sample_inputs(InputDomain("uniform_interval", 0.0, TWO_PI), N, rng)[:, 0]
-        entries = fourier_design(x, M, law.kind)
-    return DesignMatrix(entries, law)
+    return DesignMatrix(fill_design(law, np.empty((M, N)), seed), law)
 
 
 def ntk_kappa0(t):

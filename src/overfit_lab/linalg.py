@@ -270,12 +270,16 @@ class KernelMatrix:
         certificate take the eigenpairs from ``eigh`` of K (route ``"eigh"`` or
         ``"gram_eigh"``); other Mercer kernels read (s_j^2, v_j) from the
         factor SVD (``"gesdd"`` or ``"jacobi"``), where a wide factor's missing
-        modes have eigenvalue 0 and are never kept.  The mask is the
+        modes have eigenvalue 0 and are never kept; values measured earlier on
+        ``"gesdd"`` send it there without another ``eigh``.  The mask is the
         pseudo-inverse cutoff policy (see the module docstring).  An explicit
         matrix that is not PSD raises InvariantViolationError.
         """
         if self.is_mercer:
-            gram = self._gram_eigen(vectors=True)
+            # values already measured on gesdd mean the certificate failed
+            measured = self.__dict__.get("_factor_values")
+            failed = measured is not None and measured[1] == "gesdd"
+            gram = None if failed else self._gram_eigen(vectors=True)
             if gram is not None:
                 w, q, bound = gram
                 s, path = np.sqrt(w), "gram_eigh"
@@ -338,9 +342,10 @@ class KernelMatrix:
         return self._factor_svd[0][:, keep]
 
 
-def mercer_factor(s: Spectrum, entries) -> np.ndarray:
-    """G = Lambda^{1/2} Psi: the Mercer factor of feature columns ``entries``."""
-    return np.sqrt(s.eigenvalues)[:, None] * entries
+def mercer_factor(s: Spectrum, entries, out=None) -> np.ndarray:
+    """G = Lambda^{1/2} Psi: the Mercer factor of feature columns ``entries``,
+    written into ``out`` when given (``entries`` itself scales in place)."""
+    return np.multiply(np.sqrt(s.eigenvalues)[:, None], entries, out=out)
 
 
 def assemble_kernel(s: Spectrum, d: DesignMatrix) -> KernelMatrix:

@@ -13,8 +13,13 @@ on the certified Gram route it is G alpha (see the ``linalg`` docstring).
 
 Everything here takes the training kernel and reads its ``spectrum`` and
 ``design``; the pseudo-inverse (kept modes and dual) is the kernel's own,
-``KernelMatrix.dual``.  The risk terms are ``variance_closed_form(K, sigma)``
-and ``bias_monte_carlo(K, t, n_test, seed)``.
+``KernelMatrix.dual``.  The risk terms are ``empirical_test_error(f, t,
+test_factor)``, ``bias_monte_carlo(K, t, test_factor)`` and
+``variance_closed_form(K, sigma)``.  The two Monte-Carlo terms take an
+M x n_test test factor G_test = Lambda^{1/2} Psi_test drawn by the caller
+(``mercer_factor(s, sample_design(...).entries)``), so where and when the
+test inputs are drawn is the caller's choice; ``evaluate_risk`` bundles the
+three.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from .errors import (
     RankDeficientKernelWarning,
     ShapeError,
 )
-from .features import DesignMatrix, sample_design
+from .features import DesignMatrix
+from .features import sample_design  # noqa: F401 -- bench/spans.py wraps this name
 from .linalg import KernelMatrix, assemble_kernel, mercer_factor, min_norm_solve
 from .spectra import Spectrum
 
@@ -112,23 +118,26 @@ def predict(f: Interpolant, test_design: DesignMatrix) -> np.ndarray:
     return mercer_factor(s, test_design.entries).T @ f.dual
 
 
-def empirical_test_error(
-    f: Interpolant, t: TargetModel, test_design: DesignMatrix, n_test: int
-) -> float:
-    """MSE of the interpolant against the noise-free target on fresh inputs."""
-    if n_test < 1:
-        raise InvalidParameterError("n_test must be at least 1")
-    if test_design.num_samples < n_test:
+def empirical_test_error(f: Interpolant, t: TargetModel, test_factor) -> float:
+    """MSE of the interpolant against the noise-free target at the columns
+    of the test factor G_test = Lambda^{1/2} Psi_test (M x n_test)."""
+    return _test_mse(_check_test_factor(f.kernel.spectrum, test_factor),
+                     f.dual, t.theta_star)
+
+
+def _check_test_factor(s: Spectrum, test_factor) -> np.ndarray:
+    g = np.asarray(test_factor, dtype=np.float64)
+    if g.ndim != 2 or g.shape[0] != s.size:
         raise ShapeError(
-            f"test design has {test_design.num_samples} columns, need {n_test}"
+            f"test factor has shape {g.shape}, expected {s.size} rows"
         )
-    sub = test_design.entries[:, :n_test]
-    return _test_mse(f.kernel.spectrum, sub, f.dual, t.theta_star)
+    if g.shape[1] < 1:
+        raise InvalidParameterError("test factor needs at least one column")
+    return g
 
 
-def _test_mse(s: Spectrum, entries, dual, theta) -> float:
+def _test_mse(g_test, dual, theta) -> float:
     """Mean of (G_test^T dual - G_test^T theta)^2 over the test columns."""
-    g_test = mercer_factor(s, entries)
     return float(np.mean((g_test.T @ dual - g_test.T @ theta) ** 2))
 
 
@@ -153,33 +162,28 @@ def variance_closed_form(K: KernelMatrix, sigma: float) -> float:
     return float(sigma**2 * np.sum(weights / w_eigs[keep]))
 
 
-def bias_monte_carlo(K: KernelMatrix, t: TargetModel, n_test: int, seed) -> float:
+def bias_monte_carlo(K: KernelMatrix, t: TargetModel, test_factor) -> float:
     """Monte-Carlo bias: squared error of the noise-free interpolant.
 
     Regresses the clean labels G^T theta and averages (f*(x) - fhat(x))^2
-    over n_test fresh inputs drawn from the design's law.
+    over the columns of the test factor G_test = Lambda^{1/2} Psi_test,
+    which the caller draws from the design's law.
     """
-    if n_test < 1:
-        raise InvalidParameterError("n_test must be at least 1")
     K._require_factor()  # explicit kernels (no spectrum) raise InvalidParameterError
     s, d = K.spectrum, K.design
+    g = _check_test_factor(s, test_factor)
     dual = K.dual((np.sqrt(s.eigenvalues) * t.theta_star) @ d.entries)
-    test = sample_design(d.law, s.size, n_test, seed)
-    return _test_mse(s, test.entries, dual, t.theta_star)
+    return _test_mse(g, dual, t.theta_star)
 
 
-def evaluate_risk(
-    f: Interpolant,
-    t: TargetModel,
-    test_design: DesignMatrix,
-    n_test: int,
-    bias_seed,
-) -> RiskReport:
-    """Bundle empirical MSE with its bias/variance decomposition."""
-    mse = empirical_test_error(f, t, test_design, n_test)
-    bias = bias_monte_carlo(f.kernel, t, n_test, bias_seed)
+def evaluate_risk(f: Interpolant, t: TargetModel, mse_factor, bias_factor) -> RiskReport:
+    """Bundle empirical MSE with its bias/variance decomposition; the MSE and
+    the bias each average over their own test factor."""
+    mse = empirical_test_error(f, t, mse_factor)
+    bias = bias_monte_carlo(f.kernel, t, bias_factor)
     var = variance_closed_form(f.kernel, t.sigma)
-    return RiskReport(empirical_mse=mse, bias=bias, variance=var, n_test=n_test)
+    return RiskReport(empirical_mse=mse, bias=bias, variance=var,
+                      n_test=mse_factor.shape[1])
 
 
 @dataclass(frozen=True)

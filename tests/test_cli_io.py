@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -285,6 +286,22 @@ class TestCli:
         monkeypatch.setattr(cli, "run_experiment", boom)
         assert cli.main(["condnum", "--out", str(tmp_path / "x.csv"),
                          "--n_grid", "8", "--trials", "1"]) == 2
+
+    def test_pool_thread_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a numeric failure while drawing a test factor on a pool thread
+        # surfaces from the trial as itself: exit 2, not a crash
+        threads = []
+
+        def failing_fill(law, out, seed):
+            threads.append(threading.current_thread())
+            raise NumericError("synthetic draw failure")
+
+        monkeypatch.setattr(experiments, "fill_design", failing_fill)
+        code = cli.main(["learning-curve", "--out", str(tmp_path / "x.csv"),
+                         "--n_grid", "8", "--trials", "1", "--n-test", "20"])
+        assert code == 2
+        assert "synthetic draw failure" in capsys.readouterr().err
+        assert threads and threading.main_thread() not in threads
 
     def test_nan_record_exit_code(self, tmp_path, monkeypatch, capsys):
         # a NaN reaching a TrialRecord is a numeric failure of that trial

@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -183,6 +184,13 @@ class TestLearningCurve:
                    n_test=20)
         TRIALS["learning_curve"](cfg, 512, 0)
         assert len(calls) == svds
+
+    def test_no_thread_outlives_the_sweep(self):
+        # the test factors are drawn on a pool scoped to each trial
+        before = threading.active_count()
+        run_experiment(_cfg(experiment="learning_curve", n_grid=(8, 16), trials=2,
+                            n_test=30))
+        assert threading.active_count() == before
 
 
 class TestSminStudy:

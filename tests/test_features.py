@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overfit_lab.errors import DomainError, InvalidParameterError, ShapeError
 from overfit_lab.features import (
+    FEATURE_LAWS,
     AnalyticKernel,
     FeatureLaw,
     InputDomain,
+    fill_design,
     fourier_design,
     kernel_cross,
     kernel_gram,
@@ -63,6 +67,32 @@ class TestSampleDesign:
         d = sample_design(FeatureLaw("gaussian"), 3, 3, seed=0)
         with pytest.raises(ValueError):
             d.entries[0, 0] = 1.0
+
+
+def _allocating_design(law, M, N, seed):
+    """The allocating draw each law used before the in-place fill: the oracle
+    the fill must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    if law == "gaussian":
+        return rng.standard_normal((M, N))
+    if law == "uniform_subgaussian":
+        return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), (M, N))
+    x = rng.uniform(0.0, 2.0 * math.pi, (N, 1))[:, 0]
+    phases = np.arange(1, M + 1, dtype=np.float64)[:, None] * x[None, :]
+    fn = np.cos if law == "cosine" else np.sin
+    return math.sqrt(2.0) * fn(phases)
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=st.sampled_from(FEATURE_LAWS), M=st.integers(1, 64), N=st.integers(1, 64),
+       seed=st.integers(0, 2**63 - 1))
+def test_in_place_fill_matches_allocating_draw(law, M, N, seed):
+    want = _allocating_design(law, M, N, seed)
+    got = sample_design(FeatureLaw(law), M, N, seed).entries
+    assert got.shape == want.shape and np.array_equal(got, want)
+    out = np.full((M, N), np.nan)
+    assert fill_design(FeatureLaw(law), out, seed) is out
+    assert np.array_equal(out, want)
 
 
 class TestSampleInputs:

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -292,6 +293,24 @@ class TestGramCertificate:
         min_norm_solve(K, np.ones(256))
         summary = singular_extremes(K)
         assert summary.path == "gesdd" and summary.rel_error_bound is None
+
+    def test_failed_certificate_skips_eigh(self, monkeypatch):
+        # values measured first already failed the certificate on a cosine
+        # N=256 design, so the full solve goes straight to the factor SVD
+        K = _smin_grid_kernel("cosine", 256)
+        assert singular_extremes(K).path == "gesdd"
+        real_eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "overfit_lab.linalg":
+                calls.append(1)
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        min_norm_solve(K, np.ones(256))
+        assert len(calls) == 0
+        assert K._modes[3] == "gesdd" and singular_extremes(K).path == "gesdd"
 
     def test_steep_kernel_keeps_jacobi(self):
         summary = singular_extremes(_steep_kernel())

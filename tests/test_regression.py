@@ -10,7 +10,12 @@ from overfit_lab.features import (
     kernel_gram,
     sample_design,
 )
-from overfit_lab.linalg import assemble_kernel, min_norm_solve, singular_extremes
+from overfit_lab.linalg import (
+    assemble_kernel,
+    mercer_factor,
+    min_norm_solve,
+    singular_extremes,
+)
 from overfit_lab.regression import (
     TargetModel,
     bias_monte_carlo,
@@ -32,6 +37,11 @@ def _square_problem(n, seed, sigma=0.0, kind="polynomial"):
     rng = np.random.default_rng(seed + 1)
     t = TargetModel(rng.standard_normal(n), sigma)
     return s, d, t
+
+
+def _test_factor(s, n_test, seed):
+    """Lambda^{1/2} Psi_test of a fresh gaussian test design."""
+    return mercer_factor(s, sample_design(GAUSSIAN, s.size, n_test, seed=seed).entries)
 
 
 class TestSynthesizeLabels:
@@ -77,7 +87,7 @@ class TestFitAndPredict:
         preds = predict(f, fresh)
         truth = (np.sqrt(s.eigenvalues) * t.theta_star) @ fresh.entries
         np.testing.assert_allclose(preds, truth, rtol=1e-6, atol=1e-9)
-        assert empirical_test_error(f, t, fresh, 40) <= 1e-8
+        assert empirical_test_error(f, t, mercer_factor(s, fresh.entries)) <= 1e-8
 
     def test_zero_labels_zero_coefficients(self):
         s, d, _ = _square_problem(8, seed=2)
@@ -149,7 +159,7 @@ class TestFitAndPredict:
     lambda K, y: K.dual(y),
     lambda K, y: fit_ridgeless(K, y),
     lambda K, y: variance_closed_form(K, 1.0),
-    lambda K, y: bias_monte_carlo(K, TargetModel(np.zeros(6)), 10, 0),
+    lambda K, y: bias_monte_carlo(K, TargetModel(np.zeros(6)), np.ones((6, 10))),
 ], ids=["dual", "fit_ridgeless", "variance_closed_form", "bias_monte_carlo"])
 def test_explicit_kernel_is_a_validation_error(call):
     # an analytic Gram matrix has no factor, spectrum or design to fit or
@@ -165,8 +175,7 @@ class TestEmpiricalTestError:
         s, d, t = _square_problem(12, seed=6)
         y = synthesize_labels(d, s, t, seed=0)
         f = fit_ridgeless(assemble_kernel(s, d), y)
-        test = sample_design(GAUSSIAN, 12, 100, seed=13)
-        assert empirical_test_error(f, t, test, 100) < 1e-12
+        assert empirical_test_error(f, t, _test_factor(s, 100, 13)) < 1e-12
 
     def test_constant_offset_squares(self):
         # constant feature: fitting f* + c yields exactly c^2 error
@@ -177,7 +186,8 @@ class TestEmpiricalTestError:
         y = synthesize_labels(d, s, t, seed=0) + c
         f = fit_ridgeless(assemble_kernel(s, d), y)
         test = DesignMatrix(np.ones((1, 50)), GAUSSIAN)
-        assert empirical_test_error(f, t, test, 50) == pytest.approx(c * c, rel=1e-12)
+        g_test = mercer_factor(s, test.entries)
+        assert empirical_test_error(f, t, g_test) == pytest.approx(c * c, rel=1e-12)
 
     def test_tempered_error_stays_bounded(self):
         # medians over 20 seeds at N=64 and N=256 within a factor 3
@@ -190,8 +200,7 @@ class TestEmpiricalTestError:
                 d = sample_design(GAUSSIAN, 10 * n, n, seed=base_seed + trial + 1)
                 y = synthesize_labels(d, s, t, seed=7000 + trial)
                 f = fit_ridgeless(assemble_kernel(s, d), y)
-                test = sample_design(GAUSSIAN, 10 * n, 500, seed=8000 + trial)
-                out.append(empirical_test_error(f, t, test, 500))
+                out.append(empirical_test_error(f, t, _test_factor(s, 500, 8000 + trial)))
             return float(np.median(out))
 
         lo = median_mse(64, 100)
@@ -202,7 +211,7 @@ class TestEmpiricalTestError:
         s, d, t = _square_problem(4, seed=1)
         f = fit_ridgeless(assemble_kernel(s, d), np.zeros(4))
         with pytest.raises(InvalidParameterError):
-            empirical_test_error(f, t, d, 0)
+            empirical_test_error(f, t, np.empty((4, 0)))
 
 
 class TestVarianceClosedForm:
@@ -257,13 +266,13 @@ class TestVarianceClosedForm:
 class TestBias:
     def test_exact_recovery_bias_vanishes(self):
         s, d, t = _square_problem(16, seed=9)
-        assert bias_monte_carlo(assemble_kernel(s, d), t, n_test=200, seed=3) <= 1e-10
+        assert bias_monte_carlo(assemble_kernel(s, d), t, _test_factor(s, 200, 3)) <= 1e-10
 
     def test_zero_target_zero_bias(self):
         s = make_spectrum("polynomial", 1.0, 40)
         d = sample_design(GAUSSIAN, 40, 8, seed=10)
         t = TargetModel(np.zeros(40), 1.0)
-        assert bias_monte_carlo(assemble_kernel(s, d), t, n_test=100, seed=4) == 0.0
+        assert bias_monte_carlo(assemble_kernel(s, d), t, _test_factor(s, 100, 4)) == 0.0
 
     def test_decomposition_consistency(self):
         # empirical risk over many noise draws matches B + V within 3 MC sigma
@@ -273,14 +282,13 @@ class TestBias:
         rng = np.random.default_rng(31)
         t = TargetModel(rng.standard_normal(m), 1.0)
         K = assemble_kernel(s, d)
-        b = bias_monte_carlo(K, t, n_test=4000, seed=32)
+        b = bias_monte_carlo(K, t, _test_factor(s, 4000, 32))
         v = variance_closed_form(K, 1.0)
         risks = []
         for i in range(60):
             y = synthesize_labels(d, s, t, seed=900 + i)
             f = fit_ridgeless(K, y)
-            test = sample_design(GAUSSIAN, m, 500, seed=5000 + i)
-            risks.append(empirical_test_error(f, t, test, 500))
+            risks.append(empirical_test_error(f, t, _test_factor(s, 500, 5000 + i)))
         risks = np.asarray(risks)
         se = risks.std(ddof=1) / np.sqrt(len(risks))
         assert abs(risks.mean() - (b + v)) <= 3 * se
