@@ -54,9 +54,7 @@ from .linalg import (
 )
 from .regression import (
     Interpolant,
-    RiskReport,
     TargetModel,
-    TruncationRecord,
     bias_monte_carlo,
     empirical_test_error,
     fit_ridgeless,

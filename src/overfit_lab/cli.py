@@ -85,6 +85,8 @@ def main(argv=None) -> int:
         cfg = parse_config(text, overrides)
 
         if args.subcommand == "spectrum-dump":
+            if args.plot:
+                parser.error("spectrum-dump draws no plot; --plot is not accepted")
             length = cfg.spectrum_length or cfg.feature_count(max(cfg.n_grid))
             spec = make_spectrum(cfg.spectrum, cfg.a, length)
             csvio.write_spectrum_csv(spec, args.out)

@@ -124,6 +124,12 @@ class ExperimentConfig:
             raise InvariantViolationError("eta_full must exceed eta")
         if any(e < 2 for e in self.truncation_etas):
             raise InvariantViolationError("truncation etas must be at least 2")
+        if self.n_anchors < 1:
+            raise InvariantViolationError("n_anchors must be at least 1")
+        # after the sign checks, so a negative infinity reports its sign
+        for key in ("a", "sigma", "bandwidth", "interval_lo", "interval_hi"):
+            if not math.isfinite(getattr(self, key)):
+                raise InvariantViolationError(f"{key} must be finite")
 
     def feature_count(self, n: int, eta: int | None = None) -> int:
         """M for sample size n: eta*n, capped where the spectrum underflows.
@@ -324,8 +330,7 @@ def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRe
         mse_factor, bias_factor = (draw.result() for draw in draws)
     risk = evaluate_risk(f, target, mse_factor, bias_factor)
     # after the fit, so the values are the eigenvalues of the modes it cached
-    return [_record(cfg, n, m, t, seed, mse=risk.empirical_mse, bias=risk.bias,
-                    variance=risk.variance, **_extremes(K))]
+    return [_record(cfg, n, m, t, seed, **risk, **_extremes(K))]
 
 
 def _draw_test_factor(law: FeatureLaw, s, out, seed):
@@ -422,13 +427,8 @@ def _truncation_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord
               if m > n]
     seed = _seed(cfg, n, t)
     d_full = sample_design(FeatureLaw(cfg.law), m_full, n, seed)
-    return [
-        _record(cfg, n, m_full, t, seed, m_truncated=rec.m_truncated,
-                variance=rec.variance, variance_full=rec.variance_full,
-                truncation_gap=rec.gap, truncation_bound=rec.bound,
-                bound_holds=rec.holds)
-        for rec in truncation_study(s_full, d_full, cfg.sigma, m_list)
-    ]
+    return [_record(cfg, n, m_full, t, seed, **row)
+            for row in truncation_study(s_full, d_full, cfg.sigma, m_list)]
 
 
 # trial_fn(cfg, n, t) -> list[TrialRecord] per experiment; see the module docstring

@@ -18,8 +18,8 @@ test_factor)``, ``bias_monte_carlo(K, t, test_factor)`` and
 ``variance_closed_form(K, sigma)``.  The two Monte-Carlo terms take an
 M x n_test test factor G_test = Lambda^{1/2} Psi_test drawn by the caller
 (``mercer_factor(s, sample_design(...).entries)``), so where and when the
-test inputs are drawn is the caller's choice; ``evaluate_risk`` bundles the
-three.
+test inputs are drawn is the caller's choice; ``evaluate_risk`` returns the
+three as a dict keyed by the trial record's ``mse, bias, variance``.
 """
 
 from __future__ import annotations
@@ -56,20 +56,6 @@ class TargetModel:
             raise InvalidParameterError("noise level sigma must be >= 0")
         if not np.all(np.isfinite(theta)):
             raise NumericError("theta_star has non-finite entries")
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    empirical_mse: float
-    bias: float
-    variance: float
-    n_test: int
-
-    def __post_init__(self):
-        if self.empirical_mse < 0 or self.bias < 0 or self.variance < 0:
-            raise InvalidParameterError("risk components cannot be negative")
-        if self.n_test < 1:
-            raise InvalidParameterError("n_test must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -176,37 +162,28 @@ def bias_monte_carlo(K: KernelMatrix, t: TargetModel, test_factor) -> float:
     return _test_mse(g, dual, t.theta_star)
 
 
-def evaluate_risk(f: Interpolant, t: TargetModel, mse_factor, bias_factor) -> RiskReport:
-    """Bundle empirical MSE with its bias/variance decomposition; the MSE and
-    the bias each average over their own test factor."""
+def evaluate_risk(f: Interpolant, t: TargetModel, mse_factor, bias_factor) -> dict:
+    """Empirical MSE and its bias/variance decomposition, keyed ``mse, bias,
+    variance``; the MSE and the bias each average over their own test factor."""
     mse = empirical_test_error(f, t, mse_factor)
     bias = bias_monte_carlo(f.kernel, t, bias_factor)
     var = variance_closed_form(f.kernel, t.sigma)
-    return RiskReport(empirical_mse=mse, bias=bias, variance=var,
-                      n_test=mse_factor.shape[1])
-
-
-@dataclass(frozen=True)
-class TruncationRecord:
-    m_truncated: int
-    variance: float
-    variance_full: float
-    gap: float
-    bound: float
-    holds: bool
+    return dict(mse=mse, bias=bias, variance=var)
 
 
 def truncation_study(
     s_full: Spectrum, d_full: DesignMatrix, sigma: float, M_list
-) -> list[TruncationRecord]:
+) -> list[dict]:
     """Compare the variance of rank-M truncations against the full kernel.
 
     For each M the leading M eigenvalues and design rows define the truncated
-    kernel; the record carries |V - V(M)| next to the bound 3 V(M) + sigma^2/N.
+    kernel.  One dict per M, keyed ``m_truncated, variance, variance_full,
+    truncation_gap, truncation_bound, bound_holds``: |V - V(M)| next to the
+    bound 3 V(M) + sigma^2/N and whether it holds.
     """
     n = d_full.num_samples
     m_full = d_full.num_features
-    records = []
+    rows = []
     v_full = variance_closed_form(assemble_kernel(s_full, d_full), sigma)
     for m in M_list:
         m = int(m)
@@ -219,14 +196,7 @@ def truncation_study(
         v_m = variance_closed_form(assemble_kernel(s_m, d_m), sigma)
         gap = abs(v_full - v_m)
         bound = 3.0 * v_m + sigma**2 / n
-        records.append(
-            TruncationRecord(
-                m_truncated=m,
-                variance=v_m,
-                variance_full=v_full,
-                gap=gap,
-                bound=bound,
-                holds=bool(gap <= bound),
-            )
-        )
-    return records
+        rows.append(dict(m_truncated=m, variance=v_m, variance_full=v_full,
+                         truncation_gap=gap, truncation_bound=bound,
+                         bound_holds=bool(gap <= bound)))
+    return rows

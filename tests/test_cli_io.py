@@ -268,6 +268,13 @@ class TestCli:
                          "--eta", "1"])
         assert code == 1
         assert "eta" in capsys.readouterr().err
+        # an infinite interval end is a validation error, not a sampler crash
+        code = cli.main(["kernel-interp", "--out", str(tmp_path / "x.csv"),
+                         "--n-grid", "8", "--trials", "1",
+                         "--input-domain", "uniform_interval",
+                         "--interval-hi", "inf"])
+        assert code == 1
+        assert "interval_hi must be finite" in capsys.readouterr().err
 
     def test_unknown_flag_exit_code(self, tmp_path):
         out = ["--out", str(tmp_path / "x.csv")]
@@ -356,6 +363,11 @@ class TestCli:
         assert cli.main(["spectrum-dump", "--out", str(out),
                          "--spectrum", "exponential"]) == 0
         assert len(out.read_text().splitlines()) == 1 + 690
+        # it draws no plot, so --plot is a usage error
+        plot = tmp_path / "spec.svg"
+        assert cli.main(["spectrum-dump", "--out", str(out),
+                         "--plot", str(plot)]) == 1
+        assert not plot.exists()
 
     @pytest.mark.parametrize(
         "key", [f.name for f in dataclasses.fields(ExperimentConfig)])

@@ -41,6 +41,13 @@ class TestConfigValidation:
         dict(experiment="nonsense"),
         dict(truncation_etas=(1,)),
         dict(eta_full=5),
+        dict(n_anchors=0),
+        dict(a=float("inf")),
+        dict(sigma=float("inf")),
+        dict(bandwidth=float("inf")),
+        dict(interval_lo=float("-inf")),
+        dict(interval_hi=float("inf")),
+        dict(a=float("nan")),
     ])
     def test_invariant_violations(self, kw):
         with pytest.raises(InvariantViolationError):

@@ -298,18 +298,18 @@ class TestTruncation:
     def test_full_rank_truncation_gap_is_zero(self):
         s = make_spectrum("polynomial", 1.0, 320)
         d = sample_design(GAUSSIAN, 320, 32, seed=40)
-        rec = truncation_study(s, d, sigma=1.0, M_list=[320])[0]
-        assert rec.gap == 0.0
-        assert rec.holds
-        assert rec.bound == pytest.approx(3 * rec.variance + 1.0 / 32)
+        row = truncation_study(s, d, sigma=1.0, M_list=[320])[0]
+        assert row["truncation_gap"] == 0.0
+        assert row["bound_holds"]
+        assert row["truncation_bound"] == pytest.approx(3 * row["variance"] + 1.0 / 32)
 
     def test_inequality_at_ten_n(self):
         n = 64
         s = make_spectrum("polynomial", 1.0, 100 * n)
         for seed in (50, 51, 52):
             d = sample_design(GAUSSIAN, 100 * n, n, seed=seed)
-            rec = truncation_study(s, d, sigma=1.0, M_list=[10 * n])[0]
-            assert rec.holds
+            row = truncation_study(s, d, sigma=1.0, M_list=[10 * n])[0]
+            assert row["bound_holds"]
 
     def test_monotone_gap_across_seeds(self):
         # the gap should shrink as the truncation keeps more of the spectrum
@@ -318,8 +318,8 @@ class TestTruncation:
         wins = 0
         for seed in range(20):
             d = sample_design(GAUSSIAN, 100 * n, n, seed=600 + seed)
-            recs = truncation_study(s, d, sigma=1.0, M_list=[2 * n, 4 * n, 10 * n, 20 * n])
-            gaps = [r.gap for r in recs]
+            rows = truncation_study(s, d, sigma=1.0, M_list=[2 * n, 4 * n, 10 * n, 20 * n])
+            gaps = [r["truncation_gap"] for r in rows]
             wins += all(a >= b for a, b in zip(gaps, gaps[1:]))
         assert wins >= 18
 
