@@ -40,6 +40,8 @@ from .errors import (
 )
 from .features import (
     FEATURE_LAWS,
+    INPUT_DOMAINS,
+    KERNEL_KINDS,
     AnalyticKernel,
     FeatureLaw,
     InputDomain,
@@ -63,7 +65,12 @@ from .regression import (
     synthesize_labels,
     truncation_study,
 )
-from .spectra import make_spectrum, max_exponential_length, theoretical_condition_ratio
+from .spectra import (
+    DECAY_KINDS,
+    make_spectrum,
+    max_exponential_length,
+    theoretical_condition_ratio,
+)
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,18 @@ class ExperimentConfig:
         )
         if self.experiment not in TRIALS:
             raise InvariantViolationError(f"unknown experiment {self.experiment!r}")
+        # every subcommand checks every key; a custom spectrum needs eigenvalues
+        for key, allowed in (
+            ("spectrum", tuple(k for k in DECAY_KINDS if k != "custom")),
+            ("law", FEATURE_LAWS), ("kernel", KERNEL_KINDS),
+            ("input_domain", ("", *INPUT_DOMAINS)),
+        ):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise InvariantViolationError(
+                    f"unknown {key} {value!r}; expected one of "
+                    f"{', '.join(filter(None, allowed))}"
+                )
         if self.eta < 1:
             raise InvariantViolationError("eta must be at least 1")
         if self.trials < 1:

@@ -42,17 +42,22 @@ The dual is formed as G (K^+ y) with one refinement step whose residual
 y - G^T (G alpha) is taken through G, not K, which removes the roundoff of
 forming K from it.
 
+One function, ``KernelMatrix._decompose``, holds this route rule.  It
+returns one record per request kind, each cached once per kernel: values
+only (``singular_extremes``) or full, which adds K's eigenvectors and, on
+the SVD routes, G's left singular vectors.  Neither cache writes the other;
+each may read it.  Values requested after a full decomposition reuse it, and
+a full decomposition after values that failed the certificate (``"gesdd"``)
+skips ``eigh``.  So the values reported do not depend on call order.
+
 Pseudo-inverse solves, duals and variances all read one cached set of
 sample-space modes, ``KernelMatrix._modes``: (eigenvalues, eigenvectors,
-kept mask, route).  Explicit matrices (``from_entries``) and Mercer kernels
-on the ``gram_eigh`` route take it from ``eigh`` of K; an explicit matrix
-with an eigenvalue below -1e-12 * max |eigenvalue| is rejected.  Other
-Mercer kernels take it from the full factor SVD as (s_j^2, v_j), so the
-factor SVD (gesdd or Jacobi) runs only when the certificate fails or the
-spectrum is steep.  Values measured by either call keep their route.  The
-kept mask is the pseudo-inverse cutoff policy and is computed there only:
-eigenvalues below 1e-12 * s_max are dropped, except on the Jacobi path,
-which keeps every positive eigenvalue.
+kept mask, route), from the full record of a Mercer kernel, or from ``eigh``
+of an explicit matrix (``from_entries``), which is rejected when an
+eigenvalue is below -1e-12 * max |eigenvalue|.  The kept mask is the
+pseudo-inverse cutoff policy and is computed there only: eigenvalues below
+1e-12 * s_max are dropped, except on the Jacobi path, which keeps every
+positive eigenvalue.
 """
 
 from __future__ import annotations
@@ -60,9 +65,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgejsv
 
 from .errors import (
     InsufficientTailError,
@@ -130,6 +135,19 @@ class MinNormSolution:
     alpha: np.ndarray
     inconsistent: bool
     rank: int
+
+
+class _Decomposition(NamedTuple):
+    """A Mercer kernel's record from ``KernelMatrix._decompose``: G's singular
+    values ``s`` and K's eigenvalues ``w`` descending, the route, its bound,
+    and on a full request K's eigenvectors ``q`` and G's left vectors ``u``."""
+
+    s: np.ndarray
+    w: np.ndarray
+    path: str
+    bound: float | None = None
+    q: np.ndarray | None = None
+    u: np.ndarray | None = None
 
 
 class KernelMatrix:
@@ -201,47 +219,6 @@ class KernelMatrix:
         visible = min(len(lam), self.size) - 1
         return bool(lam[0] / lam[visible] > STEEP_SPECTRUM_RATIO)
 
-    @cached_property
-    def _factor_values(self):
-        """(singular values of G descending, route, certified relative bound)."""
-        if self._steep:
-            return _jacobi_svd(self._factor, want_vectors=False)[1], "jacobi", None
-        gram = self._gram_eigen(vectors=False)
-        if gram is not None:
-            return np.sqrt(gram[0]), "gram_eigh", gram[2]
-        return np.linalg.svd(self._factor, compute_uv=False), "gesdd", None
-
-    def _gram_eigen(self, vectors: bool):
-        """Eigenvalues (and eigenvectors) of K = G^T G, kept only under the
-        certificate.
-
-        Returns (eigenvalues descending, eigenvectors or None, relative error
-        bound), or None for steep or wide factors, when K is not finite and
-        when the bound exceeds GRAM_CERTIFIED_TOLERANCE.  Values-only requests
-        use ``eigvalsh``.  See the module docstring for the bound and what it
-        covers.
-        """
-        g = self._factor
-        m, n = g.shape
-        if self._steep or m < n:
-            return None
-        k = self.entries
-        trace = float(np.trace(k))
-        if not np.isfinite(trace):
-            return None
-        if vectors:
-            lam, q = _eigh_descending(k)
-        else:
-            lam, q = np.linalg.eigvalsh(k)[::-1], None
-        if not lam[-1] > 0.0:
-            return None
-        eps = np.finfo(np.float64).eps
-        gamma = m * eps / (1.0 - m * eps)
-        bound = (gamma * trace + n * eps * lam[0]) / lam[-1]
-        if bound > GRAM_CERTIFIED_TOLERANCE:
-            return None
-        return lam, q, float(bound)
-
     def _require_factor(self) -> np.ndarray:
         """The Mercer factor G; an explicit matrix raises InvalidParameterError."""
         if not self.is_mercer:
@@ -253,41 +230,59 @@ class KernelMatrix:
         return self._factor
 
     @cached_property
-    def _factor_svd(self):
-        """(U, s, V) of G with G = U diag(s) V^T; V spans sample space."""
-        g = self._require_factor()
+    def _values(self) -> _Decomposition:
+        """Values-only record; a full record measured earlier serves as is."""
+        full = self.__dict__.get("_full")
+        return full if full is not None else self._decompose(full=False)
+
+    @cached_property
+    def _full(self) -> _Decomposition:
+        """Full record: also K's eigenvectors and G's left singular vectors."""
+        return self._decompose(full=True)
+
+    def _decompose(self, full: bool) -> _Decomposition:
+        """The route rule (see the module docstring): Jacobi for steep
+        spectra; else certified ``eigvalsh``/``eigh`` of K for a tall factor
+        with finite trace(K) that has not already failed the certificate;
+        else gesdd."""
+        g = self._factor
+        m, n = g.shape
         if self._steep:
-            return _jacobi_svd(g, want_vectors=True)
-        u, s, vh = np.linalg.svd(g, full_matrices=False)
-        return u, s, vh.T
+            u, s, v = _jacobi_svd(g, want_vectors=full)
+            return _Decomposition(s, s * s, "jacobi", None, v, u)
+        values = self.__dict__.get("_values")
+        if m >= n and (values is None or values.path != "gesdd"):
+            k = self.entries
+            trace = float(np.trace(k))
+            if np.isfinite(trace):
+                if full:
+                    w, q = _eigh_descending(k)
+                else:
+                    w, q = np.linalg.eigvalsh(k)[::-1], None
+                if w[-1] > 0.0:
+                    eps = np.finfo(np.float64).eps
+                    gamma = m * eps / (1.0 - m * eps)
+                    bound = (gamma * trace + n * eps * w[0]) / w[-1]
+                    if bound <= GRAM_CERTIFIED_TOLERANCE:
+                        return _Decomposition(np.sqrt(w), w, "gram_eigh",
+                                              float(bound), q)
+        if full:
+            u, s, vh = np.linalg.svd(g, full_matrices=False)
+            return _Decomposition(s, s * s, "gesdd", None, vh.T, u)
+        s = np.linalg.svd(g, compute_uv=False)
+        return _Decomposition(s, s * s, "gesdd")
 
     @cached_property
     def _modes(self):
         """(eigenvalues descending, eigenvectors, kept mask, route) of K in
-        sample space.
-
-        Explicit matrices and Mercer kernels whose Gram matrix passes the
-        certificate take the eigenpairs from ``eigh`` of K (route ``"eigh"`` or
-        ``"gram_eigh"``); other Mercer kernels read (s_j^2, v_j) from the
-        factor SVD (``"gesdd"`` or ``"jacobi"``), where a wide factor's missing
-        modes have eigenvalue 0 and are never kept; values measured earlier on
-        ``"gesdd"`` send it there without another ``eigh``.  The mask is the
-        pseudo-inverse cutoff policy (see the module docstring).  An explicit
-        matrix that is not PSD raises InvariantViolationError.
+        sample space: a Mercer kernel's full record (a wide M x N factor has
+        M modes) or ``eigh`` of an explicit matrix (route ``"eigh"``), which
+        raises InvariantViolationError when it is not PSD.  The mask is the
+        pseudo-inverse cutoff policy (see the module docstring).
         """
         if self.is_mercer:
-            # values already measured on gesdd mean the certificate failed
-            measured = self.__dict__.get("_factor_values")
-            failed = measured is not None and measured[1] == "gesdd"
-            gram = None if failed else self._gram_eigen(vectors=True)
-            if gram is not None:
-                w, q, bound = gram
-                s, path = np.sqrt(w), "gram_eigh"
-            else:
-                _, s, q = self._factor_svd
-                w, path, bound = s * s, "jacobi" if self._steep else "gesdd", None
-            # values already measured keep their route, whatever the call order
-            self.__dict__.setdefault("_factor_values", (s, path, bound))
+            full = self._full
+            w, q, path = full.w, full.q, full.path
         else:
             if not np.all(np.isfinite(self.entries)):
                 raise NumericError("kernel matrix has non-finite entries")
@@ -326,8 +321,8 @@ class KernelMatrix:
             # removes the roundoff of forming K (see the module docstring)
             alpha += solve(y - g.T @ (g @ alpha))
             return g @ alpha
-        u, s, _ = self._factor_svd
-        return u[:, keep] @ ((qk.T @ y) / s[keep])
+        full = self._full
+        return full.u[:, keep] @ ((qk.T @ y) / full.s[keep])
 
     def _kept_left_vectors(self) -> np.ndarray:
         """U_k = G V_k S_k^-1, the factor's left singular vectors over the kept
@@ -339,7 +334,7 @@ class KernelMatrix:
             gq = g @ q[:, keep]
             gq /= np.sqrt(w[keep])
             return gq
-        return self._factor_svd[0][:, keep]
+        return self._full.u[:, keep]
 
 
 def mercer_factor(s: Spectrum, entries, out=None) -> np.ndarray:
@@ -365,7 +360,8 @@ def singular_extremes(K: KernelMatrix) -> SpectrumSummary:
     indistinguishable from it there) and the condition number becomes +inf.
     """
     if K.is_mercer:
-        s, path, bound = K._factor_values
+        values = K._values
+        s, path, bound = values.s, values.path, values.bound
         if not np.all(np.isfinite(s)):
             raise NumericError("kernel factor has non-finite singular values")
         vals = s * s
@@ -439,6 +435,8 @@ def _jacobi_svd(g: np.ndarray, want_vectors: bool):
     joba='F' targets matrices of the form D1*C*D2 with ill-conditioned
     diagonal scalings; singular values come back scaled by work[0]/work[1].
     """
+    from scipy.linalg.lapack import dgejsv  # only steep spectra load scipy
+
     jobu, jobv = (0, 0) if want_vectors else (3, 3)
     sva, u, v, work, _, info = dgejsv(
         np.asfortranarray(g), joba=2, jobu=jobu, jobv=jobv
@@ -446,6 +444,4 @@ def _jacobi_svd(g: np.ndarray, want_vectors: bool):
     if info != 0:
         raise NumericError(f"Jacobi SVD did not converge (info={info})")
     s = sva * (work[0] / work[1])
-    if want_vectors:
-        return u, s, v
-    return None, s, None
+    return (u, s, v) if want_vectors else (None, s, None)

@@ -12,8 +12,14 @@ def mc_noise_variance(kernel, spectrum, law, sigma, draws=2000, batches=20,
     average does not carry a fixed-grid bias).
     """
     from overfit_lab.features import sample_design
+    from overfit_lab.linalg import _jacobi_svd
 
-    u, s, v = kernel._factor_svd
+    # the oracle takes its own SVD of the factor, not the kernel's cached one
+    if kernel._steep:
+        u, s, v = _jacobi_svd(kernel.factor, want_vectors=True)
+    else:
+        u, s, vh = np.linalg.svd(kernel.factor, full_matrices=False)
+        v = vh.T
     keep = kernel._modes[2]
     uk, sk, vk = u[:, keep], s[keep], v[:, keep]
     m = spectrum.size

@@ -1,8 +1,12 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import threading
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +279,17 @@ class TestCli:
                          "--interval-hi", "inf"])
         assert code == 1
         assert "interval_hi must be finite" in capsys.readouterr().err
+        # every subcommand rejects an unknown enum value, read or not
+        code = cli.main(["smin-study", "--out", str(tmp_path / "x.csv"),
+                         "--law", "foo"])
+        assert code == 1
+        assert "law" in capsys.readouterr().err
+
+    def test_import_loads_no_scipy(self):
+        # only the Jacobi path (steep spectra) needs scipy, and imports it there
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        code = "import overfit_lab.cli, sys; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_unknown_flag_exit_code(self, tmp_path):
         out = ["--out", str(tmp_path / "x.csv")]

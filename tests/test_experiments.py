@@ -48,6 +48,14 @@ class TestConfigValidation:
         dict(interval_lo=float("-inf")),
         dict(interval_hi=float("inf")),
         dict(a=float("nan")),
+        dict(spectrum="foo"),
+        dict(spectrum="custom"),
+        dict(law="foo"),
+        dict(kernel="foo"),
+        dict(input_domain="bar"),
+        dict(experiment="smin_study", law="foo"),
+        dict(experiment="kernel_interp", spectrum="foo"),
+        dict(experiment="learning_curve", kernel="foo", input_domain="bar"),
     ])
     def test_invariant_violations(self, kw):
         with pytest.raises(InvariantViolationError):

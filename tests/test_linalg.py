@@ -27,7 +27,7 @@ from overfit_lab.linalg import (
     row_norm_diagnostics,
     singular_extremes,
 )
-from overfit_lab.regression import variance_closed_form
+from overfit_lab.regression import fit_ridgeless, variance_closed_form
 from overfit_lab.spectra import make_spectrum
 
 GAUSSIAN = FeatureLaw("gaussian")
@@ -355,6 +355,33 @@ def test_certified_full_solve_agrees_with_svd_route(n, aspect, decay, collapse, 
     assert max(dual_err, var_err) <= 1e-5
     oracle = _mp_dual(K.factor, y)
     assert np.linalg.norm(K.dual(y) - oracle) <= bound * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("make,path", [
+    (lambda: _smin_grid_kernel("gaussian", 64), "gram_eigh"),
+    (lambda: _smin_grid_kernel("cosine", 256), "gesdd"),
+    (_steep_kernel, "jacobi"),
+], ids=["gram_eigh", "gesdd", "jacobi"])
+def test_call_order_does_not_matter(make, path):
+    # values measured before a fit are the ones reported after it, and the
+    # fit and variance of a kernel whose values were measured first are the
+    # bits of a fresh kernel's
+    K = make()
+    y = np.random.default_rng(5).standard_normal(K.size)
+    before = singular_extremes(K)
+    assert before.path == path
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficientKernelWarning)
+        dual, var = fit_ridgeless(K, y).dual, variance_closed_form(K, 1.0)
+        after = singular_extremes(K)
+        fresh = make()
+        fresh_dual = fit_ridgeless(fresh, y).dual
+        fresh_var = variance_closed_form(fresh, 1.0)
+    for name in ("s_max", "s_min", "condition_number", "path", "rel_error_bound"):
+        assert getattr(after, name) == getattr(before, name), name
+    assert np.array_equal(after.full_singular_values, before.full_singular_values)
+    assert np.array_equal(fresh_dual, dual) and fresh_var == var
+    assert singular_extremes(fresh).path == path
 
 
 class TestRowNormDiagnostics:
