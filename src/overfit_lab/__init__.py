@@ -58,6 +58,7 @@ from .regression import (
     bias_monte_carlo,
     empirical_test_error,
     fit_ridgeless,
+    population_bias,
     predict,
     synthesize_labels,
     truncation_study,

@@ -9,12 +9,13 @@ anchors) and draws every random number from a seed given by
 ``derive_seed``, so the (N, t) cells can run in any order or in separate
 processes and still give the same records.
 
-Inside a learning-curve trial the two M x n_test test factors are drawn on a
-two-thread pool that lives only for that trial, while the calling thread
-draws the training design and fits.  The pool threads only fill and scale
-buffers the calling thread allocated (RNG fills and one elementwise
-multiply, which release the GIL); every BLAS call stays on the calling
-thread, so the records are the same bytes as a sequential run's.
+Inside a learning-curve trial the one M x n_test test factor (for the
+empirical MSE; the bias is exact and needs none) is drawn on a one-thread
+pool that lives only for that trial, while the calling thread draws the
+training design and fits.  The pool thread only fills and scales a buffer
+the calling thread allocated (RNG fills and one elementwise multiply, which
+release the GIL); every BLAS call stays on the calling thread, so the
+records are the same bytes as a sequential run's.
 
 ``derive_seed`` hashes (master_seed, experiment, N, trial index, stream tag)
 with SHA-256, so runs are reproducible bit for bit, trials never share
@@ -326,9 +327,9 @@ def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRe
 
     The true coefficient is drawn from a per-N seed, so all trials of one N
     share it; each trial redraws design, label noise, and test inputs.  The
-    two M x n_test test factors (streams "test" for the MSE, "bias" for the
-    bias) are drawn on two pool threads while this thread draws the training
-    design and fits; see ``_draw_test_factor`` for what those threads may do.
+    M x n_test test factor of the MSE (stream "test") is drawn on a pool
+    thread while this thread draws the training design and fits; see
+    ``_draw_test_factor`` for what that thread may do.
     """
     m = cfg.feature_count(n)
     s = make_spectrum(cfg.spectrum, cfg.a, m)
@@ -336,18 +337,15 @@ def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRe
     target = TargetModel(theta_rng.standard_normal(m), cfg.sigma)
     law = FeatureLaw(cfg.law)
     seed = _seed(cfg, n, t)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        draws = [
-            pool.submit(_draw_test_factor, law, s, np.empty((m, cfg.n_test)),
-                        _seed(cfg, n, t, stream))
-            for stream in ("test", "bias")
-        ]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        draw = pool.submit(_draw_test_factor, law, s, np.empty((m, cfg.n_test)),
+                           _seed(cfg, n, t, "test"))
         d = sample_design(law, m, n, seed)
         K = assemble_kernel(s, d)
         y = synthesize_labels(d, s, target, _seed(cfg, n, t, "noise"))
         f = fit_ridgeless(K, y)
-        mse_factor, bias_factor = (draw.result() for draw in draws)
-    risk = evaluate_risk(f, target, mse_factor, bias_factor)
+        mse_factor = draw.result()
+    risk = evaluate_risk(f, target, mse_factor)
     # after the fit, so the values are the eigenvalues of the modes it cached
     return [_record(cfg, n, m, t, seed, **risk, **_extremes(K))]
 

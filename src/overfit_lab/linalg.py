@@ -26,7 +26,9 @@ G's.  Values are produced by one of three routes, recorded in
   bound reported as ``rel_error_bound``.  The result is accepted when it is
   at most GRAM_CERTIFIED_TOLERANCE (2e-6 on K's singular values, 1e-6 on
   G's).  Where s_min collapses (dependent features) the bound fails and the
-  computation escalates to the next route.
+  computation escalates to the next route; a bound on lambda_min from pairs
+  of K's entries catches most such failures before the eigensolver runs
+  (``KernelMatrix._decompose``).
 * ``"gesdd"`` -- everything else: NumPy's divide-and-conquer SVD of G, whose
   absolute error is about eps * s_max.
 
@@ -244,7 +246,16 @@ class KernelMatrix:
         """The route rule (see the module docstring): Jacobi for steep
         spectra; else certified ``eigvalsh``/``eigh`` of K for a tall factor
         with finite trace(K) that has not already failed the certificate;
-        else gesdd."""
+        else gesdd.
+
+        Before ``eigvalsh``/``eigh``, a pair bound skips a certificate that
+        cannot hold.  ``ub`` (``_pair_lambda_min_bound``) bounds lambda_min
+        of the computed K from above, and the backward-stable eigensolver
+        returns w[-1] <= ub + N eps lambda_max <= ub + N eps trace(K).  The
+        certificate is at least gamma_M trace(K) / w[-1], so when
+        gamma_M trace(K) / (ub + N eps trace(K)) exceeds the tolerance the
+        eigensolver's result would be thrown away: go straight to gesdd.
+        """
         g = self._factor
         m, n = g.shape
         if self._steep:
@@ -254,14 +265,15 @@ class KernelMatrix:
         if m >= n and (values is None or values.path != "gesdd"):
             k = self.entries
             trace = float(np.trace(k))
-            if np.isfinite(trace):
+            eps = np.finfo(np.float64).eps
+            gamma = m * eps / (1.0 - m * eps)
+            if np.isfinite(trace) and gamma * trace <= GRAM_CERTIFIED_TOLERANCE * (
+                    _pair_lambda_min_bound(k) + n * eps * trace):
                 if full:
                     w, q = _eigh_descending(k)
                 else:
                     w, q = np.linalg.eigvalsh(k)[::-1], None
                 if w[-1] > 0.0:
-                    eps = np.finfo(np.float64).eps
-                    gamma = m * eps / (1.0 - m * eps)
                     bound = (gamma * trace + n * eps * w[0]) / w[-1]
                     if bound <= GRAM_CERTIFIED_TOLERANCE:
                         return _Decomposition(np.sqrt(w), w, "gram_eigh",
@@ -421,6 +433,22 @@ def min_norm_solve(K: KernelMatrix, y) -> MinNormSolution:
     residual = float(np.linalg.norm(y - qk @ proj))
     inconsistent = norm_y > 0 and residual > 1e-8 * norm_y
     return MinNormSolution(alpha=alpha, inconsistent=inconsistent, rank=int(keep.sum()))
+
+
+def _pair_lambda_min_bound(k: np.ndarray) -> float:
+    """min over i != j of (k_ii + k_jj - 2|k_ij|)/2 + 4 eps max k_ii: an upper
+    bound on lambda_min of symmetric k (+inf for 1 x 1).
+
+    (k_ii + k_jj - 2|k_ij|)/2 is the Rayleigh quotient of (e_i -+ e_j)/sqrt 2;
+    the 4 eps max k_ii term covers the roundoff of evaluating it.
+    """
+    d = np.diagonal(k)
+    pairs = np.abs(k)
+    pairs *= -2.0
+    pairs += d[:, None]
+    pairs += d[None, :]
+    np.fill_diagonal(pairs, np.inf)
+    return float(pairs.min() / 2.0 + 4.0 * np.finfo(np.float64).eps * d.max())
 
 
 def _eigh_descending(k: np.ndarray):

@@ -14,12 +14,19 @@ on the certified Gram route it is G alpha (see the ``linalg`` docstring).
 Everything here takes the training kernel and reads its ``spectrum`` and
 ``design``; the pseudo-inverse (kept modes and dual) is the kernel's own,
 ``KernelMatrix.dual``.  The risk terms are ``empirical_test_error(f, t,
-test_factor)``, ``bias_monte_carlo(K, t, test_factor)`` and
-``variance_closed_form(K, sigma)``.  The two Monte-Carlo terms take an
-M x n_test test factor G_test = Lambda^{1/2} Psi_test drawn by the caller
-(``mercer_factor(s, sample_design(...).entries)``), so where and when the
-test inputs are drawn is the caller's choice; ``evaluate_risk`` returns the
-three as a dict keyed by the trial record's ``mse, bias, variance``.
+test_factor)``, ``population_bias(K, t)`` and ``variance_closed_form(K,
+sigma)``.  The empirical MSE takes an M x n_test test factor G_test =
+Lambda^{1/2} Psi_test drawn by the caller (``mercer_factor(s,
+sample_design(...).entries)``), so where and when the test inputs are drawn
+is the caller's choice; ``evaluate_risk`` returns the three as a dict keyed
+by the trial record's ``mse, bias, variance``.
+
+The bias needs no test draw.  Every feature law is isotropic on its domain,
+E[psi psi^T] = I, so the clean-label interpolant's population error is
+E[(psi^T Lambda^{1/2} (w - theta))^2] = sum_k lambda_k (w_k - theta_k)^2
+with w its dual.  ``bias_monte_carlo(K, t, test_factor)`` averages the same
+squared error over a test factor's columns; it is the Monte-Carlo oracle the
+exact value is tested against.
 """
 
 from __future__ import annotations
@@ -148,6 +155,19 @@ def variance_closed_form(K: KernelMatrix, sigma: float) -> float:
     return float(sigma**2 * np.sum(weights / w_eigs[keep]))
 
 
+def population_bias(K: KernelMatrix, t: TargetModel) -> float:
+    """Exact bias: population squared error of the noise-free interpolant.
+
+    Regresses the clean labels G^T theta; with w their dual and
+    E[psi psi^T] = I (every feature law here), E[(f*(x) - fhat(x))^2] =
+    sum_k lambda_k (w_k - theta_k)^2.
+    """
+    K._require_factor()  # explicit kernels (no spectrum) raise InvalidParameterError
+    lam = K.spectrum.eigenvalues
+    w = K.dual((np.sqrt(lam) * t.theta_star) @ K.design.entries)
+    return float(np.sum(lam * (w - t.theta_star) ** 2))
+
+
 def bias_monte_carlo(K: KernelMatrix, t: TargetModel, test_factor) -> float:
     """Monte-Carlo bias: squared error of the noise-free interpolant.
 
@@ -162,11 +182,11 @@ def bias_monte_carlo(K: KernelMatrix, t: TargetModel, test_factor) -> float:
     return _test_mse(g, dual, t.theta_star)
 
 
-def evaluate_risk(f: Interpolant, t: TargetModel, mse_factor, bias_factor) -> dict:
-    """Empirical MSE and its bias/variance decomposition, keyed ``mse, bias,
-    variance``; the MSE and the bias each average over their own test factor."""
+def evaluate_risk(f: Interpolant, t: TargetModel, mse_factor) -> dict:
+    """Empirical MSE over the test factor's columns and its bias/variance
+    decomposition (both exact), keyed ``mse, bias, variance``."""
     mse = empirical_test_error(f, t, mse_factor)
-    bias = bias_monte_carlo(f.kernel, t, bias_factor)
+    bias = population_bias(f.kernel, t)
     var = variance_closed_form(f.kernel, t.sigma)
     return dict(mse=mse, bias=bias, variance=var)
 

@@ -43,7 +43,6 @@ def test_instrument_restores_every_attribute(spans):
 @pytest.mark.parametrize("subcommand, expected", [
     ("learning-curve", ("regression.fit_ridgeless",
                         "regression.empirical_test_error",
-                        "regression.bias_monte_carlo",
                         "regression.variance_closed_form",
                         "linalg.min_norm_solve", "linalg.singular_extremes")),
     ("smin-study", ("linalg.singular_extremes", "linalg.row_norm_diagnostics")),
@@ -54,3 +53,6 @@ def test_sweep_reaches_every_span(spans, tmp_path, subcommand, expected):
                          "--n-grid", "8", "--trials", "1", "--n-test", "20"]) == 0
     for name in expected:
         assert tracer.counts[f"{name}.calls"] >= 1, name
+    # the bias is exact (regression.population_bias): the Monte-Carlo span is
+    # retired and no sweep reaches it
+    assert tracer.counts["regression.bias_monte_carlo.calls"] == 0

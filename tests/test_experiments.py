@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from overfit_lab import experiments
 from overfit_lab.errors import (
     EmptyReportError,
     InvalidParameterError,
@@ -199,6 +200,20 @@ class TestLearningCurve:
                    n_test=20)
         TRIALS["learning_curve"](cfg, 512, 0)
         assert len(calls) == svds
+
+    def test_one_test_factor_per_trial(self, monkeypatch):
+        # the bias is exact, so a trial draws only the MSE's test factor
+        real_draw = experiments._draw_test_factor
+        calls = []
+
+        def counting_draw(*args):
+            calls.append(1)
+            return real_draw(*args)
+
+        monkeypatch.setattr(experiments, "_draw_test_factor", counting_draw)
+        run_experiment(_cfg(experiment="learning_curve", n_grid=(8, 16), trials=2,
+                            n_test=30))
+        assert len(calls) == 4
 
     def test_no_thread_outlives_the_sweep(self):
         # the test factors are drawn on a pool scoped to each trial

@@ -63,6 +63,15 @@ class TestSampleDesign:
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() < 0.1
 
+    @pytest.mark.parametrize("law", FEATURE_LAWS)
+    def test_isotropic_second_moment(self, law):
+        # population_bias is exact only when E[psi psi^T] = I: every entry of
+        # the empirical second-moment matrix lies within 6 sqrt(2/n) of I
+        n = 200_000
+        d = sample_design(FeatureLaw(law), 16, n, seed=21)
+        second = d.entries @ d.entries.T / n
+        assert np.abs(second - np.eye(16)).max() <= 6 * math.sqrt(2.0 / n)
+
     def test_design_immutable(self):
         d = sample_design(FeatureLaw("gaussian"), 3, 3, seed=0)
         with pytest.raises(ValueError):

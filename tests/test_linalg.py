@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from overfit_lab import linalg
+from overfit_lab import experiments, linalg
 from overfit_lab.errors import (
     InsufficientTailError,
     InvariantViolationError,
@@ -17,8 +17,8 @@ from overfit_lab.errors import (
     RankDeficientKernelWarning,
     ShapeError,
 )
-from overfit_lab.experiments import derive_seed
-from overfit_lab.features import DesignMatrix, FeatureLaw, sample_design
+from overfit_lab.experiments import TRIALS, ExperimentConfig, derive_seed
+from overfit_lab.features import FEATURE_LAWS, DesignMatrix, FeatureLaw, sample_design
 from overfit_lab.linalg import (
     GRAM_CERTIFIED_TOLERANCE,
     KernelMatrix,
@@ -311,6 +311,66 @@ class TestGramCertificate:
         min_norm_solve(K, np.ones(256))
         assert len(calls) == 0
         assert K._modes[3] == "gesdd" and singular_extremes(K).path == "gesdd"
+
+    @pytest.mark.parametrize("law", FEATURE_LAWS)
+    def test_pair_bound_fires_only_where_certificate_fails(self, law):
+        # smin-grid designs at N=128 and 512 and the design of a default
+        # learning-curve trial at N=512: the pair bound never rules out a
+        # certificate that holds, rules out every cosine and sine one at
+        # N=512, and never fires on independent designs
+        eps = np.finfo(np.float64).eps
+        lc_seed = derive_seed(2024, "learning_curve", 512, 0)
+        kernels = [_smin_grid_kernel(law, n, trial) for n in (128, 512)
+                   for trial in range(3)]
+        kernels.append(assemble_kernel(make_spectrum("polynomial", 1.0, 5120),
+                                       sample_design(FeatureLaw(law), 5120, 512,
+                                                     lc_seed)))
+        fired = []
+        for K in kernels:
+            k = K.entries
+            m, n = K.factor.shape
+            trace = float(np.trace(k))
+            gamma = m * eps / (1.0 - m * eps)
+            fires = gamma * trace > GRAM_CERTIFIED_TOLERANCE * (
+                linalg._pair_lambda_min_bound(k) + n * eps * trace)
+            w = np.linalg.eigvalsh(k)
+            certified = w[0] > 0.0 and (
+                (gamma * trace + n * eps * w[-1]) / w[0] <= GRAM_CERTIFIED_TOLERANCE)
+            assert not (fires and certified)
+            if fires:
+                assert singular_extremes(K).path == "gesdd"
+            fired.append((n, fires))
+        independent = law in ("gaussian", "uniform_subgaussian")
+        assert all(fires != independent for n, fires in fired if n == 512)
+        assert not (independent and any(fires for _, fires in fired))
+
+    def test_pair_bound_skips_eigh(self, monkeypatch):
+        # a cosine learning-curve trial at N=512 runs no eigensolver, and in
+        # a smin-study trial only the gaussian and uniform designs do
+        real = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
+        laws, calls = [], []
+
+        def counting(name):
+            def call(*args, **kwargs):
+                if sys._getframe(1).f_globals["__name__"] == "overfit_lab.linalg":
+                    calls.append(laws[-1])
+                return real[name](*args, **kwargs)
+            return call
+
+        def tagged_sample_design(law, *args):
+            laws.append(law.kind)
+            return sample_design(law, *args)
+
+        for name in real:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        monkeypatch.setattr(experiments, "sample_design", tagged_sample_design)
+        cfg = ExperimentConfig(experiment="learning_curve", law="cosine",
+                               n_grid=(512,), trials=1, n_test=20)
+        TRIALS["learning_curve"](cfg, 512, 0)
+        assert laws == ["cosine"] and calls == []
+        cfg = ExperimentConfig(experiment="smin_study", n_grid=(512,), trials=1)
+        TRIALS["smin_study"](cfg, 512, 0)
+        assert calls == ["gaussian", "uniform_subgaussian"]
 
     def test_steep_kernel_keeps_jacobi(self):
         summary = singular_extremes(_steep_kernel())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import mc_noise_variance
+from test_linalg import _smin_grid_kernel, _steep_kernel
 from overfit_lab.errors import InvalidParameterError, RankDeficientKernelWarning
 from overfit_lab.features import (
     AnalyticKernel,
@@ -21,6 +22,7 @@ from overfit_lab.regression import (
     bias_monte_carlo,
     empirical_test_error,
     fit_ridgeless,
+    population_bias,
     predict,
     synthesize_labels,
     truncation_study,
@@ -160,7 +162,9 @@ class TestFitAndPredict:
     lambda K, y: fit_ridgeless(K, y),
     lambda K, y: variance_closed_form(K, 1.0),
     lambda K, y: bias_monte_carlo(K, TargetModel(np.zeros(6)), np.ones((6, 10))),
-], ids=["dual", "fit_ridgeless", "variance_closed_form", "bias_monte_carlo"])
+    lambda K, y: population_bias(K, TargetModel(np.zeros(6))),
+], ids=["dual", "fit_ridgeless", "variance_closed_form", "bias_monte_carlo",
+        "population_bias"])
 def test_explicit_kernel_is_a_validation_error(call):
     # an analytic Gram matrix has no factor, spectrum or design to fit or
     # decompose with; that is a caller error (CLI exit 1), not a numeric one
@@ -263,16 +267,50 @@ class TestVarianceClosedForm:
             variance_closed_form(assemble_kernel(s, d), sigma=1.0)
 
 
+def _monte_carlo_bias(K, t, n_test=20_000, chunk=2_000, seed=0):
+    """``bias_monte_carlo`` over n_test fresh columns of K's own law, drawn in
+    chunks, and its standard error from the per-column squared residuals (no
+    Gaussian law assumed)."""
+    s = K.spectrum
+    w = K.dual((np.sqrt(s.eigenvalues) * t.theta_star) @ K.design.entries)
+    means, residuals = [], []
+    for i in range(n_test // chunk):
+        g = mercer_factor(s, sample_design(K.design.law, s.size, chunk,
+                                           seed=(seed, i)).entries)
+        means.append(bias_monte_carlo(K, t, g))
+        residuals.append((g.T @ w - g.T @ t.theta_star) ** 2)
+    residuals = np.concatenate(residuals)
+    return float(np.mean(means)), residuals.std(ddof=1) / np.sqrt(residuals.size)
+
+
 class TestBias:
+    @pytest.mark.parametrize("make,path", [
+        (lambda: _smin_grid_kernel("gaussian", 64), "gram_eigh"),
+        (lambda: _smin_grid_kernel("cosine", 256), "gesdd"),
+        (_steep_kernel, "jacobi"),
+        (lambda: _smin_grid_kernel("uniform_subgaussian", 64), "gram_eigh"),
+        (lambda: _smin_grid_kernel("sine", 64), "gesdd"),
+    ], ids=["gram_eigh", "gesdd", "jacobi", "uniform", "sine"])
+    def test_population_bias_matches_monte_carlo(self, make, path):
+        # the exact sum is the mean of the Monte-Carlo estimator, on every
+        # route and for every law (isotropy, see test_features)
+        K = make()
+        t = TargetModel(np.random.default_rng(K.size).standard_normal(K.spectrum.size))
+        exact = population_bias(K, t)
+        assert K._modes[3] == path
+        mc, se = _monte_carlo_bias(K, t, seed=K.size)
+        assert exact > 0.0
+        assert abs(exact - mc) <= 5 * se
+
     def test_exact_recovery_bias_vanishes(self):
         s, d, t = _square_problem(16, seed=9)
-        assert bias_monte_carlo(assemble_kernel(s, d), t, _test_factor(s, 200, 3)) <= 1e-10
+        assert population_bias(assemble_kernel(s, d), t) <= 1e-10
 
     def test_zero_target_zero_bias(self):
         s = make_spectrum("polynomial", 1.0, 40)
         d = sample_design(GAUSSIAN, 40, 8, seed=10)
         t = TargetModel(np.zeros(40), 1.0)
-        assert bias_monte_carlo(assemble_kernel(s, d), t, _test_factor(s, 100, 4)) == 0.0
+        assert population_bias(assemble_kernel(s, d), t) == 0.0
 
     def test_decomposition_consistency(self):
         # empirical risk over many noise draws matches B + V within 3 MC sigma
@@ -282,7 +320,7 @@ class TestBias:
         rng = np.random.default_rng(31)
         t = TargetModel(rng.standard_normal(m), 1.0)
         K = assemble_kernel(s, d)
-        b = bias_monte_carlo(K, t, _test_factor(s, 4000, 32))
+        b = population_bias(K, t)
         v = variance_closed_form(K, 1.0)
         risks = []
         for i in range(60):
