@@ -56,6 +56,7 @@ from .regression import (
     Interpolant,
     TargetModel,
     bias_monte_carlo,
+    clean_labels,
     empirical_test_error,
     fit_ridgeless,
     population_bias,

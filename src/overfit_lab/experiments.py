@@ -12,10 +12,11 @@ processes and still give the same records.
 Inside a learning-curve trial the one M x n_test test factor (for the
 empirical MSE; the bias is exact and needs none) is drawn on a one-thread
 pool that lives only for that trial, while the calling thread draws the
-training design and fits.  The pool thread only fills and scales a buffer
-the calling thread allocated (RNG fills and one elementwise multiply, which
-release the GIL); every BLAS call stays on the calling thread, so the
-records are the same bytes as a sequential run's.
+training design and fits; the factor is freed once the MSE is taken.  The
+pool thread only fills and scales a buffer the calling thread allocated (RNG
+fills and one elementwise multiply, which release the GIL); every BLAS call
+stays on the calling thread, so the records are the same bytes as a
+sequential run's.
 
 ``derive_seed`` hashes (master_seed, experiment, N, trial index, stream tag)
 with SHA-256, so runs are reproducible bit for bit, trials never share
@@ -59,9 +60,12 @@ from .linalg import (
     row_norm_diagnostics,
     singular_extremes,
 )
+# the learning-curve trial calls the risk terms through the module, the
+# namespace bench/spans.py wraps them in
+from . import regression
 from .regression import (
     TargetModel,
-    evaluate_risk,
+    clean_labels,
     fit_ridgeless,
     synthesize_labels,
     truncation_study,
@@ -316,8 +320,8 @@ def _condnum_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:
     regime = "exp" if cfg.spectrum == "exponential" else "poly"
     theory = theoretical_condition_ratio(s, n, regime)
     seed = _seed(cfg, n, t)
-    d = sample_design(FeatureLaw(cfg.law), m, n, seed)
-    ext = _extremes(assemble_kernel(s, d))
+    # the kernel keeps only G, so Psi is freed once it is assembled
+    ext = _extremes(assemble_kernel(s, sample_design(FeatureLaw(cfg.law), m, n, seed)))
     return [_record(cfg, n, m, t, seed, **ext,
                     ratio_to_theory=ext["condition_number"] / theory)]
 
@@ -330,6 +334,11 @@ def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRe
     M x n_test test factor of the MSE (stream "test") is drawn on a pool
     thread while this thread draws the training design and fits; see
     ``_draw_test_factor`` for what that thread may do.
+
+    At most one M x N copy of the training design outlives the labels: Psi
+    is dropped once the labels are taken (the kernel keeps only G), and the
+    test factor once the MSE is, so neither coexists with the M x N left
+    vectors the variance forms.
     """
     m = cfg.feature_count(n)
     s = make_spectrum(cfg.spectrum, cfg.a, m)
@@ -343,11 +352,17 @@ def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRe
         d = sample_design(law, m, n, seed)
         K = assemble_kernel(s, d)
         y = synthesize_labels(d, s, target, _seed(cfg, n, t, "noise"))
+        clean = clean_labels(d, s, target)
+        del d
         f = fit_ridgeless(K, y)
-        mse_factor = draw.result()
-    risk = evaluate_risk(f, target, mse_factor)
+    # the pool has joined, so the Future holds the test factor's only reference
+    mse = regression.empirical_test_error(f, target, draw.result())
+    del draw
     # after the fit, so the values are the eigenvalues of the modes it cached
-    return [_record(cfg, n, m, t, seed, **risk, **_extremes(K))]
+    return [_record(cfg, n, m, t, seed, mse=mse,
+                    bias=regression.population_bias(K, target, clean),
+                    variance=regression.variance_closed_form(K, cfg.sigma),
+                    **_extremes(K))]
 
 
 def _draw_test_factor(law: FeatureLaw, s, out, seed):
@@ -379,6 +394,9 @@ def _smin_study_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord
         d = sample_design(FeatureLaw(law_name), m, n, seed)
         ext = _extremes(assemble_kernel(s, d))
         diag = row_norm_diagnostics(d, n)
+        # Psi goes after the SVD, before the next law's draw: freed before the
+        # SVD, it raised an N <= 512 smin-study sweep's peak RSS 106 -> 122 MB
+        del d
         records.append(_record(
             cfg, n, m, t, seed, law=law_name, **ext,
             s_min_over_n_lambda_n=ext["s_min"] / (n * lam_n),

@@ -214,7 +214,7 @@ def kernel_gram(kernel: AnalyticKernel, X):
     """Symmetric Gram matrix of an analytic kernel on sampled points.
 
     Returned as an explicit :class:`overfit_lab.linalg.KernelMatrix`
-    (``from_entries``: no spectrum or design).
+    (``from_entries``: no factor or spectrum).
     """
     from .linalg import KernelMatrix  # deferred; linalg imports features types
 

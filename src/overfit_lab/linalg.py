@@ -155,17 +155,18 @@ class _Decomposition(NamedTuple):
 class KernelMatrix:
     """Symmetric PSD Gram matrix and the one pseudo-inverse it defines.
 
-    Mercer instances keep the factor G = Lambda^{1/2} Psi with the
-    ``spectrum`` and ``design`` it came from, build their entries lazily as
-    G^T G, and memoize their modes.  Explicit instances hold only their
-    entries; their ``spectrum`` and ``design`` are None.  Every downstream
+    Mercer instances keep the factor G = Lambda^{1/2} Psi and the
+    ``spectrum`` it came from, build their entries lazily as G^T G, and
+    memoize their modes.  They do not keep Psi: G is the only M x N array a
+    kernel pins, and whatever needs Psi itself (clean labels, row norms)
+    takes it from the design before the caller drops it.  Explicit instances
+    hold only their entries; their ``spectrum`` is None.  Every downstream
     solve, prediction, and variance evaluation reuses the cached modes.
     Instances are immutable and safe to share across trial workers.
     """
 
-    def __init__(self, entries=None, factor=None, spectrum=None, design=None):
+    def __init__(self, entries=None, factor=None, spectrum=None):
         self.spectrum = spectrum
-        self.design = design
         if factor is not None:
             factor = np.asarray(factor, dtype=np.float64)
             factor.setflags(write=False)
@@ -187,7 +188,7 @@ class KernelMatrix:
 
     @classmethod
     def from_entries(cls, entries):
-        """Wrap a raw symmetric PSD matrix (no spectrum or design)."""
+        """Wrap a raw symmetric PSD matrix (no factor or spectrum)."""
         return cls(entries=entries)
 
     @property
@@ -321,9 +322,13 @@ class KernelMatrix:
         spectra, where G (K^+ y) cancels.
         """
         g = self._require_factor()
+        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        if y.size != self.size:
+            raise ShapeError(
+                f"labels have length {y.size}, kernel is {self.size} x {self.size}"
+            )
         w, q, keep, path = self._modes
         qk = q[:, keep]
-        y = np.asarray(y, dtype=np.float64)
         if path == "gram_eigh":
             def solve(r):
                 return qk @ ((qk.T @ r) / w[keep])
@@ -356,12 +361,13 @@ def mercer_factor(s: Spectrum, entries, out=None) -> np.ndarray:
 
 
 def assemble_kernel(s: Spectrum, d: DesignMatrix) -> KernelMatrix:
-    """Build K = Psi^T Lambda Psi as G^T G with G = Lambda^{1/2} Psi."""
+    """Build K = Psi^T Lambda Psi as G^T G with G = Lambda^{1/2} Psi; the
+    kernel keeps G, not ``d``."""
     if s.size != d.num_features:
         raise ShapeError(
             f"spectrum length {s.size} != design feature count {d.num_features}"
         )
-    return KernelMatrix(factor=mercer_factor(s, d.entries), spectrum=s, design=d)
+    return KernelMatrix(factor=mercer_factor(s, d.entries), spectrum=s)
 
 
 def singular_extremes(K: KernelMatrix) -> SpectrumSummary:

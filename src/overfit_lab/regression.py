@@ -12,21 +12,22 @@ U Sigma^-1 V^T y, whose partial sums never exceed the result's own scale;
 on the certified Gram route it is G alpha (see the ``linalg`` docstring).
 
 Everything here takes the training kernel and reads its ``spectrum`` and
-``design``; the pseudo-inverse (kept modes and dual) is the kernel's own,
-``KernelMatrix.dual``.  The risk terms are ``empirical_test_error(f, t,
-test_factor)``, ``population_bias(K, t)`` and ``variance_closed_form(K,
-sigma)``.  The empirical MSE takes an M x n_test test factor G_test =
-Lambda^{1/2} Psi_test drawn by the caller (``mercer_factor(s,
-sample_design(...).entries)``), so where and when the test inputs are drawn
-is the caller's choice; ``evaluate_risk`` returns the three as a dict keyed
-by the trial record's ``mse, bias, variance``.
+factor; the pseudo-inverse (kept modes and dual) is the kernel's own,
+``KernelMatrix.dual``.  The kernel does not keep the design Psi, so a term
+that needs Psi takes what it needs from the caller: the bias takes the clean
+labels ``clean_labels(d, s, t)`` = G^T theta.  The risk terms are
+``empirical_test_error(f, t, test_factor)``, ``population_bias(K, t,
+clean)`` and ``variance_closed_form(K, sigma)``.  The empirical MSE takes an
+M x n_test test factor G_test = Lambda^{1/2} Psi_test drawn by the caller
+(``mercer_factor(s, sample_design(...).entries)``), so where and when the
+test inputs are drawn, and when they are freed, is the caller's choice.
 
 The bias needs no test draw.  Every feature law is isotropic on its domain,
 E[psi psi^T] = I, so the clean-label interpolant's population error is
 E[(psi^T Lambda^{1/2} (w - theta))^2] = sum_k lambda_k (w_k - theta_k)^2
-with w its dual.  ``bias_monte_carlo(K, t, test_factor)`` averages the same
-squared error over a test factor's columns; it is the Monte-Carlo oracle the
-exact value is tested against.
+with w its dual.  ``bias_monte_carlo(K, t, clean, test_factor)`` averages the
+same squared error over a test factor's columns; it is the Monte-Carlo oracle
+the exact value is tested against.
 """
 
 from __future__ import annotations
@@ -76,14 +77,19 @@ class Interpolant:
     rank: int
 
 
-def synthesize_labels(d: DesignMatrix, s: Spectrum, t: TargetModel, seed) -> np.ndarray:
-    """y_i = theta^T Lambda^{1/2} Psi_i + eps_i with eps ~ N(0, sigma^2)."""
+def clean_labels(d: DesignMatrix, s: Spectrum, t: TargetModel) -> np.ndarray:
+    """Noise-free labels f*(x_i) = theta^T Lambda^{1/2} Psi_i."""
     if s.size != d.num_features or t.theta_star.size != s.size:
         raise ShapeError(
             f"inconsistent sizes: spectrum {s.size}, design {d.num_features} "
             f"features, theta {t.theta_star.size}"
         )
-    clean = (np.sqrt(s.eigenvalues) * t.theta_star) @ d.entries
+    return (np.sqrt(s.eigenvalues) * t.theta_star) @ d.entries
+
+
+def synthesize_labels(d: DesignMatrix, s: Spectrum, t: TargetModel, seed) -> np.ndarray:
+    """y_i = theta^T Lambda^{1/2} Psi_i + eps_i with eps ~ N(0, sigma^2)."""
+    clean = clean_labels(d, s, t)
     if t.sigma == 0.0:
         return clean
     rng = np.random.default_rng(seed)
@@ -155,40 +161,30 @@ def variance_closed_form(K: KernelMatrix, sigma: float) -> float:
     return float(sigma**2 * np.sum(weights / w_eigs[keep]))
 
 
-def population_bias(K: KernelMatrix, t: TargetModel) -> float:
+def population_bias(K: KernelMatrix, t: TargetModel, clean) -> float:
     """Exact bias: population squared error of the noise-free interpolant.
 
-    Regresses the clean labels G^T theta; with w their dual and
-    E[psi psi^T] = I (every feature law here), E[(f*(x) - fhat(x))^2] =
-    sum_k lambda_k (w_k - theta_k)^2.
+    Regresses the clean labels ``clean`` = G^T theta (``clean_labels``); with
+    w their dual and E[psi psi^T] = I (every feature law here),
+    E[(f*(x) - fhat(x))^2] = sum_k lambda_k (w_k - theta_k)^2.
     """
     K._require_factor()  # explicit kernels (no spectrum) raise InvalidParameterError
     lam = K.spectrum.eigenvalues
-    w = K.dual((np.sqrt(lam) * t.theta_star) @ K.design.entries)
+    w = K.dual(clean)
     return float(np.sum(lam * (w - t.theta_star) ** 2))
 
 
-def bias_monte_carlo(K: KernelMatrix, t: TargetModel, test_factor) -> float:
+def bias_monte_carlo(K: KernelMatrix, t: TargetModel, clean, test_factor) -> float:
     """Monte-Carlo bias: squared error of the noise-free interpolant.
 
-    Regresses the clean labels G^T theta and averages (f*(x) - fhat(x))^2
-    over the columns of the test factor G_test = Lambda^{1/2} Psi_test,
-    which the caller draws from the design's law.
+    Regresses the clean labels ``clean`` = G^T theta and averages
+    (f*(x) - fhat(x))^2 over the columns of the test factor
+    G_test = Lambda^{1/2} Psi_test, which the caller draws from the design's
+    law.
     """
     K._require_factor()  # explicit kernels (no spectrum) raise InvalidParameterError
-    s, d = K.spectrum, K.design
-    g = _check_test_factor(s, test_factor)
-    dual = K.dual((np.sqrt(s.eigenvalues) * t.theta_star) @ d.entries)
-    return _test_mse(g, dual, t.theta_star)
-
-
-def evaluate_risk(f: Interpolant, t: TargetModel, mse_factor) -> dict:
-    """Empirical MSE over the test factor's columns and its bias/variance
-    decomposition (both exact), keyed ``mse, bias, variance``."""
-    mse = empirical_test_error(f, t, mse_factor)
-    bias = population_bias(f.kernel, t)
-    var = variance_closed_form(f.kernel, t.sigma)
-    return dict(mse=mse, bias=bias, variance=var)
+    g = _check_test_factor(K.spectrum, test_factor)
+    return _test_mse(g, K.dual(clean), t.theta_star)
 
 
 def truncation_study(
@@ -196,7 +192,7 @@ def truncation_study(
 ) -> list[dict]:
     """Compare the variance of rank-M truncations against the full kernel.
 
-    For each M the leading M eigenvalues and design rows define the truncated
+    For each M the leading M eigenvalues and factor rows define the truncated
     kernel.  One dict per M, keyed ``m_truncated, variance, variance_full,
     truncation_gap, truncation_bound, bound_holds``: |V - V(M)| next to the
     bound 3 V(M) + sigma^2/N and whether it holds.
@@ -204,16 +200,18 @@ def truncation_study(
     n = d_full.num_samples
     m_full = d_full.num_features
     rows = []
-    v_full = variance_closed_form(assemble_kernel(s_full, d_full), sigma)
+    K_full = assemble_kernel(s_full, d_full)
+    v_full = variance_closed_form(K_full, sigma)
     for m in M_list:
         m = int(m)
         if m <= n:
             raise InvalidParameterError(f"truncation level M={m} must exceed N={n}")
         if m > m_full:
             raise InvalidParameterError(f"truncation level M={m} exceeds M_full={m_full}")
-        s_m = Spectrum(s_full.eigenvalues[:m], "custom")
-        d_m = DesignMatrix(d_full.entries[:m, :], d_full.law)
-        v_m = variance_closed_form(assemble_kernel(s_m, d_m), sigma)
+        # a row prefix of Lambda^{1/2} Psi is the truncated factor, bit for bit
+        K_m = KernelMatrix(factor=K_full.factor[:m],
+                           spectrum=Spectrum(s_full.eigenvalues[:m], "custom"))
+        v_m = variance_closed_form(K_m, sigma)
         gap = abs(v_full - v_m)
         bound = 3.0 * v_m + sigma**2 / n
         rows.append(dict(m_truncated=m, variance=v_m, variance_full=v_full,

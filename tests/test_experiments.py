@@ -1,10 +1,12 @@
 import sys
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from overfit_lab import experiments
+from overfit_lab import experiments, regression
 from overfit_lab.errors import (
     EmptyReportError,
     InvalidParameterError,
@@ -214,6 +216,51 @@ class TestLearningCurve:
         run_experiment(_cfg(experiment="learning_curve", n_grid=(8, 16), trials=2,
                             n_test=30))
         assert len(calls) == 4
+
+    def test_trial_peak_memory(self):
+        # Psi is freed once the labels are taken and the test factor once the
+        # MSE is, so a trial's traced peak is about Psi + G + the test factor,
+        # 8 (2 M N + M n_test) bytes; kept to the end, Psi and the test
+        # factor would coexist with the variance's M x N left vectors
+        n, m, n_test = 256, 2560, 1000
+        cfg = _cfg(experiment="learning_curve", n_grid=(n,), trials=1, n_test=n_test)
+        experiments._learning_curve_trial(cfg, n, 1)  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            experiments._learning_curve_trial(cfg, n, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 8 * (m * n + m * n_test)
+
+    def test_design_and_test_factor_freed_before_the_variance(self, monkeypatch):
+        # the variance forms M x N left vectors; by then nothing holds Psi or
+        # the M x n_test test factor: not the kernel, the trial, nor the pool
+        real_sample, real_draw = experiments.sample_design, experiments._draw_test_factor
+        real_variance = regression.variance_closed_form
+        refs, alive = [], []
+
+        def sample(*args):
+            d = real_sample(*args)
+            refs.append(weakref.ref(d.entries))
+            return d
+
+        def draw(*args):
+            out = real_draw(*args)
+            refs.append(weakref.ref(out))
+            return out
+
+        def variance(*args):
+            alive.extend(ref() is not None for ref in refs)
+            return real_variance(*args)
+
+        monkeypatch.setattr(experiments, "sample_design", sample)
+        monkeypatch.setattr(experiments, "_draw_test_factor", draw)
+        monkeypatch.setattr(regression, "variance_closed_form", variance)
+        cfg = _cfg(experiment="learning_curve", n_grid=(16,), trials=1, n_test=30)
+        experiments._learning_curve_trial(cfg, 16, 0)
+        assert alive == [False, False]
 
     def test_no_thread_outlives_the_sweep(self):
         # the test factors are drawn on a pool scoped to each trial

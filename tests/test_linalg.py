@@ -88,12 +88,15 @@ STEEP_SIGMA_SQUARED = (
 )
 
 
-def _steep_kernel():
+def _steep_design():
     rng = np.random.default_rng(7)
     psi = rng.standard_normal((96, 48))
     s = make_spectrum("exponential", 2.0, 96)
-    d = DesignMatrix(psi, GAUSSIAN)
-    return assemble_kernel(s, d)
+    return s, DesignMatrix(psi, GAUSSIAN)
+
+
+def _steep_kernel():
+    return assemble_kernel(*_steep_design())
 
 
 class TestAssembleKernel:
@@ -124,6 +127,20 @@ class TestAssembleKernel:
         d = DesignMatrix(np.ones((4, 2)), GAUSSIAN)
         with pytest.raises(ShapeError):
             assemble_kernel(s, d)
+
+    def test_kernel_keeps_the_factor_not_the_design(self):
+        # Psi is freed with its DesignMatrix: the kernel pins one M x N array
+        s, d = _steep_design()
+        K = assemble_kernel(s, d)
+        assert not hasattr(K, "design")
+        assert not np.shares_memory(K.factor, d.entries)
+        np.testing.assert_array_equal(K.factor,
+                                      np.sqrt(s.eigenvalues)[:, None] * d.entries)
+
+    def test_dual_rejects_labels_of_the_wrong_length(self):
+        K = _steep_kernel()
+        with pytest.raises(ShapeError):
+            K.dual(np.ones(K.size + 1))
 
 
 class TestSingularExtremes:
@@ -234,11 +251,17 @@ GRADED_FACTORS = dict(
 )
 
 
-def _smin_grid_kernel(law, n, trial=0):
-    """Kernel of trial ``trial`` of the default smin-study sweep at N = n."""
+def _smin_grid_design(law, n, trial=0):
+    """Spectrum and design of trial ``trial`` of the default smin-study sweep
+    at N = n."""
     s = make_spectrum("polynomial", 1.0, 10 * n)
     seed = derive_seed(2024, "smin_study", n, trial, law)
-    return assemble_kernel(s, sample_design(FeatureLaw(law), 10 * n, n, seed))
+    return s, sample_design(FeatureLaw(law), 10 * n, n, seed)
+
+
+def _smin_grid_kernel(law, n, trial=0):
+    """Kernel of trial ``trial`` of the default smin-study sweep at N = n."""
+    return assemble_kernel(*_smin_grid_design(law, n, trial))
 
 
 class TestGramCertificate:

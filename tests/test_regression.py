@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import mc_noise_variance
-from test_linalg import _smin_grid_kernel, _steep_kernel
+from test_linalg import _smin_grid_design, _steep_design
 from overfit_lab.errors import InvalidParameterError, RankDeficientKernelWarning
 from overfit_lab.features import (
     AnalyticKernel,
@@ -20,6 +20,7 @@ from overfit_lab.linalg import (
 from overfit_lab.regression import (
     TargetModel,
     bias_monte_carlo,
+    clean_labels,
     empirical_test_error,
     fit_ridgeless,
     population_bias,
@@ -28,7 +29,7 @@ from overfit_lab.regression import (
     truncation_study,
     variance_closed_form,
 )
-from overfit_lab.spectra import make_spectrum
+from overfit_lab.spectra import Spectrum, make_spectrum
 
 GAUSSIAN = FeatureLaw("gaussian")
 
@@ -161,8 +162,8 @@ class TestFitAndPredict:
     lambda K, y: K.dual(y),
     lambda K, y: fit_ridgeless(K, y),
     lambda K, y: variance_closed_form(K, 1.0),
-    lambda K, y: bias_monte_carlo(K, TargetModel(np.zeros(6)), np.ones((6, 10))),
-    lambda K, y: population_bias(K, TargetModel(np.zeros(6))),
+    lambda K, y: bias_monte_carlo(K, TargetModel(np.zeros(6)), y, np.ones((6, 10))),
+    lambda K, y: population_bias(K, TargetModel(np.zeros(6)), y),
 ], ids=["dual", "fit_ridgeless", "variance_closed_form", "bias_monte_carlo",
         "population_bias"])
 def test_explicit_kernel_is_a_validation_error(call):
@@ -267,17 +268,16 @@ class TestVarianceClosedForm:
             variance_closed_form(assemble_kernel(s, d), sigma=1.0)
 
 
-def _monte_carlo_bias(K, t, n_test=20_000, chunk=2_000, seed=0):
-    """``bias_monte_carlo`` over n_test fresh columns of K's own law, drawn in
-    chunks, and its standard error from the per-column squared residuals (no
-    Gaussian law assumed)."""
+def _monte_carlo_bias(K, t, clean, law, n_test=20_000, chunk=2_000, seed=0):
+    """``bias_monte_carlo`` of the clean labels over n_test fresh columns of
+    the design's law, drawn in chunks, and its standard error from the
+    per-column squared residuals (no Gaussian law assumed)."""
     s = K.spectrum
-    w = K.dual((np.sqrt(s.eigenvalues) * t.theta_star) @ K.design.entries)
+    w = K.dual(clean)
     means, residuals = [], []
     for i in range(n_test // chunk):
-        g = mercer_factor(s, sample_design(K.design.law, s.size, chunk,
-                                           seed=(seed, i)).entries)
-        means.append(bias_monte_carlo(K, t, g))
+        g = mercer_factor(s, sample_design(law, s.size, chunk, seed=(seed, i)).entries)
+        means.append(bias_monte_carlo(K, t, clean, g))
         residuals.append((g.T @ w - g.T @ t.theta_star) ** 2)
     residuals = np.concatenate(residuals)
     return float(np.mean(means)), residuals.std(ddof=1) / np.sqrt(residuals.size)
@@ -285,32 +285,57 @@ def _monte_carlo_bias(K, t, n_test=20_000, chunk=2_000, seed=0):
 
 class TestBias:
     @pytest.mark.parametrize("make,path", [
-        (lambda: _smin_grid_kernel("gaussian", 64), "gram_eigh"),
-        (lambda: _smin_grid_kernel("cosine", 256), "gesdd"),
-        (_steep_kernel, "jacobi"),
-        (lambda: _smin_grid_kernel("uniform_subgaussian", 64), "gram_eigh"),
-        (lambda: _smin_grid_kernel("sine", 64), "gesdd"),
+        (lambda: _smin_grid_design("gaussian", 64), "gram_eigh"),
+        (lambda: _smin_grid_design("cosine", 256), "gesdd"),
+        (_steep_design, "jacobi"),
+        (lambda: _smin_grid_design("uniform_subgaussian", 64), "gram_eigh"),
+        (lambda: _smin_grid_design("sine", 64), "gesdd"),
     ], ids=["gram_eigh", "gesdd", "jacobi", "uniform", "sine"])
     def test_population_bias_matches_monte_carlo(self, make, path):
         # the exact sum is the mean of the Monte-Carlo estimator, on every
         # route and for every law (isotropy, see test_features)
-        K = make()
+        s, d = make()
+        K = assemble_kernel(s, d)
         t = TargetModel(np.random.default_rng(K.size).standard_normal(K.spectrum.size))
-        exact = population_bias(K, t)
+        clean = clean_labels(d, s, t)
+        exact = population_bias(K, t, clean)
         assert K._modes[3] == path
-        mc, se = _monte_carlo_bias(K, t, seed=K.size)
+        mc, se = _monte_carlo_bias(K, t, clean, d.law, seed=K.size)
         assert exact > 0.0
         assert abs(exact - mc) <= 5 * se
 
+    @pytest.mark.parametrize("make,path", [
+        (lambda: _smin_grid_design("gaussian", 64), "gram_eigh"),
+        (lambda: _smin_grid_design("cosine", 256), "gesdd"),
+        (_steep_design, "jacobi"),
+    ], ids=["gram_eigh", "gesdd", "jacobi"])
+    def test_population_bias_from_clean_labels_keeps_its_bits(self, make, path):
+        # the kernel keeps no Psi: the bias from the caller's clean labels is,
+        # bit for bit, the one formed from Psi inline
+        s, d = make()
+        K = assemble_kernel(s, d)
+        t = TargetModel(np.random.default_rng(K.size + 1).standard_normal(s.size))
+        lam = s.eigenvalues
+        w = K.dual((np.sqrt(lam) * t.theta_star) @ d.entries)
+        oracle = float(np.sum(lam * (w - t.theta_star) ** 2))
+        assert population_bias(K, t, clean_labels(d, s, t)) == oracle
+        assert K._modes[3] == path
+
+    def test_clean_labels_are_the_noise_free_synthesized_labels(self):
+        s, d, t = _square_problem(9, seed=12)
+        noise_free = TargetModel(t.theta_star, 0.0)
+        np.testing.assert_array_equal(clean_labels(d, s, t),
+                                      synthesize_labels(d, s, noise_free, seed=0))
+
     def test_exact_recovery_bias_vanishes(self):
         s, d, t = _square_problem(16, seed=9)
-        assert population_bias(assemble_kernel(s, d), t) <= 1e-10
+        assert population_bias(assemble_kernel(s, d), t, clean_labels(d, s, t)) <= 1e-10
 
     def test_zero_target_zero_bias(self):
         s = make_spectrum("polynomial", 1.0, 40)
         d = sample_design(GAUSSIAN, 40, 8, seed=10)
         t = TargetModel(np.zeros(40), 1.0)
-        assert population_bias(assemble_kernel(s, d), t) == 0.0
+        assert population_bias(assemble_kernel(s, d), t, clean_labels(d, s, t)) == 0.0
 
     def test_decomposition_consistency(self):
         # empirical risk over many noise draws matches B + V within 3 MC sigma
@@ -320,7 +345,7 @@ class TestBias:
         rng = np.random.default_rng(31)
         t = TargetModel(rng.standard_normal(m), 1.0)
         K = assemble_kernel(s, d)
-        b = population_bias(K, t)
+        b = population_bias(K, t, clean_labels(d, s, t))
         v = variance_closed_form(K, 1.0)
         risks = []
         for i in range(60):
@@ -360,6 +385,24 @@ class TestTruncation:
             gaps = [r["truncation_gap"] for r in rows]
             wins += all(a >= b for a, b in zip(gaps, gaps[1:]))
         assert wins >= 18
+
+    @pytest.mark.parametrize("kind,n,levels", [
+        ("polynomial", 64, (10, 20)), ("polynomial", 128, (10, 20)),
+        ("exponential", 32, (10, 20)),
+    ])
+    def test_prefix_factor_matches_reassembled_truncation(self, kind, n, levels):
+        # each truncated kernel is a row prefix of the full factor; its
+        # variance is the one a kernel assembled from the sliced spectrum and
+        # design gives, bit for bit
+        m_full = 100 * n if kind == "polynomial" else 690
+        s = make_spectrum(kind, 1.0, m_full)
+        d = sample_design(GAUSSIAN, m_full, n, seed=n)
+        ms = [e * n for e in levels]
+        rows = truncation_study(s, d, sigma=1.0, M_list=ms)
+        for m, row in zip(ms, rows):
+            k_m = assemble_kernel(Spectrum(s.eigenvalues[:m], "custom"),
+                                  DesignMatrix(d.entries[:m], d.law))
+            assert row["variance"] == variance_closed_form(k_m, 1.0)
 
     def test_truncation_below_n_rejected(self):
         s = make_spectrum("polynomial", 1.0, 100)
