@@ -18,6 +18,12 @@ fills and one elementwise multiply, which release the GIL); every BLAS call
 stays on the calling thread, so the records are the same bytes as a
 sequential run's.
 
+The sweep runs with numpy's OpenBLAS on one thread
+(``linalg.single_threaded_blas``): on two cores its second thread cost more
+than it gave, competing with the draw thread and with scipy's OpenBLAS pool,
+which runs the Jacobi SVD.  scipy's library keeps its threads, because the
+steep-spectrum values depend on its thread count in their last bits.
+
 ``derive_seed`` hashes (master_seed, experiment, N, trial index, stream tag)
 with SHA-256, so runs are reproducible bit for bit, trials never share
 state, and inserting a new stream cannot shift the draws of an existing one.
@@ -58,6 +64,7 @@ from .linalg import (
     mercer_factor,
     min_norm_solve,
     row_norm_diagnostics,
+    single_threaded_blas,
     singular_extremes,
 )
 # the learning-curve trial calls the risk terms through the module, the
@@ -284,13 +291,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run cfg's sweep: every N in n_grid, every trial t < trials, then aggregate.
 
     The work of one (N, t) cell is ``TRIALS[cfg.experiment](cfg, n, t)``.
+    The cells run with numpy's OpenBLAS on one thread (see the module
+    docstring); the caller's thread count is back when this returns or raises.
     """
     trial_fn = TRIALS[cfg.experiment]
     cells = [(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
-    records = sorted(
-        (rec for n, t in cells for rec in trial_fn(cfg, n, t)),
-        key=lambda r: (r.N, r.law or "", r.m_truncated or 0, r.trial),
-    )
+    with single_threaded_blas():
+        records = sorted(
+            (rec for n, t in cells for rec in trial_fn(cfg, n, t)),
+            key=lambda r: (r.N, r.law or "", r.m_truncated or 0, r.trial),
+        )
     return ExperimentReport(cfg, records, aggregate(records))
 
 

@@ -60,13 +60,24 @@ eigenvalue is below -1e-12 * max |eigenvalue|.  The kept mask is the
 pseudo-inverse cutoff policy and is computed there only: eigenvalues below
 1e-12 * s_max are dropped, except on the Jacobi path, which keeps every
 positive eigenvalue.
+
+Two OpenBLAS libraries can be loaded: numpy's (every call here except
+``dgejsv``) and scipy's (``dgejsv``).  ``single_threaded_blas`` runs a block
+with numpy's on one thread; sweeps use it.  It leaves scipy's alone, whose
+thread count moves the last bits of Jacobi results.  Values on the other
+routes move by roundoff only, within their bounds.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -479,3 +490,54 @@ def _jacobi_svd(g: np.ndarray, want_vectors: bool):
         raise NumericError(f"Jacobi SVD did not converge (info={info})")
     s = sva * (work[0] / work[1])
     return (u, s, v) if want_vectors else (None, s, None)
+
+
+@cache
+def _numpy_openblas():
+    """(get, set) thread-count functions of the scipy-openblas numpy bundles
+    in ``numpy.libs/``, or None on any other BLAS.  Resolved on first use."""
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                  "numpy.libs", "libscipy_openblas64_*"))
+    try:
+        lib = ctypes.CDLL(libs[0])  # the copy numpy loaded: same file, same handle
+        get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                     lib.scipy_openblas_set_num_threads64_)
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved = 0
+
+
+@contextmanager
+def single_threaded_blas():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the
+    count, also when the block raises.  A no-op on any other BLAS.
+
+    The count is process-wide, so nested and concurrent blocks share one
+    depth count: the outermost entry saves it, the outermost exit restores
+    it.  scipy's own OpenBLAS (the Jacobi SVD) is left alone.
+    """
+    global _blas_users, _blas_saved
+    blas = _numpy_openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                set_(_blas_saved)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from overfit_lab import experiments, regression
+from overfit_lab import experiments, linalg, regression
 from overfit_lab.errors import (
     EmptyReportError,
     InvalidParameterError,
@@ -21,6 +21,10 @@ from overfit_lab.experiments import (
     derive_seed,
     run_experiment,
 )
+from overfit_lab.features import FeatureLaw, sample_design
+from overfit_lab.linalg import assemble_kernel, singular_extremes
+from overfit_lab.regression import TargetModel, clean_labels, fit_ridgeless
+from overfit_lab.spectra import make_spectrum
 
 
 def _cfg(**kw):
@@ -346,3 +350,183 @@ class TestTruncation:
                    eta_full=50, truncation_etas=(5, 10))
         report = run_experiment(cfg)
         assert len(report.records) == 2 * 2 * 2
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread-count getter, with the caller's count set to 3
+    for the test and put back after it; skips on any other BLAS."""
+    blas = linalg._numpy_openblas()
+    if blas is None:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        pytest.skip(f"numpy's BLAS is {info.get('name')} {info.get('version')}, "
+                    "not the bundled scipy-openblas")
+    get, set_ = blas
+    before = get()
+    set_(3)  # neither the sweep's 1 nor OpenBLAS's default on two cores
+    yield get
+    set_(before)
+
+
+def _probe(monkeypatch, name, get, then=None):
+    """Register a trial ``name`` in TRIALS that records numpy's BLAS thread
+    count, then calls ``then(cfg)``; returns the list of counts seen."""
+    seen = []
+
+    def trial(cfg, n, t):
+        seen.append(get())
+        if then is not None:
+            then(cfg)
+        return [TrialRecord(experiment=cfg.experiment, seed=0, N=n, M=n, trial=t,
+                            s_max=1.0)]
+
+    monkeypatch.setitem(TRIALS, name, trial)
+    return seen
+
+
+class TestBlasThreads:
+    def test_sweep_runs_on_one_thread_and_restores_the_count(
+            self, monkeypatch, blas_threads):
+        seen = _probe(monkeypatch, "probe", blas_threads)
+        run_experiment(_cfg(experiment="probe", n_grid=(8, 16), trials=2))
+        assert seen == [1] * 4
+        assert blas_threads() == 3
+
+    def test_count_restored_when_a_trial_raises(self, monkeypatch, blas_threads):
+        def fail(cfg):
+            raise NumericError("probe trial failed")
+
+        seen = _probe(monkeypatch, "probe", blas_threads, then=fail)
+        with pytest.raises(NumericError, match="probe trial failed"):
+            run_experiment(_cfg(experiment="probe", n_grid=(8,), trials=1))
+        assert seen == [1] and blas_threads() == 3
+
+    def test_nested_sweeps_restore_only_at_the_outermost_exit(
+            self, monkeypatch, blas_threads):
+        inner = _probe(monkeypatch, "inner", blas_threads)
+        after_inner = []
+
+        def sweep_inner(cfg):
+            run_experiment(_cfg(experiment="inner", n_grid=(8,), trials=2))
+            after_inner.append(blas_threads())
+
+        outer = _probe(monkeypatch, "outer", blas_threads, then=sweep_inner)
+        run_experiment(_cfg(experiment="outer", n_grid=(8,), trials=2))
+        assert outer == after_inner == [1, 1] and inner == [1] * 4
+        assert blas_threads() == 3
+
+    def test_concurrent_sweeps_share_one_count(self, monkeypatch, blas_threads):
+        # the first sweep to finish must not restore the count while the
+        # other is still inside
+        both_inside, first_done = threading.Barrier(2, timeout=30), threading.Event()
+        seen_after_first = []
+
+        def first(cfg):
+            both_inside.wait()
+
+        def second(cfg):
+            both_inside.wait()
+            first_done.wait(timeout=30)
+            seen_after_first.append(blas_threads())
+
+        _probe(monkeypatch, "first", blas_threads, then=first)
+        _probe(monkeypatch, "second", blas_threads, then=second)
+
+        def sweep_first():
+            run_experiment(_cfg(experiment="first", n_grid=(8,), trials=1))
+            first_done.set()
+
+        threads = [threading.Thread(target=sweep_first),
+                   threading.Thread(target=run_experiment,
+                                    args=(_cfg(experiment="second", n_grid=(8,),
+                                               trials=1),))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+        assert first_done.is_set() and seen_after_first == [1]
+        assert blas_threads() == 3
+
+    def test_threads_churning_the_block_keep_the_count(self, blas_threads):
+        # more threads than cores enter and leave the block with a short
+        # switch interval; a lost update to the depth count would restore the
+        # count while a thread is inside, or leave it at 1
+        wrong = []
+
+        def churn():
+            for _ in range(200):
+                with linalg.single_threaded_blas():
+                    if blas_threads() != 1:
+                        wrong.append(blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == [] and blas_threads() == 3
+
+    @pytest.mark.parametrize("experiment", ["condnum", "learning_curve"])
+    def test_jacobi_records_keep_their_bits(self, experiment):
+        # scipy's OpenBLAS runs the Jacobi SVD and keeps its threads, so a
+        # steep trial swept by run_experiment is the bits of the trial called
+        # directly at the default thread counts; N=512 is where scipy's
+        # thread count moves them
+        cfg = _cfg(experiment=experiment, spectrum="exponential", n_grid=(512,),
+                   trials=1)
+        assert cfg.feature_count(512) == 690
+        direct = TRIALS[experiment](cfg, 512, 0)
+        assert repr(run_experiment(cfg).records) == repr(direct)
+
+    @pytest.mark.parametrize("experiment", ["condnum", "learning_curve"])
+    def test_certified_records_move_within_their_bound(self, experiment):
+        # on the gram_eigh route numpy's thread count changes roundoff only:
+        # each run is within rel_error_bound of the exact values, so two runs
+        # differ by at most twice it (four times on ratios and the variance);
+        # mse and bias are squared errors of duals that each move by at most
+        # rel_error_bound, which bounds them through their first and second
+        # order terms
+        n = 512
+        cfg = _cfg(experiment=experiment, n_grid=(n,), trials=1, n_test=100)
+        (direct,) = TRIALS[experiment](cfg, n, 0)
+        (swept,) = run_experiment(cfg).records
+        m = cfg.feature_count(n)
+        s = make_spectrum(cfg.spectrum, cfg.a, m)
+        law = FeatureLaw(cfg.law)
+        d = sample_design(law, m, n, experiments._seed(cfg, n, 0))
+        K = assemble_kernel(s, d)
+        if experiment == "learning_curve":
+            # fit first: the trial reads its values after the fit
+            theta = np.random.default_rng(experiments._seed(cfg, n, -1, "theta"))
+            target = TargetModel(theta.standard_normal(m), cfg.sigma)
+            y = regression.synthesize_labels(d, s, target,
+                                             experiments._seed(cfg, n, 0, "noise"))
+            duals = {"mse": fit_ridgeless(K, y).dual,
+                     "bias": K.dual(clean_labels(d, s, target))}
+            g_test = experiments._draw_test_factor(
+                law, s, np.empty((m, cfg.n_test)), experiments._seed(cfg, n, 0, "test"))
+        summary = singular_extremes(K)
+        bound = summary.rel_error_bound
+        assert summary.path == "gram_eigh"
+        tol = {"s_max": 2 * bound * direct.s_max, "s_min": 2 * bound * direct.s_min,
+               "condition_number": 4 * bound * direct.condition_number}
+        if experiment == "condnum":
+            tol["ratio_to_theory"] = 4 * bound * direct.ratio_to_theory
+        else:
+            tol["variance"] = 4 * bound * direct.variance
+            # ||x' - x|| <= e moves q = ||A (x - c)||^2 by at most
+            # 2 sqrt(q) ||A|| e + (||A|| e)^2
+            norms = {"mse": np.linalg.norm(g_test) / np.sqrt(cfg.n_test),
+                     "bias": np.sqrt(s.eigenvalues[0])}
+            for name, dual in duals.items():
+                a_e = norms[name] * 2 * bound * np.linalg.norm(dual)
+                tol[name] = 2 * np.sqrt(getattr(direct, name)) * a_e + a_e ** 2
+        for name, limit in tol.items():
+            assert abs(getattr(swept, name) - getattr(direct, name)) <= limit, name
