@@ -222,12 +222,7 @@ class TrialRecord:
 
 
 GROUP_FIELDS = ("N", "spectrum", "law", "kernel", "m_truncated")
-VALUE_FIELDS = (
-    "s_max", "s_min", "condition_number", "ratio_to_theory",
-    "s_min_over_n_lambda_n", "s_min_over_n", "min_p_squared",
-    "mse", "bias", "variance",
-    "variance_full", "truncation_gap", "truncation_bound",
-)
+VALUE_FIELDS = tuple(f.name for f in fields(TrialRecord) if f.type == "float | None")
 
 
 @dataclass(frozen=True)
@@ -368,7 +363,7 @@ def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRe
     # the pool has joined, so the Future holds the test factor's only reference
     mse = regression.empirical_test_error(f, target, draw.result())
     del draw
-    # after the fit, so the values are the eigenvalues of the modes it cached
+    # after the fit, so the values are read from the full record it cached
     return [_record(cfg, n, m, t, seed, mse=mse,
                     bias=regression.population_bias(K, target, clean),
                     variance=regression.variance_closed_form(K, cfg.sigma),

@@ -44,22 +44,21 @@ The dual is formed as G (K^+ y) with one refinement step whose residual
 y - G^T (G alpha) is taken through G, not K, which removes the roundoff of
 forming K from it.
 
-One function, ``KernelMatrix._decompose``, holds this route rule.  It
+One function, ``KernelMatrix._decompose``, holds this route rule, for
+explicit matrices (``from_entries``) too: their route is ``"eigh"`` of the
+entries, rejected when an eigenvalue is below -1e-12 * max |eigenvalue|.  It
 returns one record per request kind, each cached once per kernel: values
 only (``singular_extremes``) or full, which adds K's eigenvectors and, on
-the SVD routes, G's left singular vectors.  Neither cache writes the other;
-each may read it.  Values requested after a full decomposition reuse it, and
-a full decomposition after values that failed the certificate (``"gesdd"``)
-skips ``eigh``.  So the values reported do not depend on call order.
+the SVD routes, G's left singular vectors.  An explicit matrix has only the
+full record.  Neither cache writes the other; each may read it.  Values
+requested after a full decomposition reuse it, and a full decomposition
+after values that failed the certificate (``"gesdd"``) skips ``eigh``.  So
+the values reported do not depend on call order.
 
-Pseudo-inverse solves, duals and variances all read one cached set of
-sample-space modes, ``KernelMatrix._modes``: (eigenvalues, eigenvectors,
-kept mask, route), from the full record of a Mercer kernel, or from ``eigh``
-of an explicit matrix (``from_entries``), which is rejected when an
-eigenvalue is below -1e-12 * max |eigenvalue|.  The kept mask is the
-pseudo-inverse cutoff policy and is computed there only: eigenvalues below
-1e-12 * s_max are dropped, except on the Jacobi path, which keeps every
-positive eigenvalue.
+Pseudo-inverse solves, duals and variances all read the full record, whose
+``keep`` mask is the pseudo-inverse cutoff policy, computed once there:
+eigenvalues below 1e-12 * s_max are dropped, except on the Jacobi path,
+which keeps every positive eigenvalue.
 
 Two OpenBLAS libraries can be loaded: numpy's (every call here except
 ``dgejsv``) and scipy's (``dgejsv``).  ``single_threaded_blas`` runs a block
@@ -151,28 +150,30 @@ class MinNormSolution:
 
 
 class _Decomposition(NamedTuple):
-    """A Mercer kernel's record from ``KernelMatrix._decompose``: G's singular
-    values ``s`` and K's eigenvalues ``w`` descending, the route, its bound,
-    and on a full request K's eigenvectors ``q`` and G's left vectors ``u``."""
+    """A kernel's record from ``KernelMatrix._decompose``: G's singular values
+    ``s`` (None for an explicit matrix) and K's eigenvalues ``w`` descending,
+    the route, its bound, and on a full request K's eigenvectors ``q``, G's
+    left vectors ``u`` and the kept mask ``keep`` (``KernelMatrix._full``)."""
 
-    s: np.ndarray
+    s: np.ndarray | None
     w: np.ndarray
     path: str
     bound: float | None = None
     q: np.ndarray | None = None
     u: np.ndarray | None = None
+    keep: np.ndarray | None = None
 
 
 class KernelMatrix:
     """Symmetric PSD Gram matrix and the one pseudo-inverse it defines.
 
     Mercer instances keep the factor G = Lambda^{1/2} Psi and the
-    ``spectrum`` it came from, build their entries lazily as G^T G, and
-    memoize their modes.  They do not keep Psi: G is the only M x N array a
-    kernel pins, and whatever needs Psi itself (clean labels, row norms)
-    takes it from the design before the caller drops it.  Explicit instances
-    hold only their entries; their ``spectrum`` is None.  Every downstream
-    solve, prediction, and variance evaluation reuses the cached modes.
+    ``spectrum`` it came from, and build their entries lazily as G^T G.
+    They do not keep Psi: G is the only M x N array a kernel pins, and
+    whatever needs Psi itself (clean labels, row norms) takes it from the
+    design before the caller drops it.  Explicit instances hold only their
+    entries; their ``spectrum`` is None.  Every downstream solve, prediction,
+    and variance evaluation reuses the one cached full record (``_full``).
     Instances are immutable and safe to share across trial workers.
     """
 
@@ -224,8 +225,6 @@ class KernelMatrix:
 
     @cached_property
     def _steep(self) -> bool:
-        if not self.is_mercer:
-            return False
         g = self._factor
         if g.shape[0] < g.shape[1]:
             return False  # wide factors are rank deficient; fast path + cutoff
@@ -245,20 +244,33 @@ class KernelMatrix:
 
     @cached_property
     def _values(self) -> _Decomposition:
-        """Values-only record; a full record measured earlier serves as is."""
-        full = self.__dict__.get("_full")
-        return full if full is not None else self._decompose(full=False)
+        """Values-only record; a full record measured earlier serves as is,
+        and an explicit matrix's is its full record."""
+        if self.is_mercer and "_full" not in self.__dict__:
+            return self._decompose(full=False)
+        return self._full
 
     @cached_property
     def _full(self) -> _Decomposition:
-        """Full record: also K's eigenvectors and G's left singular vectors."""
-        return self._decompose(full=True)
+        """Full record: also K's eigenvectors, G's left singular vectors and
+        the kept mask, the pseudo-inverse cutoff policy (see the module
+        docstring).  A wide M x N factor has M modes."""
+        rec = self._decompose(full=True)
+        w = rec.w
+        if w.size == 0 or w[0] <= 0.0:
+            keep = np.zeros_like(w, dtype=bool)
+        elif rec.path == "jacobi":
+            keep = w > 0.0
+        else:
+            keep = w > PINV_RELATIVE_CUTOFF * w[0]
+        return rec._replace(keep=keep)
 
     def _decompose(self, full: bool) -> _Decomposition:
-        """The route rule (see the module docstring): Jacobi for steep
-        spectra; else certified ``eigvalsh``/``eigh`` of K for a tall factor
-        with finite trace(K) that has not already failed the certificate;
-        else gesdd.
+        """The route rule (see the module docstring): ``eigh`` of an explicit
+        matrix, which raises InvariantViolationError when it is not PSD;
+        Jacobi for steep spectra; else certified ``eigvalsh``/``eigh`` of K
+        for a tall factor with finite trace(K) that has not already failed the
+        certificate; else gesdd.
 
         Before ``eigvalsh``/``eigh``, a pair bound skips a certificate that
         cannot hold.  ``ub`` (``_pair_lambda_min_bound``) bounds lambda_min
@@ -268,6 +280,15 @@ class KernelMatrix:
         gamma_M trace(K) / (ub + N eps trace(K)) exceeds the tolerance the
         eigensolver's result would be thrown away: go straight to gesdd.
         """
+        if not self.is_mercer:
+            if not np.all(np.isfinite(self.entries)):
+                raise NumericError("kernel matrix has non-finite entries")
+            w, q = _eigh_descending(self.entries)
+            if w[-1] < -PINV_RELATIVE_CUTOFF * np.abs(w).max():
+                raise InvariantViolationError(
+                    f"kernel matrix is not positive semi-definite (eigenvalue {w[-1]:.3g})"
+                )
+            return _Decomposition(None, w, "eigh", q=q)
         g = self._factor
         m, n = g.shape
         if self._steep:
@@ -296,34 +317,6 @@ class KernelMatrix:
         s = np.linalg.svd(g, compute_uv=False)
         return _Decomposition(s, s * s, "gesdd")
 
-    @cached_property
-    def _modes(self):
-        """(eigenvalues descending, eigenvectors, kept mask, route) of K in
-        sample space: a Mercer kernel's full record (a wide M x N factor has
-        M modes) or ``eigh`` of an explicit matrix (route ``"eigh"``), which
-        raises InvariantViolationError when it is not PSD.  The mask is the
-        pseudo-inverse cutoff policy (see the module docstring).
-        """
-        if self.is_mercer:
-            full = self._full
-            w, q, path = full.w, full.q, full.path
-        else:
-            if not np.all(np.isfinite(self.entries)):
-                raise NumericError("kernel matrix has non-finite entries")
-            w, q = _eigh_descending(self.entries)
-            path = "eigh"
-            if w[-1] < -PINV_RELATIVE_CUTOFF * np.abs(w).max():
-                raise InvariantViolationError(
-                    f"kernel matrix is not positive semi-definite (eigenvalue {w[-1]:.3g})"
-                )
-        if w.size == 0 or w[0] <= 0.0:
-            keep = np.zeros_like(w, dtype=bool)
-        elif path == "jacobi":
-            keep = w > 0.0
-        else:
-            keep = w > PINV_RELATIVE_CUTOFF * w[0]
-        return w, q, keep, path
-
     def dual(self, y) -> np.ndarray:
         """Dual vector G K^+ y of a Mercer kernel over its kept modes.
 
@@ -338,18 +331,18 @@ class KernelMatrix:
             raise ShapeError(
                 f"labels have length {y.size}, kernel is {self.size} x {self.size}"
             )
-        w, q, keep, path = self._modes
-        qk = q[:, keep]
-        if path == "gram_eigh":
+        full = self._full
+        keep = full.keep
+        qk = full.q[:, keep]
+        if full.path == "gram_eigh":
             def solve(r):
-                return qk @ ((qk.T @ r) / w[keep])
+                return qk @ ((qk.T @ r) / full.w[keep])
 
             alpha = solve(y)
             # one refinement step on the residual formed through G, which
             # removes the roundoff of forming K (see the module docstring)
             alpha += solve(y - g.T @ (g @ alpha))
             return g @ alpha
-        full = self._full
         return full.u[:, keep] @ ((qk.T @ y) / full.s[keep])
 
     def _kept_left_vectors(self) -> np.ndarray:
@@ -357,12 +350,12 @@ class KernelMatrix:
         modes; on the ``gram_eigh`` route formed from K's eigenvectors and not
         cached, so no M x N matrix stays on the kernel."""
         g = self._require_factor()
-        w, q, keep, path = self._modes
-        if path == "gram_eigh":
-            gq = g @ q[:, keep]
-            gq /= np.sqrt(w[keep])
+        full = self._full
+        if full.path == "gram_eigh":
+            gq = g @ full.q[:, full.keep]
+            gq /= np.sqrt(full.w[full.keep])
             return gq
-        return self._full.u[:, keep]
+        return full.u[:, full.keep]
 
 
 def mercer_factor(s: Spectrum, entries, out=None) -> np.ndarray:
@@ -384,26 +377,25 @@ def assemble_kernel(s: Spectrum, d: DesignMatrix) -> KernelMatrix:
 def singular_extremes(K: KernelMatrix) -> SpectrumSummary:
     """Largest and smallest singular values of K plus their ratio.
 
-    Mercer matrices are measured through the factor; on the fast path an
-    s_min below 1e-13 * s_max is reported as exactly 0 (it is numerically
+    Mercer matrices are measured through the factor, explicit ones by the
+    magnitudes of their eigenvalues; on the fast path an s_min below
+    1e-13 * s_max is reported as exactly 0 (it is numerically
     indistinguishable from it there) and the condition number becomes +inf.
     """
-    if K.is_mercer:
-        values = K._values
-        s, path, bound = values.s, values.path, values.bound
-        if not np.all(np.isfinite(s)):
+    values = K._values
+    if values.path == "eigh":
+        vals = np.sort(np.abs(values.w))[::-1]
+    else:
+        if not np.all(np.isfinite(values.s)):
             raise NumericError("kernel factor has non-finite singular values")
-        vals = s * s
+        vals = values.s * values.s
         if vals.size < K.size:
             vals = np.concatenate([vals, np.zeros(K.size - vals.size)])
-    else:
-        vals = np.sort(np.abs(K._modes[0]))[::-1]
-        path, bound = "eigh", None
     if not np.all(np.isfinite(vals)):
         raise NumericError("kernel matrix has non-finite singular values")
     s_max = float(vals[0])
     s_min = float(vals[-1])
-    if path != "jacobi" and s_min < SMIN_ZERO_CUTOFF * s_max:
+    if values.path != "jacobi" and s_min < SMIN_ZERO_CUTOFF * s_max:
         s_min = 0.0
     cond = math.inf if s_min == 0.0 else s_max / s_min
     return SpectrumSummary(
@@ -411,8 +403,8 @@ def singular_extremes(K: KernelMatrix) -> SpectrumSummary:
         s_min=s_min,
         condition_number=cond,
         full_singular_values=vals,
-        path=path,
-        rel_error_bound=bound,
+        path=values.path,
+        rel_error_bound=values.bound,
     )
 
 
@@ -442,14 +434,14 @@ def min_norm_solve(K: KernelMatrix, y) -> MinNormSolution:
         raise ShapeError(f"y has length {y.size}, kernel is {K.size} x {K.size}")
     if not np.all(np.isfinite(y)):
         raise NumericError("right-hand side has non-finite entries")
-    w, q, keep, _ = K._modes
-    qk = q[:, keep]
+    full = K._full
+    qk = full.q[:, full.keep]
     proj = qk.T @ y
-    alpha = qk @ (proj / w[keep])
+    alpha = qk @ (proj / full.w[full.keep])
     norm_y = float(np.linalg.norm(y))
     residual = float(np.linalg.norm(y - qk @ proj))
     inconsistent = norm_y > 0 and residual > 1e-8 * norm_y
-    return MinNormSolution(alpha=alpha, inconsistent=inconsistent, rank=int(keep.sum()))
+    return MinNormSolution(alpha=alpha, inconsistent=inconsistent, rank=int(full.keep.sum()))
 
 
 def _pair_lambda_min_bound(k: np.ndarray) -> float:

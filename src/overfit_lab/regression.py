@@ -73,8 +73,6 @@ class Interpolant:
 
     kernel: KernelMatrix
     dual: np.ndarray
-    inconsistency_flag: bool
-    rank: int
 
 
 def clean_labels(d: DesignMatrix, s: Spectrum, t: TargetModel) -> np.ndarray:
@@ -99,11 +97,12 @@ def synthesize_labels(d: DesignMatrix, s: Spectrum, t: TargetModel, seed) -> np.
 def fit_ridgeless(K: KernelMatrix, y) -> Interpolant:
     """Minimum-norm interpolant of (training inputs, y) under Mercer kernel K.
 
-    The solve supplies rank and consistency (and validates y); predictions go
-    through the dual.
+    The solve validates y; its rank and consistency flags are not kept
+    (``min_norm_solve(K, y)`` returns them, and ``bench/spans.py`` counts
+    them there).  Predictions go through the dual.
     """
-    sol = min_norm_solve(K, y)
-    return Interpolant(K, K.dual(y), sol.inconsistent, sol.rank)
+    min_norm_solve(K, y)
+    return Interpolant(K, K.dual(y))
 
 
 def predict(f: Interpolant, test_design: DesignMatrix) -> np.ndarray:
@@ -150,15 +149,15 @@ def variance_closed_form(K: KernelMatrix, sigma: float) -> float:
     to the pseudo-inverse and emit a RankDeficientKernelWarning.
     """
     uk = K._kept_left_vectors()
-    w_eigs, _, keep, _ = K._modes
-    if int(keep.sum()) < K.size:
+    full = K._full
+    if int(full.keep.sum()) < K.size:
         warnings.warn(
             "kernel numerically rank deficient; variance uses the pseudo-inverse",
             RankDeficientKernelWarning,
             stacklevel=2,
         )
     weights = np.einsum("kj,k,kj->j", uk, K.spectrum.eigenvalues, uk)
-    return float(sigma**2 * np.sum(weights / w_eigs[keep]))
+    return float(sigma**2 * np.sum(weights / full.w[full.keep]))
 
 
 def population_bias(K: KernelMatrix, t: TargetModel, clean) -> float:

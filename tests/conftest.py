@@ -20,7 +20,7 @@ def mc_noise_variance(kernel, spectrum, law, sigma, draws=2000, batches=20,
     else:
         u, s, vh = np.linalg.svd(kernel.factor, full_matrices=False)
         v = vh.T
-    keep = kernel._modes[2]
+    keep = kernel._full.keep
     uk, sk, vk = u[:, keep], s[keep], v[:, keep]
     m = spectrum.size
     sqrt_lam = np.sqrt(spectrum.eigenvalues)

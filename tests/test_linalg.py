@@ -18,7 +18,14 @@ from overfit_lab.errors import (
     ShapeError,
 )
 from overfit_lab.experiments import TRIALS, ExperimentConfig, derive_seed
-from overfit_lab.features import FEATURE_LAWS, DesignMatrix, FeatureLaw, sample_design
+from overfit_lab.features import (
+    FEATURE_LAWS,
+    AnalyticKernel,
+    DesignMatrix,
+    FeatureLaw,
+    kernel_gram,
+    sample_design,
+)
 from overfit_lab.linalg import (
     GRAM_CERTIFIED_TOLERANCE,
     KernelMatrix,
@@ -214,6 +221,21 @@ class TestSingularExtremes:
         np.testing.assert_allclose(jac, fast, rtol=1e-8)
 
 
+def _count_linalg_eigh(monkeypatch) -> list:
+    """A list that grows by one for each ``np.linalg.eigh`` call made from
+    ``overfit_lab.linalg`` while the monkeypatch is active."""
+    real_eigh = np.linalg.eigh
+    calls = []
+
+    def counting_eigh(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "overfit_lab.linalg":
+            calls.append(1)
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
 def _mp_squared_singular_values(g, dps=50):
     """Squared singular values of g, descending, by a multiprecision SVD."""
     with mpmath.workdps(dps):
@@ -322,18 +344,10 @@ class TestGramCertificate:
         # N=256 design, so the full solve goes straight to the factor SVD
         K = _smin_grid_kernel("cosine", 256)
         assert singular_extremes(K).path == "gesdd"
-        real_eigh = np.linalg.eigh
-        calls = []
-
-        def counting_eigh(*args, **kwargs):
-            if sys._getframe(1).f_globals["__name__"] == "overfit_lab.linalg":
-                calls.append(1)
-            return real_eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        calls = _count_linalg_eigh(monkeypatch)
         min_norm_solve(K, np.ones(256))
         assert len(calls) == 0
-        assert K._modes[3] == "gesdd" and singular_extremes(K).path == "gesdd"
+        assert K._full.path == "gesdd" and singular_extremes(K).path == "gesdd"
 
     @pytest.mark.parametrize("law", FEATURE_LAWS)
     def test_pair_bound_fires_only_where_certificate_fails(self, law):
@@ -418,14 +432,14 @@ def test_certified_full_solve_agrees_with_svd_route(n, aspect, decay, collapse, 
         ref = _graded_kernel(n, aspect, decay, collapse, seed)
         ref_sol, ref_dual = min_norm_solve(ref, y), ref.dual(y)
         ref_var = variance_closed_form(ref, 1.0)
-    assert ref._modes[3] == "gesdd"
+    assert ref._full.path == "gesdd"
     K = _graded_kernel(n, aspect, decay, collapse, seed)
     sol = min_norm_solve(K, y)
-    event(K._modes[3])
+    event(K._full.path)
     assert sol.rank == ref_sol.rank and sol.inconsistent == ref_sol.inconsistent
-    if K._modes[3] == "gesdd":
+    if K._full.path == "gesdd":
         return
-    assert K._modes[3] == "gram_eigh" and sol.rank == n and not sol.inconsistent
+    assert K._full.path == "gram_eigh" and sol.rank == n and not sol.inconsistent
     bound = singular_extremes(K).rel_error_bound
     # the certified bound covers the dual and twice it the variance (module
     # docstring); gesdd's own error, about M eps sqrt(cond K), is smaller
@@ -558,6 +572,29 @@ def test_indefinite_explicit_matrix_rejected(entries):
     for read in (singular_extremes, lambda K: min_norm_solve(K, np.ones(K.size))):
         with pytest.raises(InvariantViolationError, match="positive semi-definite"):
             read(KernelMatrix.from_entries(entries))
+
+
+def test_explicit_matrix_decomposes_once(monkeypatch):
+    # an explicit matrix's values record is its full record: whichever of
+    # singular_extremes and min_norm_solve comes first, one eigh serves both,
+    # and both orders report the same values, route and rank
+    x = np.random.default_rng(4).standard_normal((40, 1))
+    y = np.ones(40)
+    calls = _count_linalg_eigh(monkeypatch)
+    results = []
+    for values_first in (True, False):
+        K = kernel_gram(AnalyticKernel("laplacian", 1), x)
+        calls.clear()
+        if values_first:
+            summary, sol = singular_extremes(K), min_norm_solve(K, y)
+        else:
+            sol = min_norm_solve(K, y)
+            summary = singular_extremes(K)
+        assert len(calls) == 1
+        assert summary.path == "eigh"
+        results.append((summary.full_singular_values, sol.rank))
+    (vals, rank), (vals_after_solve, rank_after_solve) = results
+    assert np.array_equal(vals, vals_after_solve) and rank == rank_after_solve
 
 
 @settings(max_examples=60, deadline=None)

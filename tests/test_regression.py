@@ -107,8 +107,9 @@ class TestFitAndPredict:
             rng = np.random.default_rng(1)
             t = TargetModel(rng.standard_normal(320), 1.0)
             y = synthesize_labels(d, s, t, seed=4)
-            f = fit_ridgeless(assemble_kernel(s, d), y)
-            assert not f.inconsistency_flag
+            K = assemble_kernel(s, d)
+            f = fit_ridgeless(K, y)
+            assert not min_norm_solve(K, y).inconsistent
             err = np.abs(predict(f, d) - y).max()
             assert err <= 1e-6 * (1.0 + np.abs(y).max())
 
@@ -152,10 +153,11 @@ class TestFitAndPredict:
         s = make_spectrum("custom", eigenvalues=[4.0])
         d = DesignMatrix(np.array([[1.0, 1.0]]), GAUSSIAN)
         K = assemble_kernel(s, d)
-        f = fit_ridgeless(K, [1.0, -1.0])
-        assert f.inconsistency_flag
-        np.testing.assert_allclose(min_norm_solve(K, [1.0, -1.0]).alpha, [0.0, 0.0],
-                                   atol=1e-14)
+        sol = min_norm_solve(K, [1.0, -1.0])
+        assert sol.inconsistent
+        np.testing.assert_allclose(sol.alpha, [0.0, 0.0], atol=1e-14)
+        # the fit keeps only the labels' component in the range: none here
+        np.testing.assert_allclose(fit_ridgeless(K, [1.0, -1.0]).dual, [0.0], atol=1e-14)
 
 
 @pytest.mark.parametrize("call", [
@@ -299,7 +301,7 @@ class TestBias:
         t = TargetModel(np.random.default_rng(K.size).standard_normal(K.spectrum.size))
         clean = clean_labels(d, s, t)
         exact = population_bias(K, t, clean)
-        assert K._modes[3] == path
+        assert K._full.path == path
         mc, se = _monte_carlo_bias(K, t, clean, d.law, seed=K.size)
         assert exact > 0.0
         assert abs(exact - mc) <= 5 * se
@@ -319,7 +321,7 @@ class TestBias:
         w = K.dual((np.sqrt(lam) * t.theta_star) @ d.entries)
         oracle = float(np.sum(lam * (w - t.theta_star) ** 2))
         assert population_bias(K, t, clean_labels(d, s, t)) == oracle
-        assert K._modes[3] == path
+        assert K._full.path == path
 
     def test_clean_labels_are_the_noise_free_synthesized_labels(self):
         s, d, t = _square_problem(9, seed=12)
