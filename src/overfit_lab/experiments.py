@@ -9,14 +9,23 @@ anchors) and draws every random number from a seed given by
 ``derive_seed``, so the (N, t) cells can run in any order or in separate
 processes and still give the same records.
 
-Inside a learning-curve trial the one M x n_test test factor (for the
-empirical MSE; the bias is exact and needs none) is drawn on a one-thread
-pool that lives only for that trial, while the calling thread draws the
-training design and fits; the factor is freed once the MSE is taken.  The
-pool thread only fills and scales a buffer the calling thread allocated (RNG
-fills and one elementwise multiply, which release the GIL); every BLAS call
-stays on the calling thread, so the records are the same bytes as a
-sequential run's.
+Two trials draw on a one-thread pool that lives only for that trial.  A
+learning-curve trial draws its one M x n_test test factor there (for the
+empirical MSE; the bias is exact and needs none) while the calling thread
+draws the training design and fits; the factor is freed once the MSE is
+taken.  A smin-study trial draws each law's design there while the calling
+thread decomposes the previous law's.  Both pools keep one rule:
+
+* the pool thread only fills or scales a buffer the calling thread
+  allocated (RNG fills and elementwise ufuncs, which release the GIL); a
+  large allocation there would sit in a per-thread malloc arena after the
+  trial;
+* it makes no BLAS call, so the records are the same bytes as a sequential
+  run's;
+* it calls nothing ``bench/spans.py`` wraps (``sample_design``,
+  ``assemble_kernel`` and the rest), because that tracing assumes
+  single-threaded, strictly nested calls;
+* no pool outlives its trial.
 
 The sweep runs with numpy's OpenBLAS on one thread
 (``linalg.single_threaded_blas``): on two cores its second thread cost more
@@ -51,6 +60,7 @@ from .features import (
     INPUT_DOMAINS,
     KERNEL_KINDS,
     AnalyticKernel,
+    DesignMatrix,
     FeatureLaw,
     InputDomain,
     fill_design,
@@ -60,6 +70,7 @@ from .features import (
     sample_inputs,
 )
 from .linalg import (
+    KernelMatrix,
     assemble_kernel,
     mercer_factor,
     min_norm_solve,
@@ -337,8 +348,8 @@ def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRe
     The true coefficient is drawn from a per-N seed, so all trials of one N
     share it; each trial redraws design, label noise, and test inputs.  The
     M x n_test test factor of the MSE (stream "test") is drawn on a pool
-    thread while this thread draws the training design and fits; see
-    ``_draw_test_factor`` for what that thread may do.
+    thread while this thread draws the training design and fits (the pool
+    rule is in the module docstring).
 
     At most one M x N copy of the training design outlives the labels: Psi
     is dropped once the labels are taken (the kernel keeps only G), and the
@@ -372,15 +383,8 @@ def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRe
 
 def _draw_test_factor(law: FeatureLaw, s, out, seed):
     """G_test = Lambda^{1/2} Psi_test drawn into ``out``: the same bits as
-    ``mercer_factor`` of a ``sample_design`` draw.
-
-    Runs on a pool thread, so it only fills and scales a buffer the calling
-    thread allocated: a BLAS call here would make the bytes depend on
-    scheduling, a large allocation would sit in a per-thread malloc arena
-    after the trial, and the module attributes the caller uses
-    (``sample_design`` and the rest) may be wrapped by single-threaded
-    tracing.
-    """
+    ``mercer_factor`` of a ``sample_design`` draw.  Runs on a pool thread,
+    under the pool rule in the module docstring."""
     return mercer_factor(s, fill_design(law, out, seed), out=out)
 
 
@@ -388,26 +392,38 @@ def _smin_study_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord
     """Smallest singular value for each feature law, normalized two ways.
 
     Runs all four laws regardless of cfg.law: the point of the study is the
-    independent-vs-dependent contrast.
+    independent-vs-dependent contrast.  Each law's design is drawn on a pool
+    thread (``fill_design``) while this thread decomposes the previous law's.
+    This thread takes the row norms from the unscaled draw, then scales that
+    same buffer into G in place, so at most two M x N buffers are alive: the
+    law being decomposed and the next law's draw.
     """
     m = cfg.feature_count(n)
-    s = make_spectrum(cfg.spectrum, cfg.a, m)
-    lam_n = float(s.eigenvalues[n - 1])
+    laws = [FeatureLaw(kind) for kind in FEATURE_LAWS]
+    seeds = [_seed(cfg, n, t, law.kind) for law in laws]
     records = []
-    for law_name in FEATURE_LAWS:
-        seed = _seed(cfg, n, t, law_name)
-        d = sample_design(FeatureLaw(law_name), m, n, seed)
-        ext = _extremes(assemble_kernel(s, d))
-        diag = row_norm_diagnostics(d, n)
-        # Psi goes after the SVD, before the next law's draw: freed before the
-        # SVD, it raised an N <= 512 smin-study sweep's peak RSS 106 -> 122 MB
-        del d
-        records.append(_record(
-            cfg, n, m, t, seed, law=law_name, **ext,
-            s_min_over_n_lambda_n=ext["s_min"] / (n * lam_n),
-            s_min_over_n=ext["s_min"] / n,
-            min_p_squared=diag.min_p_squared,
-        ))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def draw(i):
+            return pool.submit(fill_design, laws[i], np.empty((m, n)), seeds[i])
+
+        pending = draw(0)
+        s = make_spectrum(cfg.spectrum, cfg.a, m)
+        lam_n = float(s.eigenvalues[n - 1])
+        for i, law in enumerate(laws):
+            psi = pending.result()
+            pending = draw(i + 1) if i + 1 < len(laws) else None
+            # a read-only view, so psi itself stays writable for the scaling
+            diag = row_norm_diagnostics(DesignMatrix(psi.view(), law), n)
+            # psi becomes G in place; the next result() rebinds it before the
+            # draw after that allocates, so no third M x N buffer appears
+            ext = _extremes(KernelMatrix(factor=mercer_factor(s, psi, out=psi),
+                                         spectrum=s))
+            records.append(_record(
+                cfg, n, m, t, seeds[i], law=law.kind, **ext,
+                s_min_over_n_lambda_n=ext["s_min"] / (n * lam_n),
+                s_min_over_n=ext["s_min"] / n,
+                min_p_squared=diag.min_p_squared,
+            ))
     return records
 
 

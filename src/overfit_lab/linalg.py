@@ -185,8 +185,12 @@ class KernelMatrix:
         self._factor = factor
         if entries is not None:
             entries = np.asarray(entries, dtype=np.float64)
-            if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-                raise ShapeError(f"kernel matrix must be square, got {entries.shape}")
+            # an empty matrix has no max to scale the symmetry check by
+            if (entries.ndim != 2 or entries.shape[0] != entries.shape[1]
+                    or entries.size == 0):
+                raise ShapeError(
+                    f"kernel matrix must be square and non-empty, got {entries.shape}"
+                )
             scale = float(np.abs(entries).max())
             if np.isfinite(scale):  # non-finite matrices fail later, at use
                 skew = float(np.abs(entries - entries.T).max())

@@ -312,9 +312,12 @@ class TestCli:
         assert cli.main(["condnum", "--out", str(tmp_path / "x.csv"),
                          "--n_grid", "8", "--trials", "1"]) == 2
 
-    def test_pool_thread_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        # a numeric failure while drawing a test factor on a pool thread
-        # surfaces from the trial as itself: exit 2, not a crash
+    @pytest.mark.parametrize("subcommand", ["learning-curve", "smin-study"])
+    def test_pool_thread_failure_exit_code(self, tmp_path, monkeypatch, capsys,
+                                           subcommand):
+        # a numeric failure while drawing a test factor or a smin-study
+        # design on a pool thread surfaces from the trial as itself: exit 2,
+        # not a crash
         threads = []
 
         def failing_fill(law, out, seed):
@@ -322,7 +325,7 @@ class TestCli:
             raise NumericError("synthetic draw failure")
 
         monkeypatch.setattr(experiments, "fill_design", failing_fill)
-        code = cli.main(["learning-curve", "--out", str(tmp_path / "x.csv"),
+        code = cli.main([subcommand, "--out", str(tmp_path / "x.csv"),
                          "--n_grid", "8", "--trials", "1", "--n-test", "20"])
         assert code == 2
         assert "synthetic draw failure" in capsys.readouterr().err

@@ -21,8 +21,8 @@ from overfit_lab.experiments import (
     derive_seed,
     run_experiment,
 )
-from overfit_lab.features import FeatureLaw, sample_design
-from overfit_lab.linalg import assemble_kernel, singular_extremes
+from overfit_lab.features import FEATURE_LAWS, FeatureLaw, sample_design
+from overfit_lab.linalg import assemble_kernel, row_norm_diagnostics, singular_extremes
 from overfit_lab.regression import TargetModel, clean_labels, fit_ridgeless
 from overfit_lab.spectra import make_spectrum
 
@@ -266,12 +266,14 @@ class TestLearningCurve:
         experiments._learning_curve_trial(cfg, 16, 0)
         assert alive == [False, False]
 
-    def test_no_thread_outlives_the_sweep(self):
-        # the test factors are drawn on a pool scoped to each trial
-        before = threading.active_count()
-        run_experiment(_cfg(experiment="learning_curve", n_grid=(8, 16), trials=2,
-                            n_test=30))
-        assert threading.active_count() == before
+
+@pytest.mark.parametrize("experiment", ["learning_curve", "smin_study"])
+def test_no_thread_outlives_the_sweep(experiment):
+    # test factors and smin-study designs are drawn on a pool scoped to each
+    # trial
+    before = threading.active_count()
+    run_experiment(_cfg(experiment=experiment, n_grid=(8, 16), trials=2, n_test=30))
+    assert threading.active_count() == before
 
 
 class TestSminStudy:
@@ -295,6 +297,50 @@ class TestSminStudy:
                 "s_min_over_n_lambda_n"]
             ratio = g.median / u.median
             assert 0.5 <= ratio <= 2.0
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_records_match_the_sequential_path(self, n):
+        # the oracle is the sequential path the pipelined trial replaced:
+        # sample_design -> assemble_kernel -> singular_extremes -> row norms,
+        # one law after another; every field must be the same float
+        cfg = _cfg(experiment="smin_study", n_grid=(n,), trials=2)
+        m = cfg.feature_count(n)
+        s = make_spectrum(cfg.spectrum, cfg.a, m)
+        lam_n = float(s.eigenvalues[n - 1])
+        for t in range(cfg.trials):
+            expected = []
+            with linalg.single_threaded_blas():
+                for law in FEATURE_LAWS:
+                    seed = derive_seed(cfg.master_seed, cfg.experiment, n, t, law)
+                    d = sample_design(FeatureLaw(law), m, n, seed)
+                    ext = singular_extremes(assemble_kernel(s, d))
+                    diag = row_norm_diagnostics(d, n)
+                    expected.append(TrialRecord(
+                        experiment="smin_study", seed=seed, N=n, M=m, trial=t,
+                        spectrum=cfg.spectrum, law=law, s_max=ext.s_max,
+                        s_min=ext.s_min, condition_number=ext.condition_number,
+                        s_min_over_n_lambda_n=ext.s_min / (n * lam_n),
+                        s_min_over_n=ext.s_min / n,
+                        min_p_squared=diag.min_p_squared,
+                    ))
+                got = TRIALS["smin_study"](cfg, n, t)
+            assert got == expected  # field by field, floats by ==
+
+    def test_trial_peak_memory(self):
+        # each law's draw is scaled into its G in place, so a trial holds at
+        # most two M x N buffers: the law being decomposed and the next law's
+        # draw; a separate G would make it three
+        n, m = 256, 2560
+        cfg = _cfg(experiment="smin_study", n_grid=(n,), trials=1)
+        experiments._smin_study_trial(cfg, n, 1)  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            experiments._smin_study_trial(cfg, n, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * m * n
 
 
 class TestKernelInterp:

@@ -182,6 +182,12 @@ class TestSingularExtremes:
         with pytest.raises(InvariantViolationError):
             KernelMatrix.from_entries(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
+    def test_empty_entries_rejected(self):
+        # a shape error (exit 1 from the CLI), not numpy's bare ValueError
+        # from the max of an empty array
+        with pytest.raises(ShapeError):
+            KernelMatrix.from_entries(np.zeros((0, 0)))
+
     def test_non_finite_rejected(self):
         K = KernelMatrix.from_entries(np.array([[1.0, 0.0], [0.0, np.inf]]))
         with pytest.raises(NumericError):
@@ -398,9 +404,18 @@ class TestGramCertificate:
             laws.append(law.kind)
             return sample_design(law, *args)
 
+        # smin-study draws on a pool thread; its calling thread takes each
+        # law's row norms just before that law's decomposition
+        real_row_norms = experiments.row_norm_diagnostics
+
+        def tagged_row_norms(d, *args):
+            laws.append(d.law.kind)
+            return real_row_norms(d, *args)
+
         for name in real:
             monkeypatch.setattr(np.linalg, name, counting(name))
         monkeypatch.setattr(experiments, "sample_design", tagged_sample_design)
+        monkeypatch.setattr(experiments, "row_norm_diagnostics", tagged_row_norms)
         cfg = ExperimentConfig(experiment="learning_curve", law="cosine",
                                n_grid=(512,), trials=1, n_test=20)
         TRIALS["learning_curve"](cfg, 512, 0)
