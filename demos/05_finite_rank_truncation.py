@@ -14,6 +14,7 @@ from pathlib import Path
 from overfit_lab import (
     ExperimentConfig,
     FeatureLaw,
+    assemble_kernel,
     make_spectrum,
     run_experiment,
     sample_design,
@@ -26,10 +27,10 @@ OUT.mkdir(exist_ok=True)
 
 n = 64
 s = make_spectrum("polynomial", 1.0, 100 * n)
-d = sample_design(FeatureLaw("gaussian"), 100 * n, n, seed=3)
+K = assemble_kernel(s, sample_design(FeatureLaw("gaussian"), 100 * n, n, seed=3))
 print(f"single design, N={n}, full rank M={100*n}:")
 print(f"{'M':>7s} {'V(M)':>10s} {'|V-V(M)|':>12s} {'3V(M)+s^2/N':>13s} {'holds':>6s}")
-for row in truncation_study(s, d, sigma=1.0, M_list=[2 * n, 4 * n, 10 * n, 40 * n]):
+for row in truncation_study(K, sigma=1.0, M_list=[2 * n, 4 * n, 10 * n, 40 * n]):
     print(f"{row['m_truncated']:7d} {row['variance']:10.4f} {row['truncation_gap']:12.6f} "
           f"{row['truncation_bound']:13.4f} {str(row['bound_holds']):>6s}")
 

@@ -26,12 +26,13 @@ from .spectra import make_spectrum
 
 SUBCOMMANDS = {e.replace("_", "-"): e for e in TRIALS} | {"spectrum-dump": None}
 
+# (y field, log y axis) of each experiment's plot; every x axis (N) is log
 PLOT_DEFAULTS = {
-    "condnum": ("ratio_to_theory", True, False),
-    "learning_curve": ("mse", True, True),
-    "smin_study": ("s_min_over_n_lambda_n", True, True),
-    "kernel_interp": ("mse", True, True),
-    "truncation": ("truncation_gap", True, False),
+    "condnum": ("ratio_to_theory", False),
+    "learning_curve": ("mse", True),
+    "smin_study": ("s_min_over_n_lambda_n", True),
+    "kernel_interp": ("mse", True),
+    "truncation": ("truncation_gap", False),
 }
 
 
@@ -95,9 +96,9 @@ def main(argv=None) -> int:
         report = run_experiment(cfg)
         csvio.write_csv(report, args.out)
         if args.plot:
-            y_field, log_x, log_y = PLOT_DEFAULTS[cfg.experiment]
+            y_field, log_y = PLOT_DEFAULTS[cfg.experiment]
             plotting.render_plot(report, args.plot, y_field=y_field,
-                                 log_x=log_x, log_y=log_y)
+                                 log_x=True, log_y=log_y)
         return 0
     except (NumericError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

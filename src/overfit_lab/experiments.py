@@ -416,8 +416,7 @@ def _smin_study_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord
             diag = row_norm_diagnostics(DesignMatrix(psi.view(), law), n)
             # psi becomes G in place; the next result() rebinds it before the
             # draw after that allocates, so no third M x N buffer appears
-            ext = _extremes(KernelMatrix(factor=mercer_factor(s, psi, out=psi),
-                                         spectrum=s))
+            ext = _extremes(KernelMatrix(mercer_factor(s, psi, out=psi), s))
             records.append(_record(
                 cfg, n, m, t, seeds[i], law=law.kind, **ext,
                 s_min_over_n_lambda_n=ext["s_min"] / (n * lam_n),
@@ -482,9 +481,10 @@ def _truncation_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord
     m_list = [m for m in sorted({min(e * n, m_full) for e in cfg.truncation_etas})
               if m > n]
     seed = _seed(cfg, n, t)
-    d_full = sample_design(FeatureLaw(cfg.law), m_full, n, seed)
+    # the kernel keeps only G, so Psi is freed before the variances
+    K_full = assemble_kernel(s_full, sample_design(FeatureLaw(cfg.law), m_full, n, seed))
     return [_record(cfg, n, m_full, t, seed, **row)
-            for row in truncation_study(s_full, d_full, cfg.sigma, m_list)]
+            for row in truncation_study(K_full, cfg.sigma, m_list)]
 
 
 # trial_fn(cfg, n, t) -> list[TrialRecord] per experiment; see the module docstring

@@ -167,45 +167,58 @@ class _Decomposition(NamedTuple):
 class KernelMatrix:
     """Symmetric PSD Gram matrix and the one pseudo-inverse it defines.
 
-    Mercer instances keep the factor G = Lambda^{1/2} Psi and the
-    ``spectrum`` it came from, and build their entries lazily as G^T G.
-    They do not keep Psi: G is the only M x N array a kernel pins, and
-    whatever needs Psi itself (clean labels, row norms) takes it from the
-    design before the caller drops it.  Explicit instances hold only their
-    entries; their ``spectrum`` is None.  Every downstream solve, prediction,
-    and variance evaluation reuses the one cached full record (``_full``).
-    Instances are immutable and safe to share across trial workers.
+    Two constructors.  ``KernelMatrix(factor, spectrum)`` is a Mercer kernel:
+    it keeps the M x N factor G = Lambda^{1/2} Psi and the ``spectrum`` it
+    came from (G has one row per eigenvalue) and builds its entries lazily
+    as G^T G.  It does not keep Psi: G is the only M x N array a kernel
+    pins, and whatever needs Psi itself (clean labels, row norms) takes it
+    from the design before the caller drops it.  ``from_entries(entries)``
+    wraps an explicit matrix, which holds only its entries; its ``spectrum``
+    is None.  Every downstream solve, prediction, and variance evaluation
+    reuses the one cached full record (``_full``).  Instances are immutable
+    and safe to share across trial workers.
     """
 
-    def __init__(self, entries=None, factor=None, spectrum=None):
+    spectrum: Spectrum | None = None
+    _factor: np.ndarray | None = None
+    _entries: np.ndarray | None = None  # a Mercer kernel builds them on first use
+
+    def __init__(self, factor, spectrum: Spectrum):
+        if not isinstance(spectrum, Spectrum):
+            raise InvalidParameterError(
+                f"a Mercer kernel needs a Spectrum, got {spectrum!r}")
+        factor = np.asarray(factor, dtype=np.float64)
+        if factor.ndim != 2 or factor.shape[0] != spectrum.size:
+            raise ShapeError(
+                f"Mercer factor has shape {factor.shape}, expected {spectrum.size} rows"
+            )
+        factor.setflags(write=False)
         self.spectrum = spectrum
-        if factor is not None:
-            factor = np.asarray(factor, dtype=np.float64)
-            factor.setflags(write=False)
         self._factor = factor
-        if entries is not None:
-            entries = np.asarray(entries, dtype=np.float64)
-            # an empty matrix has no max to scale the symmetry check by
-            if (entries.ndim != 2 or entries.shape[0] != entries.shape[1]
-                    or entries.size == 0):
-                raise ShapeError(
-                    f"kernel matrix must be square and non-empty, got {entries.shape}"
-                )
-            scale = float(np.abs(entries).max())
-            if np.isfinite(scale):  # non-finite matrices fail later, at use
-                skew = float(np.abs(entries - entries.T).max())
-                if skew > 1e-12 * max(scale, 1e-300):
-                    raise InvariantViolationError(
-                        f"kernel matrix asymmetric beyond tolerance (skew {skew:.3g})"
-                    )
-            entries.setflags(write=False)
-        self._entries = entries
-        self.size = int(entries.shape[0] if entries is not None else factor.shape[1])
+        self.size = int(factor.shape[1])
 
     @classmethod
-    def from_entries(cls, entries):
+    def from_entries(cls, entries) -> KernelMatrix:
         """Wrap a raw symmetric PSD matrix (no factor or spectrum)."""
-        return cls(entries=entries)
+        entries = np.asarray(entries, dtype=np.float64)
+        # an empty matrix has no max to scale the symmetry check by
+        if (entries.ndim != 2 or entries.shape[0] != entries.shape[1]
+                or entries.size == 0):
+            raise ShapeError(
+                f"kernel matrix must be square and non-empty, got {entries.shape}"
+            )
+        scale = float(np.abs(entries).max())
+        if np.isfinite(scale):  # non-finite matrices fail later, at use
+            skew = float(np.abs(entries - entries.T).max())
+            if skew > 1e-12 * max(scale, 1e-300):
+                raise InvariantViolationError(
+                    f"kernel matrix asymmetric beyond tolerance (skew {skew:.3g})"
+                )
+        entries.setflags(write=False)
+        kernel = cls.__new__(cls)
+        kernel._entries = entries
+        kernel.size = int(entries.shape[0])
+        return kernel
 
     @property
     def entries(self) -> np.ndarray:
@@ -363,19 +376,20 @@ class KernelMatrix:
 
 
 def mercer_factor(s: Spectrum, entries, out=None) -> np.ndarray:
-    """G = Lambda^{1/2} Psi: the Mercer factor of feature columns ``entries``,
-    written into ``out`` when given (``entries`` itself scales in place)."""
+    """G = Lambda^{1/2} Psi: the Mercer factor of feature columns ``entries``
+    (one row per eigenvalue of ``s``), written into ``out`` when given
+    (``entries`` itself scales in place)."""
+    if np.ndim(entries) != 2 or np.shape(entries)[0] != s.size:
+        raise ShapeError(
+            f"feature columns have shape {np.shape(entries)}, expected {s.size} rows"
+        )
     return np.multiply(np.sqrt(s.eigenvalues)[:, None], entries, out=out)
 
 
 def assemble_kernel(s: Spectrum, d: DesignMatrix) -> KernelMatrix:
     """Build K = Psi^T Lambda Psi as G^T G with G = Lambda^{1/2} Psi; the
     kernel keeps G, not ``d``."""
-    if s.size != d.num_features:
-        raise ShapeError(
-            f"spectrum length {s.size} != design feature count {d.num_features}"
-        )
-    return KernelMatrix(factor=mercer_factor(s, d.entries), spectrum=s)
+    return KernelMatrix(mercer_factor(s, d.entries), s)
 
 
 def singular_extremes(K: KernelMatrix) -> SpectrumSummary:
@@ -416,6 +430,8 @@ def row_norm_diagnostics(d: DesignMatrix, N: int | None = None) -> RowNormDiagno
     """P_i = sqrt(mean of squared tail entries) per column, tail = rows > N."""
     if N is None:
         N = d.num_samples
+    if N < 0:
+        raise InvalidParameterError(f"tail offset N must be >= 0, got {N}")
     m = d.num_features
     if m <= N:
         raise InsufficientTailError(f"need M > N for a tail block, got M={m}, N={N}")

@@ -12,7 +12,8 @@ U Sigma^-1 V^T y, whose partial sums never exceed the result's own scale;
 on the certified Gram route it is G alpha (see the ``linalg`` docstring).
 
 Everything here takes the training kernel and reads its ``spectrum`` and
-factor; the pseudo-inverse (kept modes and dual) is the kernel's own,
+factor, ``truncation_study(K_full, sigma, M_list)`` included; the
+pseudo-inverse (kept modes and dual) is the kernel's own,
 ``KernelMatrix.dual``.  The kernel does not keep the design Psi, so a term
 that needs Psi takes what it needs from the caller: the bias takes the clean
 labels ``clean_labels(d, s, t)`` = G^T theta.  The risk terms are
@@ -45,7 +46,7 @@ from .errors import (
 )
 from .features import DesignMatrix
 from .features import sample_design  # noqa: F401 -- bench/spans.py wraps this name
-from .linalg import KernelMatrix, assemble_kernel, mercer_factor, min_norm_solve
+from .linalg import KernelMatrix, mercer_factor, min_norm_solve
 from .spectra import Spectrum
 
 
@@ -107,13 +108,7 @@ def fit_ridgeless(K: KernelMatrix, y) -> Interpolant:
 
 def predict(f: Interpolant, test_design: DesignMatrix) -> np.ndarray:
     """Evaluate K_x^T alpha at each test column, through the stable dual."""
-    s = f.kernel.spectrum
-    if test_design.num_features != s.size:
-        raise ShapeError(
-            f"test design has {test_design.num_features} features, "
-            f"expected {s.size}"
-        )
-    return mercer_factor(s, test_design.entries).T @ f.dual
+    return mercer_factor(f.kernel.spectrum, test_design.entries).T @ f.dual
 
 
 def empirical_test_error(f: Interpolant, t: TargetModel, test_factor) -> float:
@@ -186,30 +181,28 @@ def bias_monte_carlo(K: KernelMatrix, t: TargetModel, clean, test_factor) -> flo
     return _test_mse(g, K.dual(clean), t.theta_star)
 
 
-def truncation_study(
-    s_full: Spectrum, d_full: DesignMatrix, sigma: float, M_list
-) -> list[dict]:
+def truncation_study(K_full: KernelMatrix, sigma: float, M_list) -> list[dict]:
     """Compare the variance of rank-M truncations against the full kernel.
 
-    For each M the leading M eigenvalues and factor rows define the truncated
-    kernel.  One dict per M, keyed ``m_truncated, variance, variance_full,
+    ``K_full`` is the Mercer kernel of the full M_full x N factor.  For each
+    M the leading M eigenvalues and factor rows define the truncated kernel.
+    One dict per M, keyed ``m_truncated, variance, variance_full,
     truncation_gap, truncation_bound, bound_holds``: |V - V(M)| next to the
     bound 3 V(M) + sigma^2/N and whether it holds.
     """
-    n = d_full.num_samples
-    m_full = d_full.num_features
+    n = K_full.size
+    v_full = variance_closed_form(K_full, sigma)  # explicit kernels raise here
+    s_full = K_full.spectrum
     rows = []
-    K_full = assemble_kernel(s_full, d_full)
-    v_full = variance_closed_form(K_full, sigma)
     for m in M_list:
         m = int(m)
         if m <= n:
             raise InvalidParameterError(f"truncation level M={m} must exceed N={n}")
-        if m > m_full:
-            raise InvalidParameterError(f"truncation level M={m} exceeds M_full={m_full}")
+        if m > s_full.size:
+            raise InvalidParameterError(
+                f"truncation level M={m} exceeds M_full={s_full.size}")
         # a row prefix of Lambda^{1/2} Psi is the truncated factor, bit for bit
-        K_m = KernelMatrix(factor=K_full.factor[:m],
-                           spectrum=Spectrum(s_full.eigenvalues[:m], "custom"))
+        K_m = KernelMatrix(K_full.factor[:m], Spectrum(s_full.eigenvalues[:m], "custom"))
         v_m = variance_closed_form(K_m, sigma)
         gap = abs(v_full - v_m)
         bound = 3.0 * v_m + sigma**2 / n

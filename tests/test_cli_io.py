@@ -74,6 +74,33 @@ GOLDEN_SHA256 = {
     ),
 }
 
+# SHA-256 of the --plot SVG of each plotting subcommand for a tiny sweep at
+# master seed 7 (the same sweeps as above where there is one); any change to a
+# plotted value, an axis choice or the markup changes the digest
+GOLDEN_SVG_SHA256 = {
+    "condnum": (
+        ["--n-grid", "8 16", "--trials", "2"],
+        "0882cdf8d464ba50f36ff89209acc712e9d5de7263d740b14e91026ba4b9db02",
+    ),
+    "learning-curve": (
+        ["--n-grid", "8 16", "--trials", "2", "--n-test", "20"],
+        "afeb1794e3057350779c68fbf4ff8f94c7446dae8e20ec9c85e536664b801dec",
+    ),
+    "smin-study": (
+        ["--n-grid", "8 16", "--trials", "2"],
+        "2377d1cf8c657aa363a7f530e7f66f813e645ccb38456958533435f99b493a8a",
+    ),
+    "kernel-interp": (
+        ["--n-grid", "16 32", "--trials", "2", "--n-test", "20"],
+        "1f0da24234b02e105926a384f1caf8b4e8373cee291f132570ea9156baeb514d",
+    ),
+    "truncation": (
+        ["--n-grid", "8 16", "--trials", "2", "--eta-full", "20",
+         "--truncation-etas", "5 10"],
+        "81fce61993c69aa23941098bd0acedb14a8c0fde8ac6f2ee8ade932e9de3a997",
+    ),
+}
+
 
 class TestParseConfig:
     def test_empty_file_gives_protocol_defaults(self):
@@ -260,6 +287,15 @@ class TestCli:
         assert code == 0
         assert out.read_text().startswith("experiment,seed,N,M,trial")
         assert plot.read_text().startswith("<?xml")
+
+    @pytest.mark.parametrize("subcommand", sorted(GOLDEN_SVG_SHA256))
+    def test_golden_plot_digest(self, tmp_path, subcommand):
+        flags, digest = GOLDEN_SVG_SHA256[subcommand]
+        plot = tmp_path / "plot.svg"
+        code = cli.main([subcommand, "--master-seed", "7", *flags,
+                         "--out", str(tmp_path / "out.csv"), "--plot", str(plot)])
+        assert code == 0
+        assert hashlib.sha256(plot.read_bytes()).hexdigest() == digest
 
     def test_config_file_plus_flags(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

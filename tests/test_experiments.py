@@ -397,6 +397,21 @@ class TestTruncation:
         report = run_experiment(cfg)
         assert len(report.records) == 2 * 2 * 2
 
+    def test_trial_peak_memory(self):
+        # Psi is freed once K_full is assembled, so the variances meet G and
+        # its M_full x N left vectors, not Psi as well
+        n, m_full = 64, 6400
+        cfg = _cfg(experiment="truncation", n_grid=(n,), trials=1, eta_full=100)
+        experiments._truncation_trial(cfg, n, 1)  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            experiments._truncation_trial(cfg, n, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * m_full * n
+
 
 @pytest.fixture
 def blas_threads():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from overfit_lab import experiments, linalg
 from overfit_lab.errors import (
     InsufficientTailError,
+    InvalidParameterError,
     InvariantViolationError,
     NumericError,
     RankDeficientKernelWarning,
@@ -30,6 +31,7 @@ from overfit_lab.linalg import (
     GRAM_CERTIFIED_TOLERANCE,
     KernelMatrix,
     assemble_kernel,
+    mercer_factor,
     min_norm_solve,
     row_norm_diagnostics,
     singular_extremes,
@@ -135,6 +137,19 @@ class TestAssembleKernel:
         with pytest.raises(ShapeError):
             assemble_kernel(s, d)
 
+    def test_mercer_factor_rejects_a_one_row_design(self):
+        # one row would broadcast across all 40 eigenvalues into a 40 x 8 factor
+        s = make_spectrum("polynomial", 1.0, 40)
+        with pytest.raises(ShapeError):
+            mercer_factor(s, np.ones((1, 8)))
+
+    def test_mercer_factor_rejects_a_row_count_mismatch(self):
+        # a shape error (exit 1 from the CLI), not numpy's broadcasting ValueError
+        s = make_spectrum("polynomial", 1.0, 40)
+        for entries in (np.ones((39, 8)), np.ones(40)):
+            with pytest.raises(ShapeError):
+                mercer_factor(s, entries)
+
     def test_kernel_keeps_the_factor_not_the_design(self):
         # Psi is freed with its DesignMatrix: the kernel pins one M x N array
         s, d = _steep_design()
@@ -148,6 +163,40 @@ class TestAssembleKernel:
         K = _steep_kernel()
         with pytest.raises(ShapeError):
             K.dual(np.ones(K.size + 1))
+
+
+class TestKernelMatrixConstruction:
+    def test_mercer_kernel_needs_both_arguments(self):
+        with pytest.raises(TypeError):
+            KernelMatrix()
+
+    def test_factor_without_a_spectrum_rejected(self):
+        with pytest.raises(TypeError):
+            KernelMatrix(np.ones((4, 2)))
+        with pytest.raises(InvalidParameterError):
+            KernelMatrix(np.ones((4, 2)), None)
+
+    def test_factor_rows_must_match_the_spectrum(self):
+        s = make_spectrum("polynomial", 1.0, 5)
+        for factor in (np.ones((4, 2)), np.ones((6, 2)), np.ones(5)):
+            with pytest.raises(ShapeError):
+                KernelMatrix(factor, s)
+
+    def test_entries_and_factor_cannot_be_combined(self):
+        s = make_spectrum("polynomial", 1.0, 2)
+        g = np.eye(2)
+        with pytest.raises(TypeError):
+            KernelMatrix(g, s, entries=np.eye(2))
+        with pytest.raises(TypeError):
+            KernelMatrix.from_entries(np.eye(2), factor=g)
+
+    def test_each_constructor_builds_one_kind(self):
+        s = make_spectrum("polynomial", 1.0, 3)
+        mercer = KernelMatrix(np.ones((3, 2)), s)
+        explicit = KernelMatrix.from_entries(np.eye(2))
+        assert mercer.is_mercer and mercer.spectrum is s and mercer.size == 2
+        assert not explicit.is_mercer and explicit.spectrum is None
+        assert explicit.factor is None and explicit.size == 2
 
 
 class TestSingularExtremes:
@@ -526,6 +575,12 @@ class TestRowNormDiagnostics:
         d = DesignMatrix(np.ones((3, 3)), GAUSSIAN)
         with pytest.raises(InsufficientTailError):
             row_norm_diagnostics(d, 3)
+
+    def test_negative_tail_offset_rejected(self):
+        # N = -1 would slice the last row and divide by M + 1
+        d = DesignMatrix(np.ones((3, 3)), GAUSSIAN)
+        with pytest.raises(InvalidParameterError):
+            row_norm_diagnostics(d, -1)
 
 
 class TestMinNormSolve:

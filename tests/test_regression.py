@@ -3,7 +3,11 @@ import pytest
 
 from conftest import mc_noise_variance
 from test_linalg import _smin_grid_design, _steep_design
-from overfit_lab.errors import InvalidParameterError, RankDeficientKernelWarning
+from overfit_lab.errors import (
+    InvalidParameterError,
+    RankDeficientKernelWarning,
+    ShapeError,
+)
 from overfit_lab.features import (
     AnalyticKernel,
     DesignMatrix,
@@ -12,6 +16,7 @@ from overfit_lab.features import (
     sample_design,
 )
 from overfit_lab.linalg import (
+    KernelMatrix,
     assemble_kernel,
     mercer_factor,
     min_norm_solve,
@@ -112,6 +117,14 @@ class TestFitAndPredict:
             assert not min_norm_solve(K, y).inconsistent
             err = np.abs(predict(f, d) - y).max()
             assert err <= 1e-6 * (1.0 + np.abs(y).max())
+
+    def test_predict_rejects_a_test_design_of_another_width(self):
+        # one feature row would broadcast across all 8 eigenvalues
+        s, d, _ = _square_problem(8, seed=2)
+        f = fit_ridgeless(assemble_kernel(s, d), np.zeros(8))
+        for m in (1, 9):
+            with pytest.raises(ShapeError):
+                predict(f, sample_design(GAUSSIAN, m, 3, seed=1))
 
     def test_rank_one_proportionality(self):
         s = make_spectrum("custom", eigenvalues=[4.0])
@@ -363,7 +376,7 @@ class TestTruncation:
     def test_full_rank_truncation_gap_is_zero(self):
         s = make_spectrum("polynomial", 1.0, 320)
         d = sample_design(GAUSSIAN, 320, 32, seed=40)
-        row = truncation_study(s, d, sigma=1.0, M_list=[320])[0]
+        row = truncation_study(assemble_kernel(s, d), sigma=1.0, M_list=[320])[0]
         assert row["truncation_gap"] == 0.0
         assert row["bound_holds"]
         assert row["truncation_bound"] == pytest.approx(3 * row["variance"] + 1.0 / 32)
@@ -373,7 +386,7 @@ class TestTruncation:
         s = make_spectrum("polynomial", 1.0, 100 * n)
         for seed in (50, 51, 52):
             d = sample_design(GAUSSIAN, 100 * n, n, seed=seed)
-            row = truncation_study(s, d, sigma=1.0, M_list=[10 * n])[0]
+            row = truncation_study(assemble_kernel(s, d), sigma=1.0, M_list=[10 * n])[0]
             assert row["bound_holds"]
 
     def test_monotone_gap_across_seeds(self):
@@ -383,7 +396,8 @@ class TestTruncation:
         wins = 0
         for seed in range(20):
             d = sample_design(GAUSSIAN, 100 * n, n, seed=600 + seed)
-            rows = truncation_study(s, d, sigma=1.0, M_list=[2 * n, 4 * n, 10 * n, 20 * n])
+            rows = truncation_study(assemble_kernel(s, d), sigma=1.0,
+                                    M_list=[2 * n, 4 * n, 10 * n, 20 * n])
             gaps = [r["truncation_gap"] for r in rows]
             wins += all(a >= b for a, b in zip(gaps, gaps[1:]))
         assert wins >= 18
@@ -400,7 +414,7 @@ class TestTruncation:
         s = make_spectrum(kind, 1.0, m_full)
         d = sample_design(GAUSSIAN, m_full, n, seed=n)
         ms = [e * n for e in levels]
-        rows = truncation_study(s, d, sigma=1.0, M_list=ms)
+        rows = truncation_study(assemble_kernel(s, d), sigma=1.0, M_list=ms)
         for m, row in zip(ms, rows):
             k_m = assemble_kernel(Spectrum(s.eigenvalues[:m], "custom"),
                                   DesignMatrix(d.entries[:m], d.law))
@@ -410,6 +424,11 @@ class TestTruncation:
         s = make_spectrum("polynomial", 1.0, 100)
         d = sample_design(GAUSSIAN, 100, 10, seed=1)
         with pytest.raises(InvalidParameterError):
-            truncation_study(s, d, sigma=1.0, M_list=[10])
+            truncation_study(assemble_kernel(s, d), sigma=1.0, M_list=[10])
         with pytest.raises(InvalidParameterError):
-            truncation_study(s, d, sigma=1.0, M_list=[101])
+            truncation_study(assemble_kernel(s, d), sigma=1.0, M_list=[101])
+
+    def test_explicit_kernel_rejected(self):
+        # like every risk term, the study needs a Mercer kernel's spectrum and factor
+        with pytest.raises(InvalidParameterError):
+            truncation_study(KernelMatrix.from_entries(np.eye(2)), sigma=1.0, M_list=[3])
