@@ -100,7 +100,8 @@ def main(argv=None) -> int:
             plotting.render_plot(report, args.plot, y_field=y_field,
                                  log_x=True, log_y=log_y)
         return 0
-    except (NumericError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (NumericError, np.linalg.LinAlgError, FloatingPointError,
+            OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except (OverfitLabError, OSError) as exc:

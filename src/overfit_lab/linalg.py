@@ -30,7 +30,10 @@ G's.  Values are produced by one of three routes, recorded in
   of K's entries catches most such failures before the eigensolver runs
   (``KernelMatrix._decompose``).
 * ``"gesdd"`` -- everything else: NumPy's divide-and-conquer SVD of G, whose
-  absolute error is about eps * s_max.
+  absolute error is about eps * s_max.  Values only of a tall factor take R
+  of a Householder QR of G first, by tall-skinny QR (``_values_only_svd``), and
+  then the divide-and-conquer SVD of R; both steps are backward stable, so
+  the absolute error stays about eps * s_max.
 
 The same bound covers the outputs of a full solve on the ``gram_eigh``
 route.  To first order in dK, the dual G K^-1 y moves by
@@ -74,6 +77,7 @@ import glob
 import math
 import os
 import threading
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -331,7 +335,7 @@ class KernelMatrix:
         if full:
             u, s, vh = np.linalg.svd(g, full_matrices=False)
             return _Decomposition(s, s * s, "gesdd", None, vh.T, u)
-        s = np.linalg.svd(g, compute_uv=False)
+        s = _values_only_svd(g)
         return _Decomposition(s, s * s, "gesdd")
 
     def dual(self, y) -> np.ndarray:
@@ -504,21 +508,83 @@ def _jacobi_svd(g: np.ndarray, want_vectors: bool):
     return (u, s, v) if want_vectors else (None, s, None)
 
 
+def _values_only_svd(g: np.ndarray) -> np.ndarray:
+    """Singular values of the factor ``g``, descending.
+
+    For a tall M x N factor they are the singular values of R from a
+    Householder QR of G, taken by tall-skinny QR (TSQR): LAPACK ``dgeqrt``
+    factors the first N rows, then ``dtpqrt`` (with ``l = 0``) folds each
+    further block of N rows (the last one may be shorter) into R.  The block
+    rule: N-row blocks and an inner block size of min(N, 32) columns.  The
+    workspace is O(N^2) (R, one block, T and the work array), where numpy's
+    gesdd copies all of G; R's strictly lower triangle, which holds
+    Householder vectors, is zeroed in place before the SVD of R.  Wide
+    factors, and any BLAS other than numpy's bundled OpenBLAS, take numpy's
+    SVD of G itself.
+    """
+    m, n = g.shape
+    blas = _numpy_openblas()
+    if blas is None or not 0 < n <= m:
+        return np.linalg.svd(g, compute_uv=False)
+    nb = min(n, 32)
+    r = np.empty((n, n), order="F")
+    block = np.empty((n, n), order="F")
+    t = np.empty((nb, n), order="F")
+    work = np.empty(nb * n)
+    r[...] = g[:n]
+    with single_threaded_blas():
+        failed = blas.dgeqrt(_COL_MAJOR, n, n, nb, r.ctypes.data, n,
+                             t.ctypes.data, nb, work.ctypes.data)
+        for i in range(n, m, n):
+            rows = min(n, m - i)
+            block[:rows] = g[i:i + rows]
+            failed = blas.dtpqrt(_COL_MAJOR, rows, n, 0, nb, r.ctypes.data, n,
+                                 block.ctypes.data, n, t.ctypes.data, nb,
+                                 work.ctypes.data) or failed
+        if failed:
+            raise NumericError(f"TSQR of the factor failed (info={failed})")
+        for j in range(n - 1):
+            r[j + 1:, j] = 0.0
+        return np.linalg.svd(r, compute_uv=False)
+
+
+_COL_MAJOR = 102  # LAPACKE's matrix_layout code for Fortran order
+
+
+class _OpenBLAS(NamedTuple):
+    """Entry points of numpy's bundled OpenBLAS (``_numpy_openblas``)."""
+
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+    dgeqrt: Callable[..., int]  # LAPACKE_dgeqrt_work
+    dtpqrt: Callable[..., int]  # LAPACKE_dtpqrt_work
+
+
 @cache
-def _numpy_openblas():
-    """(get, set) thread-count functions of the scipy-openblas numpy bundles
-    in ``numpy.libs/``, or None on any other BLAS.  Resolved on first use."""
+def _numpy_openblas() -> _OpenBLAS | None:
+    """The thread-count functions and the ``dgeqrt``/``dtpqrt`` LAPACKE work
+    routines of the scipy-openblas numpy bundles in ``numpy.libs/`` (64-bit
+    integers), or None on any other BLAS.  Resolved on first use."""
     libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                                   "numpy.libs", "libscipy_openblas64_*"))
     try:
         lib = ctypes.CDLL(libs[0])  # the copy numpy loaded: same file, same handle
-        get, set_ = (lib.scipy_openblas_get_num_threads64_,
-                     lib.scipy_openblas_set_num_threads64_)
+        blas = _OpenBLAS(lib.scipy_openblas_get_num_threads64_,
+                         lib.scipy_openblas_set_num_threads64_,
+                         lib.scipy_LAPACKE_dgeqrt_work64_,
+                         lib.scipy_LAPACKE_dtpqrt_work64_)
     except (IndexError, OSError, AttributeError):
         return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    blas.get_threads.argtypes, blas.get_threads.restype = [], ctypes.c_int
+    blas.set_threads.argtypes, blas.set_threads.restype = [ctypes.c_int], None
+    # (layout, m, n, nb, a, lda, t, ldt, work)
+    blas.dgeqrt.argtypes = [ctypes.c_int, i64, i64, i64, ptr, i64, ptr, i64, ptr]
+    # (layout, m, n, l, nb, a, lda, b, ldb, t, ldt, work)
+    blas.dtpqrt.argtypes = [ctypes.c_int, i64, i64, i64, i64, ptr, i64, ptr, i64,
+                            ptr, i64, ptr]
+    blas.dgeqrt.restype = blas.dtpqrt.restype = i64
+    return blas
 
 
 _blas_lock = threading.Lock()
@@ -540,7 +606,7 @@ def single_threaded_blas():
     if blas is None:
         yield
         return
-    get, set_ = blas
+    get, set_ = blas.get_threads, blas.set_threads
     with _blas_lock:
         if _blas_users == 0:
             _blas_saved = get()

@@ -190,17 +190,20 @@ def truncation_study(K_full: KernelMatrix, sigma: float, M_list) -> list[dict]:
     truncation_gap, truncation_bound, bound_holds``: |V - V(M)| next to the
     bound 3 V(M) + sigma^2/N and whether it holds.
     """
+    K_full._require_factor()  # explicit kernels (no spectrum) raise InvalidParameterError
     n = K_full.size
-    v_full = variance_closed_form(K_full, sigma)  # explicit kernels raise here
     s_full = K_full.spectrum
-    rows = []
-    for m in M_list:
-        m = int(m)
+    levels = [int(m) for m in M_list]
+    # every level is checked before the full-rank variance is paid for
+    for m in levels:
         if m <= n:
             raise InvalidParameterError(f"truncation level M={m} must exceed N={n}")
         if m > s_full.size:
             raise InvalidParameterError(
                 f"truncation level M={m} exceeds M_full={s_full.size}")
+    v_full = variance_closed_form(K_full, sigma)
+    rows = []
+    for m in levels:
         # a row prefix of Lambda^{1/2} Psi is the truncated factor, bit for bit
         K_m = KernelMatrix(K_full.factor[:m], Spectrum(s_full.eigenvalues[:m], "custom"))
         v_m = variance_closed_form(K_m, sigma)

@@ -348,6 +348,18 @@ class TestCli:
         assert cli.main(["condnum", "--out", str(tmp_path / "x.csv"),
                          "--n_grid", "8", "--trials", "1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["learning-curve", "--sigma", "1e300"],
+        ["kernel-interp", "--kernel", "gaussian_rbf", "--bandwidth", "1e300"],
+    ])
+    def test_overflow_exit_code(self, tmp_path, capsys, argv):
+        # a float power that overflows (sigma**2, bandwidth**2) raises
+        # OverflowError: a numeric failure, not a crash
+        code = cli.main([*argv, "--out", str(tmp_path / "x.csv"),
+                         "--n-grid", "8", "--trials", "1"])
+        assert code == 2
+        assert "numeric failure" in capsys.readouterr().err
+
     @pytest.mark.parametrize("subcommand", ["learning-curve", "smin-study"])
     def test_pool_thread_failure_exit_code(self, tmp_path, monkeypatch, capsys,
                                            subcommand):
@@ -366,6 +378,23 @@ class TestCli:
         assert code == 2
         assert "synthetic draw failure" in capsys.readouterr().err
         assert threads and threading.main_thread() not in threads
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_factor_exit_code(self, tmp_path, monkeypatch, capsys, bad):
+        # a non-finite design entry fails the Gram route's trace check and
+        # then the factor SVD: exit 2
+        real = experiments.fill_design
+
+        def spoiled_fill(law, out, seed):
+            real(law, out, seed)
+            out[-1, 0] = bad
+            return out
+
+        monkeypatch.setattr(experiments, "fill_design", spoiled_fill)
+        code = cli.main(["smin-study", "--out", str(tmp_path / "x.csv"),
+                         "--n_grid", "16", "--trials", "1"])
+        assert code == 2
+        assert "numeric failure" in capsys.readouterr().err
 
     def test_nan_record_exit_code(self, tmp_path, monkeypatch, capsys):
         # a NaN reaching a TrialRecord is a numeric failure of that trial

@@ -422,7 +422,7 @@ def blas_threads():
         info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         pytest.skip(f"numpy's BLAS is {info.get('name')} {info.get('version')}, "
                     "not the bundled scipy-openblas")
-    get, set_ = blas
+    get, set_ = blas.get_threads, blas.set_threads
     before = get()
     set_(3)  # neither the sweep's 1 nor OpenBLAS's default on two cores
     yield get

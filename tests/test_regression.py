@@ -3,6 +3,7 @@ import pytest
 
 from conftest import mc_noise_variance
 from test_linalg import _smin_grid_design, _steep_design
+from overfit_lab import regression
 from overfit_lab.errors import (
     InvalidParameterError,
     RankDeficientKernelWarning,
@@ -427,6 +428,23 @@ class TestTruncation:
             truncation_study(assemble_kernel(s, d), sigma=1.0, M_list=[10])
         with pytest.raises(InvalidParameterError):
             truncation_study(assemble_kernel(s, d), sigma=1.0, M_list=[101])
+
+    @pytest.mark.parametrize("levels", [[10], [20, 10], [20, 101]])
+    def test_levels_checked_before_any_variance(self, monkeypatch, levels):
+        # an invalid level fails before the full-rank variance (or that of a
+        # valid level listed before it) is computed
+        calls = []
+
+        def counting(K, sigma):
+            calls.append(K.size)
+            return variance_closed_form(K, sigma)
+
+        monkeypatch.setattr(regression, "variance_closed_form", counting)
+        s = make_spectrum("polynomial", 1.0, 100)
+        K = assemble_kernel(s, sample_design(GAUSSIAN, 100, 10, seed=1))
+        with pytest.raises(InvalidParameterError):
+            truncation_study(K, sigma=1.0, M_list=levels)
+        assert calls == []
 
     def test_explicit_kernel_rejected(self):
         # like every risk term, the study needs a Mercer kernel's spectrum and factor
