@@ -16,7 +16,6 @@ import numpy as np
 
 from overfit_lab import (
     ExperimentConfig,
-    FeatureLaw,
     assemble_kernel,
     make_spectrum,
     render_plot,
@@ -56,11 +55,11 @@ for n in cfg.n_grid:
 n = 128
 s = make_spectrum("polynomial", 1.0, 10 * n)
 for law in ("gaussian", "cosine"):
-    d = sample_design(FeatureLaw(law), 10 * n, n, seed=1)
-    summary = singular_extremes(assemble_kernel(s, d))
+    psi = sample_design(law, 10 * n, n, seed=1).entries
+    summary = singular_extremes(assemble_kernel(s, psi))
     write_singular_values_csv(summary.full_singular_values,
                               OUT / f"singular_values_{law}.csv")
-    diag = row_norm_diagnostics(d, n)
+    diag = row_norm_diagnostics(psi, n)
     print(f"\n{law}: s_min(K)={summary.s_min:.3e}  n*lambda_n={n*s.eigenvalues[n-1]:.3e}"
           f"  min P_i^2={diag.min_p_squared:.4f}")
 

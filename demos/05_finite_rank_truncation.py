@@ -13,7 +13,6 @@ from pathlib import Path
 
 from overfit_lab import (
     ExperimentConfig,
-    FeatureLaw,
     assemble_kernel,
     make_spectrum,
     run_experiment,
@@ -27,7 +26,7 @@ OUT.mkdir(exist_ok=True)
 
 n = 64
 s = make_spectrum("polynomial", 1.0, 100 * n)
-K = assemble_kernel(s, sample_design(FeatureLaw("gaussian"), 100 * n, n, seed=3))
+K = assemble_kernel(s, sample_design("gaussian", 100 * n, n, seed=3).entries)
 print(f"single design, N={n}, full rank M={100*n}:")
 print(f"{'M':>7s} {'V(M)':>10s} {'|V-V(M)|':>12s} {'3V(M)+s^2/N':>13s} {'holds':>6s}")
 for row in truncation_study(K, sigma=1.0, M_list=[2 * n, 4 * n, 10 * n, 40 * n]):

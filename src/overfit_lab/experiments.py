@@ -60,8 +60,6 @@ from .features import (
     INPUT_DOMAINS,
     KERNEL_KINDS,
     AnalyticKernel,
-    DesignMatrix,
-    FeatureLaw,
     InputDomain,
     fill_design,
     kernel_cross,
@@ -194,8 +192,10 @@ class ExperimentConfig:
 class TrialRecord:
     """One trial's measured quantities; unused fields stay None.
 
-    A NaN field is a numeric failure of the trial that produced it and raises
-    NumericError naming the trial.
+    A NaN or infinite field is a numeric failure of the trial that produced
+    it and raises NumericError naming the trial, except that
+    ``condition_number`` is +inf when s_min is (or is cut to) 0 and
+    ``ratio_to_theory``, its quotient by the predicted scale, is +inf with it.
     """
 
     experiment: str
@@ -225,10 +225,12 @@ class TrialRecord:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, float) and math.isnan(v):
+            if isinstance(v, float) and not math.isfinite(v) and (
+                    math.isnan(v)
+                    or f.name not in ("condition_number", "ratio_to_theory")):
                 raise NumericError(
                     f"trial {self.trial} (N={self.N}, seed {self.seed}): "
-                    f"record field {f.name} is NaN"
+                    f"record field {f.name} is {v}"
                 )
 
 
@@ -337,7 +339,7 @@ def _condnum_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:
     theory = theoretical_condition_ratio(s, n, regime)
     seed = _seed(cfg, n, t)
     # the kernel keeps only G, so Psi is freed once it is assembled
-    ext = _extremes(assemble_kernel(s, sample_design(FeatureLaw(cfg.law), m, n, seed)))
+    ext = _extremes(assemble_kernel(s, sample_design(cfg.law, m, n, seed).entries))
     return [_record(cfg, n, m, t, seed, **ext,
                     ratio_to_theory=ext["condition_number"] / theory)]
 
@@ -352,27 +354,27 @@ def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRe
     rule is in the module docstring).
 
     At most one M x N copy of the training design outlives the labels: Psi
-    is dropped once the labels are taken (the kernel keeps only G), and the
-    test factor once the MSE is, so neither coexists with the M x N left
-    vectors the variance forms.
+    is dropped once the clean labels are taken (the kernel keeps only G), and
+    the test factor once the MSE is, so neither coexists with the M x N left
+    vectors the variance forms.  The clean labels are taken once: the noisy
+    labels add noise to them, and the bias regresses them.
     """
     m = cfg.feature_count(n)
     s = make_spectrum(cfg.spectrum, cfg.a, m)
     theta_rng = np.random.default_rng(_seed(cfg, n, -1, "theta"))
     target = TargetModel(theta_rng.standard_normal(m), cfg.sigma)
-    law = FeatureLaw(cfg.law)
     seed = _seed(cfg, n, t)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        draw = pool.submit(_draw_test_factor, law, s, np.empty((m, cfg.n_test)),
+        draw = pool.submit(_draw_test_factor, cfg.law, s, np.empty((m, cfg.n_test)),
                            _seed(cfg, n, t, "test"))
-        d = sample_design(law, m, n, seed)
-        K = assemble_kernel(s, d)
-        y = synthesize_labels(d, s, target, _seed(cfg, n, t, "noise"))
-        clean = clean_labels(d, s, target)
-        del d
-        f = fit_ridgeless(K, y)
+        psi = sample_design(cfg.law, m, n, seed).entries
+        K = assemble_kernel(s, psi)
+        clean = clean_labels(psi, s, target)
+        del psi
+        y = synthesize_labels(clean, target.sigma, _seed(cfg, n, t, "noise"))
+        dual = fit_ridgeless(K, y)
     # the pool has joined, so the Future holds the test factor's only reference
-    mse = regression.empirical_test_error(f, target, draw.result())
+    mse = regression.empirical_test_error(dual, target, draw.result())
     del draw
     # after the fit, so the values are read from the full record it cached
     return [_record(cfg, n, m, t, seed, mse=mse,
@@ -381,7 +383,7 @@ def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRe
                     **_extremes(K))]
 
 
-def _draw_test_factor(law: FeatureLaw, s, out, seed):
+def _draw_test_factor(law: str, s, out, seed):
     """G_test = Lambda^{1/2} Psi_test drawn into ``out``: the same bits as
     ``mercer_factor`` of a ``sample_design`` draw.  Runs on a pool thread,
     under the pool rule in the module docstring."""
@@ -403,9 +405,8 @@ def _smin_study_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord
     ``FEATURE_LAWS`` order, each law with its own seed.
     """
     m = cfg.feature_count(n)
-    laws = [FeatureLaw(kind) for kind in
-            ("uniform_subgaussian", "gaussian", "cosine", "sine")]
-    seeds = [_seed(cfg, n, t, law.kind) for law in laws]
+    laws = ("uniform_subgaussian", "gaussian", "cosine", "sine")
+    seeds = [_seed(cfg, n, t, law) for law in laws]
     records = {}
     with ThreadPoolExecutor(max_workers=1) as pool:
         def draw(i):
@@ -417,13 +418,12 @@ def _smin_study_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord
         for i, law in enumerate(laws):
             psi = pending.result()
             pending = draw(i + 1) if i + 1 < len(laws) else None
-            # a read-only view, so psi itself stays writable for the scaling
-            diag = row_norm_diagnostics(DesignMatrix(psi.view(), law), n)
+            diag = row_norm_diagnostics(psi, n)
             # psi becomes G in place; the next result() rebinds it before the
             # draw after that allocates, so no third M x N buffer appears
             ext = _extremes(KernelMatrix(mercer_factor(s, psi, out=psi), s))
-            records[law.kind] = _record(
-                cfg, n, m, t, seeds[i], law=law.kind, **ext,
+            records[law] = _record(
+                cfg, n, m, t, seeds[i], law=law, **ext,
                 s_min_over_n_lambda_n=ext["s_min"] / (n * lam_n),
                 s_min_over_n=ext["s_min"] / n,
                 min_p_squared=diag.min_p_squared,
@@ -487,7 +487,7 @@ def _truncation_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord
               if m > n]
     seed = _seed(cfg, n, t)
     # the kernel keeps only G, so Psi is freed before the variances
-    K_full = assemble_kernel(s_full, sample_design(FeatureLaw(cfg.law), m_full, n, seed))
+    K_full = assemble_kernel(s_full, sample_design(cfg.law, m_full, n, seed).entries)
     return [_record(cfg, n, m_full, t, seed, **row)
             for row in truncation_study(K_full, cfg.sigma, m_list)]
 

@@ -1,6 +1,7 @@
 """Feature sampling and analytic kernels.
 
-Design matrices hold one feature vector per column: ``entries[k, i]`` is the
+A feature law is a name in ``FEATURE_LAWS``, and a design is an M x N
+float64 array holding one feature vector per column: ``psi[k, i]`` is the
 value of feature k at input i.  Independent laws (gaussian, uniform) draw the
 entries i.i.d.; the dependent laws (cosine, sine) evaluate a deterministic
 feature map at randomly drawn scalar inputs, which couples the entries of
@@ -8,13 +9,13 @@ each column.
 
 ``fill_design(law, out, seed)`` draws a design into a caller's M x N buffer
 and is the one sampler: ``sample_design`` allocates that buffer with
-``np.empty`` and wraps it.  The fill writes the RNG output straight into the
-buffer (``standard_normal(out=)``; ``random(out=)`` scaled in place to
-low + (high - low) u, numpy's ``uniform``; the phases multiplied into
-``out``, then ``cos``/``sin`` in place), which is bit-for-bit what the
-allocating expressions give and leaves no M x N temporary.  Its M x N work
-(RNG fills and elementwise ufuncs) releases the GIL and it makes no BLAS
-call, so a pool thread may run it.
+``np.empty`` and returns it read-only as ``DesignMatrix.entries``.  The fill
+writes the RNG output straight into the buffer (``standard_normal(out=)``;
+``random(out=)`` scaled in place to low + (high - low) u, numpy's
+``uniform``; the phases multiplied into ``out``, then ``cos``/``sin`` in
+place), which is bit-for-bit what the allocating expressions give and leaves
+no M x N temporary.  Its M x N work (RNG fills and elementwise ufuncs)
+releases the GIL and it makes no BLAS call, so a pool thread may run it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, InvariantViolationError, ShapeError
+from .linalg import KernelMatrix
 
 FEATURE_LAWS = ("gaussian", "uniform_subgaussian", "cosine", "sine")
 INPUT_DOMAINS = ("std_normal_1d", "unit_disk_2d", "unit_circle_2d", "uniform_interval")
@@ -52,26 +54,15 @@ class InputDomain:
 
 
 @dataclass(frozen=True)
-class FeatureLaw:
-    """How the columns of a design matrix are drawn.
+class DesignMatrix:
+    """A drawn M x N design, read-only in ``entries``.
 
-    gaussian and uniform_subgaussian are isotropic with independent entries;
-    cosine and sine are isotropic with dependent entries.
+    Every consumer takes the array itself; this wrapper is only what
+    ``sample_design`` returns, because the benchmark's design-bytes counter
+    reads ``entries.size`` of that return.
     """
 
-    kind: str = "gaussian"
-
-    def __post_init__(self):
-        if self.kind not in FEATURE_LAWS:
-            raise InvalidParameterError(f"unknown feature law {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Realized M x N feature block plus the law it came from."""
-
     entries: np.ndarray
-    law: FeatureLaw
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=np.float64)
@@ -79,14 +70,6 @@ class DesignMatrix:
             raise ShapeError("design entries must be a 2-d array")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-
-    @property
-    def num_features(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def num_samples(self) -> int:
-        return self.entries.shape[1]
 
 
 @dataclass(frozen=True)
@@ -145,30 +128,35 @@ def fourier_design(x: np.ndarray, M: int, kind: str, out=None) -> np.ndarray:
     return out
 
 
-def fill_design(law: FeatureLaw, out: np.ndarray, seed) -> np.ndarray:
-    """Draw an M x N design under ``law`` into the float64 buffer ``out``.
+def fill_design(law: str, out: np.ndarray, seed) -> np.ndarray:
+    """Draw an M x N design under the law named ``law`` into the float64
+    buffer ``out``.
 
     Deterministic in ``seed``; ``sample_design`` is this fill into a new
-    buffer.  Returns ``out``.
+    buffer.  A name outside FEATURE_LAWS raises InvalidParameterError before
+    anything is drawn.  Returns ``out``.
     """
+    if law not in FEATURE_LAWS:
+        raise InvalidParameterError(f"unknown feature law {law!r}")
     rng = np.random.default_rng(seed)
-    if law.kind == "gaussian":
+    if law == "gaussian":
         rng.standard_normal(out=out)
-    elif law.kind == "uniform_subgaussian":
+    elif law == "uniform_subgaussian":
         rng.random(out=out)
         out *= SQRT3 - (-SQRT3)
         out += -SQRT3
     else:  # cosine or sine
         x = sample_inputs(InputDomain("uniform_interval", 0.0, TWO_PI), out.shape[1], rng)
-        fourier_design(x[:, 0], out.shape[0], law.kind, out)
+        fourier_design(x[:, 0], out.shape[0], law, out)
     return out
 
 
-def sample_design(law: FeatureLaw, M: int, N: int, seed) -> DesignMatrix:
-    """Draw an M x N design matrix under ``law``, deterministically in ``seed``."""
+def sample_design(law: str, M: int, N: int, seed) -> DesignMatrix:
+    """Draw an M x N design under the law named ``law``, deterministically in
+    ``seed``."""
     if M < 1 or N < 1:
         raise InvalidParameterError("design dimensions must be positive")
-    return DesignMatrix(fill_design(law, np.empty((M, N)), seed), law)
+    return DesignMatrix(fill_design(law, np.empty((M, N)), seed))
 
 
 def ntk_kappa0(t):
@@ -216,8 +204,6 @@ def kernel_gram(kernel: AnalyticKernel, X):
     Returned as an explicit :class:`overfit_lab.linalg.KernelMatrix`
     (``from_entries``: no factor or spectrum).
     """
-    from .linalg import KernelMatrix  # deferred; linalg imports features types
-
     X = _as_points(X, kernel.dimension)
     if not np.all(np.isfinite(X)):
         raise InvariantViolationError("kernel inputs must be finite")

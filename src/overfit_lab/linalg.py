@@ -56,7 +56,12 @@ the SVD routes, G's left singular vectors.  An explicit matrix has only the
 full record.  Neither cache writes the other; each may read it.  Values
 requested after a full decomposition reuse it, and a full decomposition
 after values that failed the certificate (``"gesdd"``) skips ``eigh``.  So
-the values reported do not depend on call order.
+the route does not depend on call order, and one kernel reports the same
+values before and after its fit.  Two kernels of one factor, one measured
+first and one fitted first, agree within the route's bound, not bit for
+bit: ``eigvalsh`` and ``eigh`` on ``"gram_eigh"``, TSQR and the full gesdd
+on ``"gesdd"``, and dgejsv with and without vectors on ``"jacobi"`` differ
+in their last bits.
 
 Pseudo-inverse solves, duals and variances all read the full record, whose
 ``keep`` mask is the pseudo-inverse cutoff policy, computed once there:
@@ -92,7 +97,6 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .features import DesignMatrix
 from .spectra import Spectrum
 
 # lambda_1/lambda_min spread beyond which the factor SVD switches to the
@@ -390,10 +394,10 @@ def mercer_factor(s: Spectrum, entries, out=None) -> np.ndarray:
     return np.multiply(np.sqrt(s.eigenvalues)[:, None], entries, out=out)
 
 
-def assemble_kernel(s: Spectrum, d: DesignMatrix) -> KernelMatrix:
-    """Build K = Psi^T Lambda Psi as G^T G with G = Lambda^{1/2} Psi; the
-    kernel keeps G, not ``d``."""
-    return KernelMatrix(mercer_factor(s, d.entries), s)
+def assemble_kernel(s: Spectrum, psi) -> KernelMatrix:
+    """Build K = Psi^T Lambda Psi as G^T G with G = Lambda^{1/2} Psi from the
+    M x N design ``psi``; the kernel keeps G, not ``psi``."""
+    return KernelMatrix(mercer_factor(s, psi), s)
 
 
 def singular_extremes(K: KernelMatrix) -> SpectrumSummary:
@@ -430,16 +434,17 @@ def singular_extremes(K: KernelMatrix) -> SpectrumSummary:
     )
 
 
-def row_norm_diagnostics(d: DesignMatrix, N: int | None = None) -> RowNormDiagnostics:
-    """P_i = sqrt(mean of squared tail entries) per column, tail = rows > N."""
-    if N is None:
-        N = d.num_samples
+def row_norm_diagnostics(psi, N: int) -> RowNormDiagnostics:
+    """P_i = sqrt(mean of squared tail entries) per column of the M x N design
+    ``psi``, tail = rows > N."""
+    if np.ndim(psi) != 2:
+        raise ShapeError(f"design must be 2-d, got shape {np.shape(psi)}")
     if N < 0:
         raise InvalidParameterError(f"tail offset N must be >= 0, got {N}")
-    m = d.num_features
+    m = len(psi)
     if m <= N:
         raise InsufficientTailError(f"need M > N for a tail block, got M={m}, N={N}")
-    tail = d.entries[N:, :]
+    tail = psi[N:, :]
     p = np.sqrt(np.einsum("ki,ki->i", tail, tail) / (m - N))
     p.setflags(write=False)
     return RowNormDiagnostics(p_values=p, min_p_squared=float(np.min(p) ** 2))

@@ -4,20 +4,22 @@ The target function is f*(x) = <theta, Lambda^{1/2} psi(x)>, so clean labels
 are G^T theta with G the training factor.  Test error is always measured
 against the noise-free f* on fresh inputs.
 
-Numerical note: predictions go through the dual vector w = G K^+ y (so
-K_x^T alpha = G_test^T w), ``KernelMatrix.dual``.  With steep spectra the
-coefficient vector alpha = K^+ y has entries of magnitude up to 1/lambda_N
-and G alpha cancels catastrophically, so there the dual is formed as
-U Sigma^-1 V^T y, whose partial sums never exceed the result's own scale;
+A fit is its dual vector w = G K^+ y (``KernelMatrix.dual``), which
+``fit_ridgeless(K, y)`` returns; the prediction at the columns of a test
+factor G_test is G_test^T w = K_x^T alpha.  Numerical note: with steep
+spectra the coefficient vector alpha = K^+ y has entries of magnitude up to
+1/lambda_N and G alpha cancels catastrophically, so there the dual is formed
+as U Sigma^-1 V^T y, whose partial sums never exceed the result's own scale;
 on the certified Gram route it is G alpha (see the ``linalg`` docstring).
 
 Everything here takes the training kernel and reads its ``spectrum`` and
 factor, ``truncation_study(K_full, sigma, M_list)`` included; the
 pseudo-inverse (kept modes and dual) is the kernel's own,
-``KernelMatrix.dual``.  The kernel does not keep the design Psi, so a term
-that needs Psi takes what it needs from the caller: the bias takes the clean
-labels ``clean_labels(d, s, t)`` = G^T theta.  The risk terms are
-``empirical_test_error(f, t, test_factor)``, ``population_bias(K, t,
+``KernelMatrix.dual``.  The kernel does not keep the design Psi, so the
+caller takes the clean labels ``clean_labels(psi, s, t)`` = G^T theta from
+the M x N design array before dropping it; ``synthesize_labels(clean, sigma,
+seed)`` adds noise to them, and the bias regresses them.  The risk terms are
+``empirical_test_error(dual, t, test_factor)``, ``population_bias(K, t,
 clean)`` and ``variance_closed_form(K, sigma)``.  The empirical MSE takes an
 M x n_test test factor G_test = Lambda^{1/2} Psi_test drawn by the caller
 (``mercer_factor(s, sample_design(...).entries)``), so where and when the
@@ -44,9 +46,8 @@ from .errors import (
     RankDeficientKernelWarning,
     ShapeError,
 )
-from .features import DesignMatrix
 from .features import sample_design  # noqa: F401 -- bench/spans.py wraps this name
-from .linalg import KernelMatrix, mercer_factor, min_norm_solve
+from .linalg import KernelMatrix, min_norm_solve
 from .spectra import Spectrum
 
 
@@ -67,62 +68,50 @@ class TargetModel:
             raise NumericError("theta_star has non-finite entries")
 
 
-@dataclass(frozen=True)
-class Interpolant:
-    """Fitted minimum-norm interpolant: its training kernel and the dual
-    ``kernel.dual(y)`` of the fitted labels, so predictions are G_test^T dual."""
-
-    kernel: KernelMatrix
-    dual: np.ndarray
-
-
-def clean_labels(d: DesignMatrix, s: Spectrum, t: TargetModel) -> np.ndarray:
-    """Noise-free labels f*(x_i) = theta^T Lambda^{1/2} Psi_i."""
-    if s.size != d.num_features or t.theta_star.size != s.size:
+def clean_labels(psi, s: Spectrum, t: TargetModel) -> np.ndarray:
+    """Noise-free labels f*(x_i) = theta^T Lambda^{1/2} Psi_i of the M x N
+    design ``psi``."""
+    if np.ndim(psi) != 2 or s.size != len(psi) or t.theta_star.size != s.size:
         raise ShapeError(
-            f"inconsistent sizes: spectrum {s.size}, design {d.num_features} "
-            f"features, theta {t.theta_star.size}"
+            f"inconsistent sizes: spectrum {s.size}, design of shape "
+            f"{np.shape(psi)}, theta {t.theta_star.size}"
         )
-    return (np.sqrt(s.eigenvalues) * t.theta_star) @ d.entries
+    return (np.sqrt(s.eigenvalues) * t.theta_star) @ psi
 
 
-def synthesize_labels(d: DesignMatrix, s: Spectrum, t: TargetModel, seed) -> np.ndarray:
-    """y_i = theta^T Lambda^{1/2} Psi_i + eps_i with eps ~ N(0, sigma^2)."""
-    clean = clean_labels(d, s, t)
-    if t.sigma == 0.0:
+def synthesize_labels(clean, sigma: float, seed) -> np.ndarray:
+    """y_i = clean_i + eps_i with eps ~ N(0, sigma^2); ``clean`` itself when
+    sigma is 0."""
+    if sigma == 0.0:
         return clean
     rng = np.random.default_rng(seed)
-    return clean + t.sigma * rng.standard_normal(d.num_samples)
+    return clean + sigma * rng.standard_normal(len(clean))
 
 
-def fit_ridgeless(K: KernelMatrix, y) -> Interpolant:
-    """Minimum-norm interpolant of (training inputs, y) under Mercer kernel K.
+def fit_ridgeless(K: KernelMatrix, y) -> np.ndarray:
+    """Minimum-norm interpolant of (training inputs, y) under Mercer kernel K,
+    as its dual ``K.dual(y)``: predictions at test columns are G_test^T dual.
 
     The solve validates y; its rank and consistency flags are not kept
     (``min_norm_solve(K, y)`` returns them, and ``bench/spans.py`` counts
-    them there).  Predictions go through the dual.
+    them there).
     """
     min_norm_solve(K, y)
-    return Interpolant(K, K.dual(y))
+    return K.dual(y)
 
 
-def predict(f: Interpolant, test_design: DesignMatrix) -> np.ndarray:
-    """Evaluate K_x^T alpha at each test column, through the stable dual."""
-    return mercer_factor(f.kernel.spectrum, test_design.entries).T @ f.dual
+def empirical_test_error(dual, t: TargetModel, test_factor) -> float:
+    """MSE of the interpolant with dual ``dual`` against the noise-free target
+    at the columns of the test factor G_test = Lambda^{1/2} Psi_test
+    (M x n_test)."""
+    return _test_mse(_check_test_factor(len(dual), test_factor), dual, t.theta_star)
 
 
-def empirical_test_error(f: Interpolant, t: TargetModel, test_factor) -> float:
-    """MSE of the interpolant against the noise-free target at the columns
-    of the test factor G_test = Lambda^{1/2} Psi_test (M x n_test)."""
-    return _test_mse(_check_test_factor(f.kernel.spectrum, test_factor),
-                     f.dual, t.theta_star)
-
-
-def _check_test_factor(s: Spectrum, test_factor) -> np.ndarray:
+def _check_test_factor(rows: int, test_factor) -> np.ndarray:
     g = np.asarray(test_factor, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] != s.size:
+    if g.ndim != 2 or g.shape[0] != rows:
         raise ShapeError(
-            f"test factor has shape {g.shape}, expected {s.size} rows"
+            f"test factor has shape {g.shape}, expected {rows} rows"
         )
     if g.shape[1] < 1:
         raise InvalidParameterError("test factor needs at least one column")
@@ -177,7 +166,7 @@ def bias_monte_carlo(K: KernelMatrix, t: TargetModel, clean, test_factor) -> flo
     law.
     """
     K._require_factor()  # explicit kernels (no spectrum) raise InvalidParameterError
-    g = _check_test_factor(K.spectrum, test_factor)
+    g = _check_test_factor(K.spectrum.size, test_factor)
     return _test_mse(g, K.dual(clean), t.theta_star)
 
 

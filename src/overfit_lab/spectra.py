@@ -34,11 +34,10 @@ UNDERFLOW_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Non-increasing positive eigenvalues plus decay metadata."""
+    """Non-increasing positive eigenvalues and the name of their family."""
 
     eigenvalues: np.ndarray
     kind: str
-    decay_parameter: float = 0.0
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -100,22 +99,7 @@ def make_spectrum(kind, a=1.0, M=None, eigenvalues=None) -> Spectrum:
         lam = 1.0 / ((k + 1.0) * np.log(k + 1.0) ** a)
     else:
         raise InvalidParameterError(f"unknown spectrum kind {kind!r}")
-    return Spectrum(lam, kind, float(a))
-
-
-def effective_rank(s: Spectrum, l: int, N: int) -> float:
-    """Tail-mass ratio sum(lambda_k, k > l) / (N * lambda_{l+1}).
-
-    Measures the strength of the implicit regularization that the spectral
-    tail beyond level ``l`` exerts at sample size ``N``.
-    """
-    if N < 1:
-        raise InvalidParameterError("N must be at least 1")
-    if l < 0 or l >= s.size:
-        raise IndexError(f"level l={l} outside [0, {s.size})")
-    lam = s.eigenvalues
-    tail = float(np.sum(lam[l:]))  # lam[l] is lambda_{l+1} in 1-based indexing
-    return tail / (N * float(lam[l]))
+    return Spectrum(lam, kind)
 
 
 def theoretical_condition_ratio(s: Spectrum, N: int, regime: str) -> float:

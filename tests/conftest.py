@@ -1,6 +1,31 @@
-"""Shared test helpers: Monte-Carlo oracles used against closed-form paths."""
+"""Shared test helpers: Monte-Carlo oracles used against closed-form paths,
+predictions of a fitted dual and the effective rank of a spectrum."""
 
 import numpy as np
+
+from overfit_lab.errors import InvalidParameterError
+from overfit_lab.linalg import mercer_factor
+
+
+def predict(s, dual, test_design):
+    """Predictions K_x^T alpha at the columns of the M x n_test design
+    ``test_design``, through the dual of ``fit_ridgeless`` under spectrum s."""
+    return mercer_factor(s, test_design).T @ dual
+
+
+def effective_rank(s, l, N):
+    """Tail-mass ratio sum(lambda_k, k > l) / (N * lambda_{l+1}).
+
+    Measures the strength of the implicit regularization that the spectral
+    tail beyond level ``l`` exerts at sample size ``N``.
+    """
+    if N < 1:
+        raise InvalidParameterError("N must be at least 1")
+    if l < 0 or l >= s.size:
+        raise IndexError(f"level l={l} outside [0, {s.size})")
+    lam = s.eigenvalues
+    tail = float(np.sum(lam[l:]))  # lam[l] is lambda_{l+1} in 1-based indexing
+    return tail / (N * float(lam[l]))
 
 
 def mc_noise_variance(kernel, spectrum, law, sigma, draws=2000, batches=20,

@@ -11,7 +11,7 @@ import pytest
 from conftest import mc_noise_variance
 from overfit_lab.csvio import write_csv
 from overfit_lab.experiments import ExperimentConfig, run_experiment
-from overfit_lab.features import DesignMatrix, FeatureLaw, sample_design
+from overfit_lab.features import sample_design
 from overfit_lab.linalg import (
     KernelMatrix,
     assemble_kernel,
@@ -22,7 +22,7 @@ from overfit_lab.regression import variance_closed_form
 from overfit_lab.spectra import make_spectrum
 
 GRID = (64, 128, 256, 512)
-GAUSSIAN = FeatureLaw("gaussian")
+GAUSSIAN = "gaussian"
 
 
 def _announce(num, ok, text):
@@ -114,7 +114,7 @@ def test_criterion_05_variance_closed_form():
                        ("exponential", 14), ("exponential", 15)):
         n, m = 64, 640
         s = make_spectrum(kind, 1.0, m)
-        d = sample_design(GAUSSIAN, m, n, seed=seed)
+        d = sample_design(GAUSSIAN, m, n, seed=seed).entries
         K = assemble_kernel(s, d)
         closed = variance_closed_form(K, sigma=1.0)
         mc = mc_noise_variance(K, s, GAUSSIAN, sigma=1.0, draws=2000,
@@ -187,9 +187,9 @@ def test_criterion_10_numerical_contracts(tmp_path):
 
     # Gram-factor equivalence at 1e-12 relative
     s = make_spectrum("polynomial", 1.0, 100)
-    d = DesignMatrix(rng.standard_normal((100, 25)), GAUSSIAN)
+    d = rng.standard_normal((100, 25))
     K2 = assemble_kernel(s, d)
-    oracle = d.entries.T @ np.diag(s.eigenvalues) @ d.entries
+    oracle = d.T @ np.diag(s.eigenvalues) @ d
     gram_rel = np.linalg.norm(K2.entries - oracle) / np.linalg.norm(oracle)
     gram_ok = gram_rel < 1e-12
     factor_sv = np.linalg.svd(K2.factor, compute_uv=False)

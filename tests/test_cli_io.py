@@ -351,13 +351,16 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["learning-curve", "--sigma", "1e300"],
         ["kernel-interp", "--kernel", "gaussian_rbf", "--bandwidth", "1e300"],
+        ["kernel-interp", "--sigma", "1e300"],
     ])
     def test_overflow_exit_code(self, tmp_path, capsys, argv):
         # a float power that overflows (sigma**2, bandwidth**2) raises
-        # OverflowError: a numeric failure, not a crash
-        code = cli.main([*argv, "--out", str(tmp_path / "x.csv"),
-                         "--n-grid", "8", "--trials", "1"])
-        assert code == 2
+        # OverflowError, and noise of 1e300 takes the kernel-interp mse to
+        # inf, which its record rejects: numeric failures, not a crash or an
+        # inf cell in the CSV
+        out = tmp_path / "x.csv"
+        code = cli.main([*argv, "--out", str(out), "--n-grid", "8", "--trials", "1"])
+        assert code == 2 and not out.exists()
         assert "numeric failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", ["learning-curve", "smin-study"])

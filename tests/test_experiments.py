@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import tracemalloc
@@ -21,7 +22,7 @@ from overfit_lab.experiments import (
     derive_seed,
     run_experiment,
 )
-from overfit_lab.features import FEATURE_LAWS, FeatureLaw, sample_design
+from overfit_lab.features import FEATURE_LAWS, sample_design
 from overfit_lab.linalg import assemble_kernel, row_norm_diagnostics, singular_extremes
 from overfit_lab.regression import TargetModel, clean_labels, fit_ridgeless
 from overfit_lab.spectra import make_spectrum
@@ -140,6 +141,18 @@ class TestAggregate:
     def test_nan_rejected_at_record_level(self):
         with pytest.raises(NumericError, match="trial 0"):
             TrialRecord("condnum", seed=1, N=8, M=80, trial=0, mse=float("nan"))
+
+    def test_only_the_condition_sentinels_may_be_infinite(self):
+        # condition_number and its quotient ratio_to_theory are +inf when
+        # s_min is cut to 0; an infinity anywhere else is a numeric failure
+        TrialRecord("condnum", seed=1, N=8, M=80, trial=0,
+                    condition_number=math.inf, ratio_to_theory=math.inf)
+        for name in ("s_max", "s_min", "s_min_over_n", "mse", "bias", "variance",
+                     "variance_full", "truncation_gap"):
+            for value in (math.inf, -math.inf):
+                with pytest.raises(NumericError, match=f"trial 0 .*{name}"):
+                    TrialRecord("condnum", seed=1, N=8, M=80, trial=0,
+                                **{name: value})
 
 
 class TestCondnum:
@@ -312,7 +325,7 @@ class TestSminStudy:
             with linalg.single_threaded_blas():
                 for law in FEATURE_LAWS:
                     seed = derive_seed(cfg.master_seed, cfg.experiment, n, t, law)
-                    d = sample_design(FeatureLaw(law), m, n, seed)
+                    d = sample_design(law, m, n, seed).entries
                     ext = singular_extremes(assemble_kernel(s, d))
                     diag = row_norm_diagnostics(d, n)
                     expected.append(TrialRecord(
@@ -560,16 +573,16 @@ class TestBlasThreads:
         (swept,) = run_experiment(cfg).records
         m = cfg.feature_count(n)
         s = make_spectrum(cfg.spectrum, cfg.a, m)
-        law = FeatureLaw(cfg.law)
-        d = sample_design(law, m, n, experiments._seed(cfg, n, 0))
+        law = cfg.law
+        d = sample_design(law, m, n, experiments._seed(cfg, n, 0)).entries
         K = assemble_kernel(s, d)
         if experiment == "learning_curve":
             # fit first: the trial reads its values after the fit
             theta = np.random.default_rng(experiments._seed(cfg, n, -1, "theta"))
             target = TargetModel(theta.standard_normal(m), cfg.sigma)
-            y = regression.synthesize_labels(d, s, target,
+            y = regression.synthesize_labels(clean_labels(d, s, target), target.sigma,
                                              experiments._seed(cfg, n, 0, "noise"))
-            duals = {"mse": fit_ridgeless(K, y).dual,
+            duals = {"mse": fit_ridgeless(K, y),
                      "bias": K.dual(clean_labels(d, s, target))}
             g_test = experiments._draw_test_factor(
                 law, s, np.empty((m, cfg.n_test)), experiments._seed(cfg, n, 0, "test"))

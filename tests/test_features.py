@@ -9,7 +9,6 @@ from overfit_lab.errors import DomainError, InvalidParameterError, ShapeError
 from overfit_lab.features import (
     FEATURE_LAWS,
     AnalyticKernel,
-    FeatureLaw,
     InputDomain,
     fill_design,
     fourier_design,
@@ -25,14 +24,14 @@ from overfit_lab.features import (
 class TestSampleDesign:
     def test_uniform_unit_variance(self):
         # law of large numbers: sample variance of 1e5 entries within 3 sigma
-        d = sample_design(FeatureLaw("uniform_subgaussian"), 500, 200, seed=4)
+        d = sample_design("uniform_subgaussian", 500, 200, seed=4)
         var = d.entries.var()
         assert 0.97 < var < 1.03
         assert np.abs(d.entries).max() <= math.sqrt(3.0)
 
     def test_gaussian_deterministic(self):
-        a = sample_design(FeatureLaw("gaussian"), 30, 7, seed=42)
-        b = sample_design(FeatureLaw("gaussian"), 30, 7, seed=42)
+        a = sample_design("gaussian", 30, 7, seed=42)
+        b = sample_design("gaussian", 30, 7, seed=42)
         assert np.array_equal(a.entries, b.entries)
 
     def test_cosine_at_zero_angle(self):
@@ -44,21 +43,25 @@ class TestSampleDesign:
         np.testing.assert_allclose(col[:, 0], np.zeros(3), atol=0)
 
     def test_cosine_law_shape_and_range(self):
-        d = sample_design(FeatureLaw("cosine"), 12, 5, seed=1)
+        d = sample_design("cosine", 12, 5, seed=1)
         assert d.entries.shape == (12, 5)
         assert np.abs(d.entries).max() <= math.sqrt(2.0) + 1e-12
 
     def test_unknown_law_rejected(self):
+        out = np.full((3, 2), np.nan)
         with pytest.raises(InvalidParameterError):
-            FeatureLaw("poisson")
+            sample_design("poisson", 3, 2, seed=0)
+        with pytest.raises(InvalidParameterError):
+            fill_design("poisson", out, seed=0)
+        assert np.isnan(out).all()  # rejected before anything is drawn
 
     def test_bad_dimensions(self):
         with pytest.raises(InvalidParameterError):
-            sample_design(FeatureLaw("gaussian"), 0, 3, seed=0)
+            sample_design("gaussian", 0, 3, seed=0)
 
     def test_cosine_isotropy(self):
         # empirical second-moment matrix of the feature vector approaches I
-        d = sample_design(FeatureLaw("cosine"), 20, 10_000, seed=3)
+        d = sample_design("cosine", 20, 10_000, seed=3)
         gram = d.entries @ d.entries.T / 10_000
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() < 0.1
@@ -68,12 +71,12 @@ class TestSampleDesign:
         # population_bias is exact only when E[psi psi^T] = I: every entry of
         # the empirical second-moment matrix lies within 6 sqrt(2/n) of I
         n = 200_000
-        d = sample_design(FeatureLaw(law), 16, n, seed=21)
+        d = sample_design(law, 16, n, seed=21)
         second = d.entries @ d.entries.T / n
         assert np.abs(second - np.eye(16)).max() <= 6 * math.sqrt(2.0 / n)
 
     def test_design_immutable(self):
-        d = sample_design(FeatureLaw("gaussian"), 3, 3, seed=0)
+        d = sample_design("gaussian", 3, 3, seed=0)
         with pytest.raises(ValueError):
             d.entries[0, 0] = 1.0
 
@@ -97,10 +100,10 @@ def _allocating_design(law, M, N, seed):
        seed=st.integers(0, 2**63 - 1))
 def test_in_place_fill_matches_allocating_draw(law, M, N, seed):
     want = _allocating_design(law, M, N, seed)
-    got = sample_design(FeatureLaw(law), M, N, seed).entries
+    got = sample_design(law, M, N, seed).entries
     assert got.shape == want.shape and np.array_equal(got, want)
     out = np.full((M, N), np.nan)
-    assert fill_design(FeatureLaw(law), out, seed) is out
+    assert fill_design(law, out, seed) is out
     assert np.array_equal(out, want)
 
 

@@ -22,8 +22,6 @@ from overfit_lab.experiments import TRIALS, ExperimentConfig, derive_seed
 from overfit_lab.features import (
     FEATURE_LAWS,
     AnalyticKernel,
-    DesignMatrix,
-    FeatureLaw,
     kernel_gram,
     sample_design,
 )
@@ -39,7 +37,7 @@ from overfit_lab.linalg import (
 from overfit_lab.regression import fit_ridgeless, variance_closed_form
 from overfit_lab.spectra import make_spectrum
 
-GAUSSIAN = FeatureLaw("gaussian")
+GAUSSIAN = "gaussian"
 
 # Ground truth for the steep-decay factor SVD: singular values of
 # K = Psi^T Lambda Psi with lambda_k = exp(-2k), Psi = default_rng(7)
@@ -101,7 +99,7 @@ def _steep_design():
     rng = np.random.default_rng(7)
     psi = rng.standard_normal((96, 48))
     s = make_spectrum("exponential", 2.0, 96)
-    return s, DesignMatrix(psi, GAUSSIAN)
+    return s, psi
 
 
 def _steep_kernel():
@@ -111,13 +109,13 @@ def _steep_kernel():
 class TestAssembleKernel:
     def test_identity_design_gives_diagonal(self):
         s = make_spectrum("custom", eigenvalues=[4.0, 2.0, 1.0])
-        d = DesignMatrix(np.eye(3), GAUSSIAN)
+        d = np.eye(3)
         K = assemble_kernel(s, d)
         np.testing.assert_allclose(K.entries, np.diag([4.0, 2.0, 1.0]), atol=0)
 
     def test_rank_one_outer_product(self):
         s = make_spectrum("custom", eigenvalues=[4.0])
-        d = DesignMatrix(np.array([[1.0, 1.0]]), GAUSSIAN)
+        d = np.array([[1.0, 1.0]])
         K = assemble_kernel(s, d)
         np.testing.assert_allclose(K.entries, np.full((2, 2), 4.0), atol=0)
 
@@ -125,15 +123,15 @@ class TestAssembleKernel:
         # oracle: Psi^T diag(lambda) Psi formed directly
         rng = np.random.default_rng(11)
         s = make_spectrum("polynomial", 1.0, 60)
-        d = DesignMatrix(rng.standard_normal((60, 12)), GAUSSIAN)
+        d = rng.standard_normal((60, 12))
         K = assemble_kernel(s, d)
-        oracle = d.entries.T @ np.diag(s.eigenvalues) @ d.entries
+        oracle = d.T @ np.diag(s.eigenvalues) @ d
         rel = np.linalg.norm(K.entries - oracle) / np.linalg.norm(oracle)
         assert rel < 1e-12
 
     def test_dimension_mismatch(self):
         s = make_spectrum("polynomial", 1.0, 5)
-        d = DesignMatrix(np.ones((4, 2)), GAUSSIAN)
+        d = np.ones((4, 2))
         with pytest.raises(ShapeError):
             assemble_kernel(s, d)
 
@@ -155,9 +153,9 @@ class TestAssembleKernel:
         s, d = _steep_design()
         K = assemble_kernel(s, d)
         assert not hasattr(K, "design")
-        assert not np.shares_memory(K.factor, d.entries)
+        assert not np.shares_memory(K.factor, d)
         np.testing.assert_array_equal(K.factor,
-                                      np.sqrt(s.eigenvalues)[:, None] * d.entries)
+                                      np.sqrt(s.eigenvalues)[:, None] * d)
 
     def test_dual_rejects_labels_of_the_wrong_length(self):
         K = _steep_kernel()
@@ -220,7 +218,7 @@ class TestSingularExtremes:
     def test_full_list_sorted(self):
         rng = np.random.default_rng(5)
         s = make_spectrum("polynomial", 1.0, 30)
-        d = DesignMatrix(rng.standard_normal((30, 10)), GAUSSIAN)
+        d = rng.standard_normal((30, 10))
         summary = singular_extremes(assemble_kernel(s, d))
         vals = summary.full_singular_values
         assert vals.shape == (10,)
@@ -245,7 +243,7 @@ class TestSingularExtremes:
     def test_mercer_equals_squared_factor_svd(self):
         rng = np.random.default_rng(9)
         s = make_spectrum("polynomial", 1.0, 80)
-        d = DesignMatrix(rng.standard_normal((80, 16)), GAUSSIAN)
+        d = rng.standard_normal((80, 16))
         K = assemble_kernel(s, d)
         summary = singular_extremes(K)
         sv = np.linalg.svd(K.factor, compute_uv=False)
@@ -268,7 +266,7 @@ class TestSingularExtremes:
         # fast path's resolution, so the two routes must coincide
         rng = np.random.default_rng(21)
         s = make_spectrum("exponential", 1.0, 320)
-        d = DesignMatrix(rng.standard_normal((320, 32)), GAUSSIAN)
+        d = rng.standard_normal((320, 32))
         K = assemble_kernel(s, d)
         assert K._steep
         jac = singular_extremes(K).full_singular_values
@@ -316,7 +314,7 @@ def _graded_kernel(n, aspect, decay, collapse, seed):
     if collapse is not None:
         b[:, -1] = b[:, 0] + collapse * rng.standard_normal(m)
     s = make_spectrum("custom", eigenvalues=10.0 ** (-decay * np.arange(m) / m))
-    return assemble_kernel(s, DesignMatrix(b, GAUSSIAN))
+    return assemble_kernel(s, b)
 
 
 GRADED_FACTORS = dict(
@@ -333,7 +331,7 @@ def _smin_grid_design(law, n, trial=0):
     at N = n."""
     s = make_spectrum("polynomial", 1.0, 10 * n)
     seed = derive_seed(2024, "smin_study", n, trial, law)
-    return s, sample_design(FeatureLaw(law), 10 * n, n, seed)
+    return s, sample_design(law, 10 * n, n, seed).entries
 
 
 def _smin_grid_kernel(law, n, trial=0):
@@ -415,8 +413,8 @@ class TestGramCertificate:
         kernels = [_smin_grid_kernel(law, n, trial) for n in (128, 512)
                    for trial in range(3)]
         kernels.append(assemble_kernel(make_spectrum("polynomial", 1.0, 5120),
-                                       sample_design(FeatureLaw(law), 5120, 512,
-                                                     lc_seed)))
+                                       sample_design(law, 5120, 512,
+                                                     lc_seed).entries))
         fired = []
         for K in kernels:
             k = K.entries
@@ -450,16 +448,18 @@ class TestGramCertificate:
             return call
 
         def tagged_sample_design(law, *args):
-            laws.append(law.kind)
+            laws.append(law)
             return sample_design(law, *args)
 
         # smin-study draws on a pool thread; its calling thread takes each
-        # law's row norms just before that law's decomposition
+        # law's row norms just before that law's decomposition, in the
+        # study's fixed order (uniform first)
         real_row_norms = experiments.row_norm_diagnostics
+        smin_order = iter(("uniform_subgaussian", "gaussian", "cosine", "sine"))
 
-        def tagged_row_norms(d, *args):
-            laws.append(d.law.kind)
-            return real_row_norms(d, *args)
+        def tagged_row_norms(psi, *args):
+            laws.append(next(smin_order))
+            return real_row_norms(psi, *args)
 
         for name in real:
             monkeypatch.setattr(np.linalg, name, counting(name))
@@ -480,7 +480,7 @@ class TestGramCertificate:
     def test_wide_factor_skips_gram(self):
         s = make_spectrum("polynomial", 1.0, 4)
         psi = np.random.default_rng(2).standard_normal((4, 8))
-        K = assemble_kernel(s, DesignMatrix(psi, GAUSSIAN))
+        K = assemble_kernel(s, psi)
         assert singular_extremes(K).path == "gesdd"
 
 
@@ -526,29 +526,49 @@ def test_certified_full_solve_agrees_with_svd_route(n, aspect, decay, collapse, 
 def test_call_order_does_not_matter(make, path):
     # values measured before a fit are the ones reported after it, and the
     # fit and variance of a kernel whose values were measured first are the
-    # bits of a fresh kernel's
+    # bits of a fresh kernel's.  Between two kernels, one measured first and
+    # one fitted first, the route is the same but the routine is not
+    # (eigvalsh and eigh, TSQR and the full gesdd, dgejsv without and with
+    # vectors), so their values agree within the route's bound
     K = make()
     y = np.random.default_rng(5).standard_normal(K.size)
     before = singular_extremes(K)
     assert before.path == path
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficientKernelWarning)
-        dual, var = fit_ridgeless(K, y).dual, variance_closed_form(K, 1.0)
+        dual, var = fit_ridgeless(K, y), variance_closed_form(K, 1.0)
         after = singular_extremes(K)
         fresh = make()
-        fresh_dual = fit_ridgeless(fresh, y).dual
+        fresh_dual = fit_ridgeless(fresh, y)
         fresh_var = variance_closed_form(fresh, 1.0)
     for name in ("s_max", "s_min", "condition_number", "path", "rel_error_bound"):
         assert getattr(after, name) == getattr(before, name), name
     assert np.array_equal(after.full_singular_values, before.full_singular_values)
     assert np.array_equal(fresh_dual, dual) and fresh_var == var
-    assert singular_extremes(fresh).path == path
+    fit_first = singular_extremes(fresh)
+    assert fit_first.path == path
+    a, b = before.full_singular_values, fit_first.full_singular_values
+    n, eps = K.size, np.finfo(np.float64).eps
+    if path == "gram_eigh":
+        # each value is within rel_error_bound of the exact one; the gap
+        # between the two was below 1e-3 of it on the smin grid
+        bound = max(before.rel_error_bound, fit_first.rel_error_bound)
+        assert np.all(np.abs(a - b) <= bound * b)
+    elif path == "gesdd":
+        # TSQR_C N eps s_max(G) on G's values is 2 TSQR_C N eps s_max(K) on K's
+        assert np.all(np.abs(a - b) <= 2 * TSQR_C * n * eps * b[0])
+    else:
+        assert np.all(np.abs(a - b) <= JACOBI_ORDER_C * n * eps * b)
 
 
 # |s_i - s'_i| <= TSQR_C * N * eps * s_max(G) between the TSQR values and
 # numpy's gesdd of G; each is backward stable to about eps s_max, and the
 # largest gap seen on the grid below is 0.25 N eps s_max
 TSQR_C = 4.0
+
+# relative gap between the Jacobi values without and with vectors, in units
+# of N eps; the largest seen on 27 exponential designs (N = 24 to 64) was 0.71
+JACOBI_ORDER_C = 4.0
 
 
 def _assert_within_gesdd(g, s):
@@ -566,8 +586,8 @@ class TestTallValues:
     @pytest.mark.parametrize("law", FEATURE_LAWS)
     def test_matches_gesdd_on_every_law(self, law, n, aspect):
         m = aspect * n
-        d = sample_design(FeatureLaw(law), m, n, seed=7 + n)
-        g = mercer_factor(make_spectrum("polynomial", 1.0, m), d.entries)
+        d = sample_design(law, m, n, seed=7 + n).entries
+        g = mercer_factor(make_spectrum("polynomial", 1.0, m), d)
         _assert_within_gesdd(g, linalg._values_only_svd(g))
 
     @settings(max_examples=60, deadline=None)
@@ -596,7 +616,7 @@ class TestTallValues:
         # values come from TSQR; K's values are s^2, so their absolute error
         # is at most 2 s_max times that of s
         s = make_spectrum("polynomial", 1.0, 64)
-        K = assemble_kernel(s, sample_design(FeatureLaw("cosine"), 64, 16, seed=0))
+        K = assemble_kernel(s, sample_design("cosine", 64, 16, seed=0).entries)
         summary = singular_extremes(K)
         assert summary.path == "gesdd" and summary.rel_error_bound is None
         oracle = _mp_squared_singular_values(K.factor)
@@ -612,26 +632,44 @@ class TestTallValues:
         ref = np.linalg.svd(K.factor, compute_uv=False)
         assert np.array_equal(summary.full_singular_values, ref * ref)
 
+    def test_svd_gets_no_more_than_n_rows(self, monkeypatch):
+        # tracemalloc cannot see what numpy's LAPACK wrappers malloc, so the
+        # peak-memory tests would miss gesdd copying the M x N factor; here
+        # every SVD the library asks numpy for is of R, which has N rows
+        real_svd, shapes = np.linalg.svd, []
+
+        def recording(a, *args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "overfit_lab.linalg":
+                shapes.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        K = _smin_grid_kernel("cosine", 256)
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        assert singular_extremes(K).path == "gesdd"
+        assert shapes and K.factor.shape[0] > K.size
+        if linalg._numpy_openblas() is not None:
+            assert all(rows <= K.size for rows, _ in shapes), shapes
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_factor_fails(self, bad):
         s = make_spectrum("polynomial", 1.0, 37)
         psi = np.random.default_rng(3).standard_normal((37, 8))
         psi[34, 5] = bad  # in the last, partial block (rows 32-36)
         with pytest.raises((NumericError, np.linalg.LinAlgError)) as failure:
-            singular_extremes(assemble_kernel(s, DesignMatrix(psi, GAUSSIAN)))
+            singular_extremes(assemble_kernel(s, psi))
         assert any(entry.name == "_values_only_svd" for entry in failure.traceback)
 
 
 class TestRowNormDiagnostics:
     def test_all_ones(self):
-        d = DesignMatrix(np.ones((7, 3)), GAUSSIAN)
+        d = np.ones((7, 3))
         diag = row_norm_diagnostics(d, 3)
         np.testing.assert_allclose(diag.p_values, 1.0, atol=0)
         assert diag.min_p_squared == 1.0
 
     def test_gaussian_concentration(self):
         # chi-square mean: sd of P_i^2 is sqrt(2/(M-N)) ~ 0.014, band is 7 sigma
-        d = sample_design(GAUSSIAN, 10_032, 32, seed=12)
+        d = sample_design(GAUSSIAN, 10_032, 32, seed=12).entries
         diag = row_norm_diagnostics(d, 32)
         assert np.all(diag.p_values**2 > 0.9)
         assert np.all(diag.p_values**2 < 1.1)
@@ -640,7 +678,7 @@ class TestRowNormDiagnostics:
         def median_min_p(n, seeds):
             vals = []
             for seed in seeds:
-                d = sample_design(FeatureLaw("cosine"), 10 * n, n, seed=seed)
+                d = sample_design("cosine", 10 * n, n, seed=seed).entries
                 vals.append(row_norm_diagnostics(d, n).min_p_squared)
             return np.median(vals)
 
@@ -649,13 +687,13 @@ class TestRowNormDiagnostics:
         assert large < small
 
     def test_no_tail_rejected(self):
-        d = DesignMatrix(np.ones((3, 3)), GAUSSIAN)
+        d = np.ones((3, 3))
         with pytest.raises(InsufficientTailError):
             row_norm_diagnostics(d, 3)
 
     def test_negative_tail_offset_rejected(self):
         # N = -1 would slice the last row and divide by M + 1
-        d = DesignMatrix(np.ones((3, 3)), GAUSSIAN)
+        d = np.ones((3, 3))
         with pytest.raises(InvalidParameterError):
             row_norm_diagnostics(d, -1)
 
@@ -704,7 +742,7 @@ class TestMinNormSolve:
     def test_wide_mercer_factor(self):
         # M < N: kernel is rank deficient but the solve must still work
         s = make_spectrum("custom", eigenvalues=[4.0])
-        d = DesignMatrix(np.array([[1.0, 1.0]]), GAUSSIAN)
+        d = np.array([[1.0, 1.0]])
         K = assemble_kernel(s, d)
         sol = min_norm_solve(K, [4.0, 4.0])
         np.testing.assert_allclose(K.entries @ sol.alpha, [4.0, 4.0], rtol=1e-12)
@@ -759,7 +797,7 @@ def test_mercer_and_explicit_solves_agree(n, m, decay, seed):
     # dropped ones are exact zeros (Mercer) or roundoff near eps (explicit).
     rng = np.random.default_rng(seed)
     s = make_spectrum("custom", eigenvalues=10.0 ** (-decay * np.arange(m) / m))
-    K = assemble_kernel(s, DesignMatrix(rng.standard_normal((m, n)), GAUSSIAN))
+    K = assemble_kernel(s, rng.standard_normal((m, n)))
     assert not K._steep
     sv = np.linalg.svd(K.factor, compute_uv=False)
     cond = (sv[0] / sv[-1]) ** 2
@@ -782,7 +820,7 @@ class TestConcentrationBounds:
         s = make_spectrum("polynomial", 1.0, eta * n)
         hits = 0
         for seed in range(20):
-            d = sample_design(GAUSSIAN, eta * n, n, seed=seed)
+            d = sample_design(GAUSSIAN, eta * n, n, seed=seed).entries
             s_max = singular_extremes(assemble_kernel(s, d)).s_max
             hits += 0.5 * n <= s_max <= 1.5 * n
         assert hits >= 19
@@ -796,6 +834,6 @@ class TestConcentrationBounds:
             s = make_spectrum(kind, a, 10 * n)
             floor = 1e-6 * s.eigenvalues[n - 1] / n
             for seed in range(5):
-                d = sample_design(GAUSSIAN, 10 * n, n, seed=100 + seed)
+                d = sample_design(GAUSSIAN, 10 * n, n, seed=100 + seed).entries
                 s_min = singular_extremes(assemble_kernel(s, d)).s_min
                 assert s_min >= floor

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import mc_noise_variance
+from conftest import mc_noise_variance, predict
 from test_linalg import _smin_grid_design, _steep_design
 from overfit_lab import regression
 from overfit_lab.errors import (
@@ -11,8 +11,6 @@ from overfit_lab.errors import (
 )
 from overfit_lab.features import (
     AnalyticKernel,
-    DesignMatrix,
-    FeatureLaw,
     kernel_gram,
     sample_design,
 )
@@ -30,19 +28,18 @@ from overfit_lab.regression import (
     empirical_test_error,
     fit_ridgeless,
     population_bias,
-    predict,
     synthesize_labels,
     truncation_study,
     variance_closed_form,
 )
 from overfit_lab.spectra import Spectrum, make_spectrum
 
-GAUSSIAN = FeatureLaw("gaussian")
+GAUSSIAN = "gaussian"
 
 
 def _square_problem(n, seed, sigma=0.0, kind="polynomial"):
     s = make_spectrum(kind, 1.0, n)
-    d = sample_design(GAUSSIAN, n, n, seed=seed)
+    d = sample_design(GAUSSIAN, n, n, seed=seed).entries
     rng = np.random.default_rng(seed + 1)
     t = TargetModel(rng.standard_normal(n), sigma)
     return s, d, t
@@ -57,66 +54,68 @@ class TestSynthesizeLabels:
     def test_zero_target_zero_noise(self):
         s, d, _ = _square_problem(6, seed=0)
         t = TargetModel(np.zeros(6), 0.0)
-        np.testing.assert_array_equal(synthesize_labels(d, s, t, seed=1), np.zeros(6))
+        np.testing.assert_array_equal(
+            synthesize_labels(clean_labels(d, s, t), t.sigma, seed=1), np.zeros(6))
 
     def test_rank_one_scaling(self):
         s = make_spectrum("custom", eigenvalues=[4.0])
-        d = DesignMatrix(np.array([[1.0, 1.0]]), GAUSSIAN)
+        d = np.array([[1.0, 1.0]])
         t = TargetModel(np.array([3.0]), 0.0)
-        np.testing.assert_allclose(synthesize_labels(d, s, t, seed=0), [6.0, 6.0])
+        np.testing.assert_allclose(
+            synthesize_labels(clean_labels(d, s, t), t.sigma, seed=0), [6.0, 6.0])
 
     def test_deterministic(self):
         s, d, t = _square_problem(5, seed=3, sigma=1.0)
-        a = synthesize_labels(d, s, t, seed=9)
-        b = synthesize_labels(d, s, t, seed=9)
+        a = synthesize_labels(clean_labels(d, s, t), t.sigma, seed=9)
+        b = synthesize_labels(clean_labels(d, s, t), t.sigma, seed=9)
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch(self):
         s, d, _ = _square_problem(5, seed=3)
         t = TargetModel(np.zeros(4), 0.0)
         with pytest.raises(Exception):
-            synthesize_labels(d, s, t, seed=0)
+            synthesize_labels(clean_labels(d, s, t), t.sigma, seed=0)
 
 
 class TestFitAndPredict:
     def test_single_point_interpolation(self):
         s = make_spectrum("custom", eigenvalues=[2.0])
-        d = DesignMatrix(np.array([[1.0]]), GAUSSIAN)
+        d = np.array([[1.0]])
         K = assemble_kernel(s, d)
         f = fit_ridgeless(K, [4.0])
-        assert predict(f, d)[0] == pytest.approx(4.0, rel=1e-12)
+        assert predict(s, f, d)[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_exact_recovery_identity(self):
         # M = N, invertible design, sigma = 0: the interpolant IS the target
         s, d, t = _square_problem(16, seed=5)
         K = assemble_kernel(s, d)
-        y = synthesize_labels(d, s, t, seed=0)
+        y = synthesize_labels(clean_labels(d, s, t), t.sigma, seed=0)
         f = fit_ridgeless(K, y)
-        fresh = sample_design(GAUSSIAN, 16, 40, seed=77)
-        preds = predict(f, fresh)
-        truth = (np.sqrt(s.eigenvalues) * t.theta_star) @ fresh.entries
+        fresh = sample_design(GAUSSIAN, 16, 40, seed=77).entries
+        preds = predict(s, f, fresh)
+        truth = (np.sqrt(s.eigenvalues) * t.theta_star) @ fresh
         np.testing.assert_allclose(preds, truth, rtol=1e-6, atol=1e-9)
-        assert empirical_test_error(f, t, mercer_factor(s, fresh.entries)) <= 1e-8
+        assert empirical_test_error(f, t, mercer_factor(s, fresh)) <= 1e-8
 
     def test_zero_labels_zero_coefficients(self):
         s, d, _ = _square_problem(8, seed=2)
         K = assemble_kernel(s, d)
         f = fit_ridgeless(K, np.zeros(8))
         np.testing.assert_array_equal(min_norm_solve(K, np.zeros(8)).alpha, np.zeros(8))
-        assert np.all(predict(f, d) == 0.0)
+        assert np.all(predict(s, f, d) == 0.0)
 
     def test_training_interpolation_bound(self):
         # nonsingular K reproduces labels to 1e-6 * (1 + max |y|)
         for kind in ("polynomial", "exponential"):
             s = make_spectrum(kind, 1.0, 320)
-            d = sample_design(GAUSSIAN, 320, 32, seed=8)
+            d = sample_design(GAUSSIAN, 320, 32, seed=8).entries
             rng = np.random.default_rng(1)
             t = TargetModel(rng.standard_normal(320), 1.0)
-            y = synthesize_labels(d, s, t, seed=4)
+            y = synthesize_labels(clean_labels(d, s, t), t.sigma, seed=4)
             K = assemble_kernel(s, d)
             f = fit_ridgeless(K, y)
             assert not min_norm_solve(K, y).inconsistent
-            err = np.abs(predict(f, d) - y).max()
+            err = np.abs(predict(s, f, d) - y).max()
             assert err <= 1e-6 * (1.0 + np.abs(y).max())
 
     def test_predict_rejects_a_test_design_of_another_width(self):
@@ -125,34 +124,34 @@ class TestFitAndPredict:
         f = fit_ridgeless(assemble_kernel(s, d), np.zeros(8))
         for m in (1, 9):
             with pytest.raises(ShapeError):
-                predict(f, sample_design(GAUSSIAN, m, 3, seed=1))
+                predict(s, f, sample_design(GAUSSIAN, m, 3, seed=1).entries)
 
     def test_rank_one_proportionality(self):
         s = make_spectrum("custom", eigenvalues=[4.0])
-        d = DesignMatrix(np.array([[1.0, 1.0]]), GAUSSIAN)
+        d = np.array([[1.0, 1.0]])
         f = fit_ridgeless(assemble_kernel(s, d), [4.0, 4.0])
-        test = DesignMatrix(np.array([[0.5, 1.0, 2.0]]), GAUSSIAN)
-        preds = predict(f, test)
+        test = np.array([[0.5, 1.0, 2.0]])
+        preds = predict(s, f, test)
         np.testing.assert_allclose(preds, [2.0, 4.0, 8.0], rtol=1e-12)
 
     def test_prediction_dual_follows_its_labels(self):
         s, d, t = _square_problem(12, seed=7)
         K = assemble_kernel(s, d)
-        y = synthesize_labels(d, s, t, seed=0)
+        y = synthesize_labels(clean_labels(d, s, t), t.sigma, seed=0)
         f = fit_ridgeless(K, y)
-        assert np.array_equal(K.dual(y), f.dual)
+        assert np.array_equal(K.dual(y), f)
         y_new = 2.0 * y + 1.0
         w_new = K.dual(y_new)
-        assert not np.allclose(w_new, f.dual)
-        np.testing.assert_array_equal(w_new, fit_ridgeless(K, y_new).dual)
+        assert not np.allclose(w_new, f)
+        np.testing.assert_array_equal(w_new, fit_ridgeless(K, y_new))
         # the dual bound at fit time is unaffected by later calls
-        np.testing.assert_array_equal(f.dual, fit_ridgeless(K, y).dual)
+        np.testing.assert_array_equal(f, fit_ridgeless(K, y))
 
     def test_singular_extremes_independent_of_call_order(self):
         s = make_spectrum("polynomial", 1.0, 640)
         t = TargetModel(np.random.default_rng(3).standard_normal(640), 1.0)
-        d = sample_design(GAUSSIAN, 640, 64, seed=12)
-        y = synthesize_labels(d, s, t, seed=1)
+        d = sample_design(GAUSSIAN, 640, 64, seed=12).entries
+        y = synthesize_labels(clean_labels(d, s, t), t.sigma, seed=1)
         K = assemble_kernel(s, d)
         before = singular_extremes(K)
         fit_ridgeless(K, y)
@@ -165,13 +164,13 @@ class TestFitAndPredict:
 
     def test_inconsistent_labels_flagged(self):
         s = make_spectrum("custom", eigenvalues=[4.0])
-        d = DesignMatrix(np.array([[1.0, 1.0]]), GAUSSIAN)
+        d = np.array([[1.0, 1.0]])
         K = assemble_kernel(s, d)
         sol = min_norm_solve(K, [1.0, -1.0])
         assert sol.inconsistent
         np.testing.assert_allclose(sol.alpha, [0.0, 0.0], atol=1e-14)
         # the fit keeps only the labels' component in the range: none here
-        np.testing.assert_allclose(fit_ridgeless(K, [1.0, -1.0]).dual, [0.0], atol=1e-14)
+        np.testing.assert_allclose(fit_ridgeless(K, [1.0, -1.0]), [0.0], atol=1e-14)
 
 
 @pytest.mark.parametrize("call", [
@@ -194,20 +193,20 @@ def test_explicit_kernel_is_a_validation_error(call):
 class TestEmpiricalTestError:
     def test_perfect_fit_zero_error(self):
         s, d, t = _square_problem(12, seed=6)
-        y = synthesize_labels(d, s, t, seed=0)
+        y = synthesize_labels(clean_labels(d, s, t), t.sigma, seed=0)
         f = fit_ridgeless(assemble_kernel(s, d), y)
         assert empirical_test_error(f, t, _test_factor(s, 100, 13)) < 1e-12
 
     def test_constant_offset_squares(self):
         # constant feature: fitting f* + c yields exactly c^2 error
         s = make_spectrum("custom", eigenvalues=[1.0])
-        d = DesignMatrix(np.ones((1, 4)), GAUSSIAN)
+        d = np.ones((1, 4))
         t = TargetModel(np.array([2.0]), 0.0)
         c = 0.75
-        y = synthesize_labels(d, s, t, seed=0) + c
+        y = synthesize_labels(clean_labels(d, s, t), t.sigma, seed=0) + c
         f = fit_ridgeless(assemble_kernel(s, d), y)
-        test = DesignMatrix(np.ones((1, 50)), GAUSSIAN)
-        g_test = mercer_factor(s, test.entries)
+        test = np.ones((1, 50))
+        g_test = mercer_factor(s, test)
         assert empirical_test_error(f, t, g_test) == pytest.approx(c * c, rel=1e-12)
 
     def test_tempered_error_stays_bounded(self):
@@ -218,8 +217,8 @@ class TestEmpiricalTestError:
             t = TargetModel(theta, 1.0)
             out = []
             for trial in range(20):
-                d = sample_design(GAUSSIAN, 10 * n, n, seed=base_seed + trial + 1)
-                y = synthesize_labels(d, s, t, seed=7000 + trial)
+                d = sample_design(GAUSSIAN, 10 * n, n, seed=base_seed + trial + 1).entries
+                y = synthesize_labels(clean_labels(d, s, t), t.sigma, seed=7000 + trial)
                 f = fit_ridgeless(assemble_kernel(s, d), y)
                 out.append(empirical_test_error(f, t, _test_factor(s, 500, 8000 + trial)))
             return float(np.median(out))
@@ -238,7 +237,7 @@ class TestEmpiricalTestError:
 class TestVarianceClosedForm:
     def test_scalar_case(self):
         s = make_spectrum("custom", eigenvalues=[3.7])
-        d = DesignMatrix(np.array([[1.0]]), GAUSSIAN)
+        d = np.array([[1.0]])
         assert variance_closed_form(assemble_kernel(s, d), sigma=2.0) == pytest.approx(
             4.0, rel=1e-12
         )
@@ -247,7 +246,7 @@ class TestVarianceClosedForm:
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.standard_normal((30, 8)))
         s = make_spectrum("custom", eigenvalues=np.ones(30))
-        d = DesignMatrix(q, GAUSSIAN)
+        d = q
         assert variance_closed_form(assemble_kernel(s, d), sigma=1.5) == pytest.approx(
             1.5**2 * 8, rel=1e-10
         )
@@ -256,10 +255,10 @@ class TestVarianceClosedForm:
         # independent oracle: sigma^2 tr[(Psi^T L^2 Psi) pinv(K)^2] via numpy
         rng = np.random.default_rng(19)
         s = make_spectrum("polynomial", 1.0, 64)
-        d = DesignMatrix(rng.standard_normal((64, 16)), GAUSSIAN)
+        d = rng.standard_normal((64, 16))
         lam = s.eigenvalues
-        K = d.entries.T @ np.diag(lam) @ d.entries
-        inner = d.entries.T @ np.diag(lam**2) @ d.entries
+        K = d.T @ np.diag(lam) @ d
+        inner = d.T @ np.diag(lam**2) @ d
         pinv = np.linalg.pinv(K, rcond=1e-12, hermitian=True)
         oracle = 2.0**2 * np.trace(inner @ pinv @ pinv)
         got = variance_closed_form(assemble_kernel(s, d), sigma=2.0)
@@ -270,7 +269,7 @@ class TestVarianceClosedForm:
         n = 64
         m = 640
         s = make_spectrum(kind, 1.0, m)
-        d = sample_design(GAUSSIAN, m, n, seed=seed)
+        d = sample_design(GAUSSIAN, m, n, seed=seed).entries
         K = assemble_kernel(s, d)
         closed = variance_closed_form(K, sigma=1.0)
         mc = mc_noise_variance(K, s, GAUSSIAN, sigma=1.0, draws=2000, batches=20,
@@ -279,7 +278,7 @@ class TestVarianceClosedForm:
 
     def test_rank_deficiency_warns(self):
         s = make_spectrum("custom", eigenvalues=[1.0])
-        d = DesignMatrix(np.array([[1.0, 1.0]]), GAUSSIAN)
+        d = np.array([[1.0, 1.0]])
         with pytest.warns(RankDeficientKernelWarning):
             variance_closed_form(assemble_kernel(s, d), sigma=1.0)
 
@@ -300,14 +299,15 @@ def _monte_carlo_bias(K, t, clean, law, n_test=20_000, chunk=2_000, seed=0):
 
 
 class TestBias:
-    @pytest.mark.parametrize("make,path", [
-        (lambda: _smin_grid_design("gaussian", 64), "gram_eigh"),
-        (lambda: _smin_grid_design("cosine", 256), "gesdd"),
-        (_steep_design, "jacobi"),
-        (lambda: _smin_grid_design("uniform_subgaussian", 64), "gram_eigh"),
-        (lambda: _smin_grid_design("sine", 64), "gesdd"),
+    @pytest.mark.parametrize("make,law,path", [
+        (lambda: _smin_grid_design("gaussian", 64), "gaussian", "gram_eigh"),
+        (lambda: _smin_grid_design("cosine", 256), "cosine", "gesdd"),
+        (_steep_design, GAUSSIAN, "jacobi"),
+        (lambda: _smin_grid_design("uniform_subgaussian", 64), "uniform_subgaussian",
+         "gram_eigh"),
+        (lambda: _smin_grid_design("sine", 64), "sine", "gesdd"),
     ], ids=["gram_eigh", "gesdd", "jacobi", "uniform", "sine"])
-    def test_population_bias_matches_monte_carlo(self, make, path):
+    def test_population_bias_matches_monte_carlo(self, make, law, path):
         # the exact sum is the mean of the Monte-Carlo estimator, on every
         # route and for every law (isotropy, see test_features)
         s, d = make()
@@ -316,7 +316,7 @@ class TestBias:
         clean = clean_labels(d, s, t)
         exact = population_bias(K, t, clean)
         assert K._full.path == path
-        mc, se = _monte_carlo_bias(K, t, clean, d.law, seed=K.size)
+        mc, se = _monte_carlo_bias(K, t, clean, law, seed=K.size)
         assert exact > 0.0
         assert abs(exact - mc) <= 5 * se
 
@@ -332,7 +332,7 @@ class TestBias:
         K = assemble_kernel(s, d)
         t = TargetModel(np.random.default_rng(K.size + 1).standard_normal(s.size))
         lam = s.eigenvalues
-        w = K.dual((np.sqrt(lam) * t.theta_star) @ d.entries)
+        w = K.dual((np.sqrt(lam) * t.theta_star) @ d)
         oracle = float(np.sum(lam * (w - t.theta_star) ** 2))
         assert population_bias(K, t, clean_labels(d, s, t)) == oracle
         assert K._full.path == path
@@ -340,8 +340,9 @@ class TestBias:
     def test_clean_labels_are_the_noise_free_synthesized_labels(self):
         s, d, t = _square_problem(9, seed=12)
         noise_free = TargetModel(t.theta_star, 0.0)
-        np.testing.assert_array_equal(clean_labels(d, s, t),
-                                      synthesize_labels(d, s, noise_free, seed=0))
+        np.testing.assert_array_equal(
+            clean_labels(d, s, t),
+            synthesize_labels(clean_labels(d, s, noise_free), noise_free.sigma, seed=0))
 
     def test_exact_recovery_bias_vanishes(self):
         s, d, t = _square_problem(16, seed=9)
@@ -349,7 +350,7 @@ class TestBias:
 
     def test_zero_target_zero_bias(self):
         s = make_spectrum("polynomial", 1.0, 40)
-        d = sample_design(GAUSSIAN, 40, 8, seed=10)
+        d = sample_design(GAUSSIAN, 40, 8, seed=10).entries
         t = TargetModel(np.zeros(40), 1.0)
         assert population_bias(assemble_kernel(s, d), t, clean_labels(d, s, t)) == 0.0
 
@@ -357,7 +358,7 @@ class TestBias:
         # empirical risk over many noise draws matches B + V within 3 MC sigma
         n, m = 128, 1280
         s = make_spectrum("polynomial", 1.0, m)
-        d = sample_design(GAUSSIAN, m, n, seed=30)
+        d = sample_design(GAUSSIAN, m, n, seed=30).entries
         rng = np.random.default_rng(31)
         t = TargetModel(rng.standard_normal(m), 1.0)
         K = assemble_kernel(s, d)
@@ -365,7 +366,7 @@ class TestBias:
         v = variance_closed_form(K, 1.0)
         risks = []
         for i in range(60):
-            y = synthesize_labels(d, s, t, seed=900 + i)
+            y = synthesize_labels(clean_labels(d, s, t), t.sigma, seed=900 + i)
             f = fit_ridgeless(K, y)
             risks.append(empirical_test_error(f, t, _test_factor(s, 500, 5000 + i)))
         risks = np.asarray(risks)
@@ -376,7 +377,7 @@ class TestBias:
 class TestTruncation:
     def test_full_rank_truncation_gap_is_zero(self):
         s = make_spectrum("polynomial", 1.0, 320)
-        d = sample_design(GAUSSIAN, 320, 32, seed=40)
+        d = sample_design(GAUSSIAN, 320, 32, seed=40).entries
         row = truncation_study(assemble_kernel(s, d), sigma=1.0, M_list=[320])[0]
         assert row["truncation_gap"] == 0.0
         assert row["bound_holds"]
@@ -386,7 +387,7 @@ class TestTruncation:
         n = 64
         s = make_spectrum("polynomial", 1.0, 100 * n)
         for seed in (50, 51, 52):
-            d = sample_design(GAUSSIAN, 100 * n, n, seed=seed)
+            d = sample_design(GAUSSIAN, 100 * n, n, seed=seed).entries
             row = truncation_study(assemble_kernel(s, d), sigma=1.0, M_list=[10 * n])[0]
             assert row["bound_holds"]
 
@@ -396,7 +397,7 @@ class TestTruncation:
         s = make_spectrum("polynomial", 1.0, 100 * n)
         wins = 0
         for seed in range(20):
-            d = sample_design(GAUSSIAN, 100 * n, n, seed=600 + seed)
+            d = sample_design(GAUSSIAN, 100 * n, n, seed=600 + seed).entries
             rows = truncation_study(assemble_kernel(s, d), sigma=1.0,
                                     M_list=[2 * n, 4 * n, 10 * n, 20 * n])
             gaps = [r["truncation_gap"] for r in rows]
@@ -413,17 +414,17 @@ class TestTruncation:
         # design gives, bit for bit
         m_full = 100 * n if kind == "polynomial" else 690
         s = make_spectrum(kind, 1.0, m_full)
-        d = sample_design(GAUSSIAN, m_full, n, seed=n)
+        d = sample_design(GAUSSIAN, m_full, n, seed=n).entries
         ms = [e * n for e in levels]
         rows = truncation_study(assemble_kernel(s, d), sigma=1.0, M_list=ms)
         for m, row in zip(ms, rows):
             k_m = assemble_kernel(Spectrum(s.eigenvalues[:m], "custom"),
-                                  DesignMatrix(d.entries[:m], d.law))
+                                  d[:m])
             assert row["variance"] == variance_closed_form(k_m, 1.0)
 
     def test_truncation_below_n_rejected(self):
         s = make_spectrum("polynomial", 1.0, 100)
-        d = sample_design(GAUSSIAN, 100, 10, seed=1)
+        d = sample_design(GAUSSIAN, 100, 10, seed=1).entries
         with pytest.raises(InvalidParameterError):
             truncation_study(assemble_kernel(s, d), sigma=1.0, M_list=[10])
         with pytest.raises(InvalidParameterError):
@@ -441,7 +442,7 @@ class TestTruncation:
 
         monkeypatch.setattr(regression, "variance_closed_form", counting)
         s = make_spectrum("polynomial", 1.0, 100)
-        K = assemble_kernel(s, sample_design(GAUSSIAN, 100, 10, seed=1))
+        K = assemble_kernel(s, sample_design(GAUSSIAN, 100, 10, seed=1).entries)
         with pytest.raises(InvalidParameterError):
             truncation_study(K, sigma=1.0, M_list=levels)
         assert calls == []

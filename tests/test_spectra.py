@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import effective_rank
 from overfit_lab.errors import (
     InvalidParameterError,
     InvariantViolationError,
     SpectrumTruncationError,
 )
 from overfit_lab.spectra import (
-    effective_rank,
     make_spectrum,
     max_exponential_length,
     theoretical_condition_ratio,
