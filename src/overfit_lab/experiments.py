@@ -29,9 +29,11 @@ thread decomposes the previous law's.  Both pools keep one rule:
 
 The sweep runs with numpy's OpenBLAS on one thread
 (``linalg.single_threaded_blas``): on two cores its second thread cost more
-than it gave, competing with the draw thread and with scipy's OpenBLAS pool,
-which runs the Jacobi SVD.  scipy's library keeps its threads, because the
-steep-spectrum values depend on its thread count in their last bits.
+than it gave, competing with the draw thread and with the thread pool of
+scipy's bundled OpenBLAS, which runs the Jacobi SVD (called through
+``ctypes``, so no sweep imports scipy).  scipy's library keeps its threads,
+because the steep-spectrum values depend on its thread count in their last
+bits.
 
 ``derive_seed`` hashes (master_seed, experiment, N, trial index, stream tag)
 with SHA-256, so runs are reproducible bit for bit, trials never share
@@ -353,11 +355,12 @@ def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRe
     thread while this thread draws the training design and fits (the pool
     rule is in the module docstring).
 
-    At most one M x N copy of the training design outlives the labels: Psi
-    is dropped once the clean labels are taken (the kernel keeps only G), and
-    the test factor once the MSE is, so neither coexists with the M x N left
-    vectors the variance forms.  The clean labels are taken once: the noisy
-    labels add noise to them, and the bias regresses them.
+    The training design is drawn into one M x N buffer (``fill_design``),
+    which gives the clean labels and is then scaled into G in place, as in
+    smin-study; the test factor is dropped once the MSE is taken, so it does
+    not coexist with the M x N left vectors the variance forms.  The clean
+    labels are taken once: the noisy labels add noise to them, and the bias
+    regresses them.
     """
     m = cfg.feature_count(n)
     s = make_spectrum(cfg.spectrum, cfg.a, m)
@@ -367,9 +370,10 @@ def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRe
     with ThreadPoolExecutor(max_workers=1) as pool:
         draw = pool.submit(_draw_test_factor, cfg.law, s, np.empty((m, cfg.n_test)),
                            _seed(cfg, n, t, "test"))
-        psi = sample_design(cfg.law, m, n, seed).entries
-        K = assemble_kernel(s, psi)
+        psi = fill_design(cfg.law, np.empty((m, n)), seed)
         clean = clean_labels(psi, s, target)
+        # psi becomes G in place, so the trial holds one M x N training buffer
+        K = KernelMatrix(mercer_factor(s, psi, out=psi), s)
         del psi
         y = synthesize_labels(clean, target.sigma, _seed(cfg, n, t, "noise"))
         dual = fit_ridgeless(K, y)

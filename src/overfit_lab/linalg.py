@@ -68,17 +68,22 @@ Pseudo-inverse solves, duals and variances all read the full record, whose
 eigenvalues below 1e-12 * s_max are dropped, except on the Jacobi path,
 which keeps every positive eigenvalue.
 
-Two OpenBLAS libraries can be loaded: numpy's (every call here except
-``dgejsv``) and scipy's (``dgejsv``).  ``single_threaded_blas`` runs a block
-with numpy's on one thread; sweeps use it.  It leaves scipy's alone, whose
-thread count moves the last bits of Jacobi results.  Values on the other
-routes move by roundoff only, within their bounds.
+Two OpenBLAS libraries can be loaded, each the scipy-openblas build its
+package bundles, and ``_openblas`` resolves both the same way, through
+``ctypes`` and without importing scipy: numpy's (ILP64; every call here
+except ``dgejsv``) and scipy's (LP64; ``dgejsv``).  ``scipy.linalg`` is
+imported only where scipy's bundle or its ``dgejsv`` is missing.
+``single_threaded_blas`` runs a block with numpy's on one thread; sweeps use
+it.  It leaves scipy's alone, whose thread count moves the last bits of
+Jacobi results.  Values on the other routes move by roundoff only, within
+their bounds.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.util
 import math
 import os
 import threading
@@ -500,13 +505,38 @@ def _jacobi_svd(g: np.ndarray, want_vectors: bool):
 
     joba='F' targets matrices of the form D1*C*D2 with ill-conditioned
     diagonal scalings; singular values come back scaled by work[0]/work[1].
-    """
-    from scipy.linalg.lapack import dgejsv  # only steep spectra load scipy
 
-    jobu, jobv = (0, 0) if want_vectors else (3, 3)
-    sva, u, v, work, _, info = dgejsv(
-        np.asfortranarray(g), joba=2, jobu=jobu, jobv=jobv
-    )
+    The routine is ``LAPACKE_dgejsv_work`` of scipy's bundled OpenBLAS,
+    called through ``ctypes`` on a Fortran copy of G with what scipy's f2py
+    wrapper ``scipy.linalg.lapack.dgejsv`` passes: jobr='R', jobt='N',
+    jobp='P', the wrapper's default LWORK and an IWORK of max(3, M + 3N).
+    LWORK picks dgejsv's blocked or unblocked inner paths, so any other
+    value moves the last bits.  The wrapper itself, and with it
+    ``scipy.linalg``, is imported only where that library or its symbol is
+    missing.
+    """
+    m, n = g.shape
+    lapack = _openblas("scipy")
+    if lapack is None:
+        from scipy.linalg.lapack import dgejsv
+
+        jobu, jobv = (0, 0) if want_vectors else (3, 3)
+        sva, u, v, work, _, info = dgejsv(
+            np.asfortranarray(g), joba=2, jobu=jobu, jobv=jobv
+        )
+    else:
+        a = np.array(g, dtype=np.float64, order="F")  # dgejsv overwrites it
+        sva = np.empty(n)
+        u = np.empty((m, n) if want_vectors else (0, 0), order="F")
+        v = np.empty((n, n) if want_vectors else (0, 0), order="F")
+        lwork = max(6 * n + 2 * n * n, 2 * m + n, 4 * n + n * n, 2 * n + n * n + 6, 7)
+        work = np.empty(lwork)
+        iwork = np.empty(max(3, m + 3 * n), dtype=np.int32)  # LP64
+        jobu, jobv = (b"U", b"V") if want_vectors else (b"N", b"N")
+        info = lapack.dgejsv(_COL_MAJOR, b"F", jobu, jobv, b"R", b"N", b"P", m, n,
+                             a.ctypes.data, m, sva.ctypes.data, u.ctypes.data,
+                             max(1, len(u)), v.ctypes.data, max(1, n),
+                             work.ctypes.data, lwork, iwork.ctypes.data)
     if info != 0:
         raise NumericError(f"Jacobi SVD did not converge (info={info})")
     s = sva * (work[0] / work[1])
@@ -531,7 +561,7 @@ def _values_only_svd(g: np.ndarray) -> np.ndarray:
     SVD of G itself.
     """
     m, n = g.shape
-    blas = _numpy_openblas()
+    blas = _openblas("numpy")
     if blas is None or not 0 < n <= m:
         return np.linalg.svd(g, compute_uv=False)
     nb, h = min(n, 32), max(n, 32)
@@ -560,38 +590,53 @@ _COL_MAJOR = 102  # LAPACKE's matrix_layout code for Fortran order
 
 
 class _OpenBLAS(NamedTuple):
-    """Entry points of numpy's bundled OpenBLAS (``_numpy_openblas``)."""
+    """Entry points of one bundled scipy-openblas library (``_openblas``)."""
 
     get_threads: Callable[[], int]
     set_threads: Callable[[int], None]
     dgeqrt: Callable[..., int]  # LAPACKE_dgeqrt_work
     dtpqrt: Callable[..., int]  # LAPACKE_dtpqrt_work
+    dgejsv: Callable[..., int]  # LAPACKE_dgejsv_work
+
+
+# package: (library in <package>.libs/, symbol suffix, LAPACK integer);
+# numpy's bundle is ILP64, scipy's LP64
+_BUNDLES = {
+    "numpy": ("libscipy_openblas64_*", "64_", ctypes.c_int64),
+    "scipy": ("libscipy_openblas-*", "", ctypes.c_int32),
+}
 
 
 @cache
-def _numpy_openblas() -> _OpenBLAS | None:
-    """The thread-count functions and the ``dgeqrt``/``dtpqrt`` LAPACKE work
-    routines of the scipy-openblas numpy bundles in ``numpy.libs/`` (64-bit
-    integers), or None on any other BLAS.  Resolved on first use."""
-    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                                  "numpy.libs", "libscipy_openblas64_*"))
+def _openblas(package: str) -> _OpenBLAS | None:
+    """The thread-count functions and LAPACKE work routines of the
+    scipy-openblas library that ``package`` ("numpy" or "scipy") bundles in
+    ``<package>.libs/``, or None where the package, the library or a symbol
+    is missing.  Resolved on first use; ``find_spec`` locates the package
+    without importing it."""
+    pattern, suffix, i = _BUNDLES[package]
     try:
-        lib = ctypes.CDLL(libs[0])  # the copy numpy loaded: same file, same handle
-        blas = _OpenBLAS(lib.scipy_openblas_get_num_threads64_,
-                         lib.scipy_openblas_set_num_threads64_,
-                         lib.scipy_LAPACKE_dgeqrt_work64_,
-                         lib.scipy_LAPACKE_dtpqrt_work64_)
-    except (IndexError, OSError, AttributeError):
+        root = os.path.dirname(importlib.util.find_spec(package).origin)
+        # the copy the package's extensions load: same file, same handle
+        lib = ctypes.CDLL(glob.glob(os.path.join(
+            os.path.dirname(root), f"{package}.libs", pattern))[0])
+        blas = _OpenBLAS(*(getattr(lib, f"scipy_{name}{suffix}") for name in (
+            "openblas_get_num_threads", "openblas_set_num_threads",
+            "LAPACKE_dgeqrt_work", "LAPACKE_dtpqrt_work", "LAPACKE_dgejsv_work")))
+    except (AttributeError, IndexError, OSError, TypeError):
         return None
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    ptr, char = ctypes.c_void_p, ctypes.c_char
     blas.get_threads.argtypes, blas.get_threads.restype = [], ctypes.c_int
     blas.set_threads.argtypes, blas.set_threads.restype = [ctypes.c_int], None
     # (layout, m, n, nb, a, lda, t, ldt, work)
-    blas.dgeqrt.argtypes = [ctypes.c_int, i64, i64, i64, ptr, i64, ptr, i64, ptr]
+    blas.dgeqrt.argtypes = [ctypes.c_int, i, i, i, ptr, i, ptr, i, ptr]
     # (layout, m, n, l, nb, a, lda, b, ldb, t, ldt, work)
-    blas.dtpqrt.argtypes = [ctypes.c_int, i64, i64, i64, i64, ptr, i64, ptr, i64,
-                            ptr, i64, ptr]
-    blas.dgeqrt.restype = blas.dtpqrt.restype = i64
+    blas.dtpqrt.argtypes = [ctypes.c_int, i, i, i, i, ptr, i, ptr, i, ptr, i, ptr]
+    # (layout, joba, jobu, jobv, jobr, jobt, jobp, m, n, a, lda, sva, u, ldu,
+    #  v, ldv, work, lwork, iwork)
+    blas.dgejsv.argtypes = [ctypes.c_int, *[char] * 6, i, i, ptr, i, ptr, ptr, i,
+                            ptr, i, ptr, i, ptr]
+    blas.dgeqrt.restype = blas.dtpqrt.restype = blas.dgejsv.restype = i
     return blas
 
 
@@ -607,10 +652,12 @@ def single_threaded_blas():
 
     The count is process-wide, so nested and concurrent blocks share one
     depth count: the outermost entry saves it, the outermost exit restores
-    it.  scipy's own OpenBLAS (the Jacobi SVD) is left alone.
+    it.  scipy's bundled OpenBLAS, which runs the Jacobi SVD, keeps its own
+    count: its thread getter and setter are resolved (``_openblas``) but not
+    called here.
     """
     global _blas_users, _blas_saved
-    blas = _numpy_openblas()
+    blas = _openblas("numpy")
     if blas is None:
         yield
         return

@@ -1,19 +1,27 @@
+import contextlib
+import csv
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import overfit_lab.cli as cli
 import overfit_lab.experiments as experiments
-from overfit_lab.config import parse_config, serialize_config
+from overfit_lab import linalg
+from overfit_lab.config import CONFIG_KEYS, parse_config, serialize_config
 from overfit_lab.csvio import write_csv, write_singular_values_csv, write_spectrum_csv
 from overfit_lab.errors import ConfigError, NumericError, PlotFieldError
 from overfit_lab.experiments import (
@@ -23,7 +31,9 @@ from overfit_lab.experiments import (
     aggregate,
     run_experiment,
 )
+from overfit_lab.features import FEATURE_LAWS, INPUT_DOMAINS, KERNEL_KINDS
 from overfit_lab.plotting import render_plot
+from overfit_lab.spectra import DECAY_KINDS
 
 # frozen output of the condnum sweep (n_grid=(8,), trials=2, master_seed=7), whose
 # values come from the certified Gram-eigenvalue route; schema drift or any
@@ -324,11 +334,31 @@ class TestCli:
         assert code == 1
         assert "law" in capsys.readouterr().err
 
-    def test_import_loads_no_scipy(self):
-        # only the Jacobi path (steep spectra) needs scipy, and imports it there
+    def test_import_loads_no_scipy(self, tmp_path):
+        # no import loads scipy, nor any sweep where scipy's bundled OpenBLAS
+        # runs the Jacobi SVD through ctypes: steep condnum, learning-curve
+        # and truncation sweeps take that path
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         code = "import overfit_lab.cli, sys; sys.exit('scipy' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        if linalg._openblas("scipy") is None:
+            pytest.skip("scipy's bundled scipy-openblas or its LAPACKE_dgejsv_work "
+                        "not found; the Jacobi SVD imports scipy.linalg")
+        steep = ["--spectrum", "exponential", "--n-grid", "32", "--trials", "1",
+                 "--n-test", "20"]
+        argvs = [[sub, *steep] for sub in ("condnum", "learning-curve", "truncation")]
+        argvs += [["smin-study", "--n-grid", "16", "--trials", "1"],
+                  ["kernel-interp", "--n-grid", "16", "--trials", "1", "--n-test", "20"]]
+        code = (
+            "import overfit_lab.cli as c, sys\n"
+            f"for i, argv in enumerate({argvs!r}):\n"
+            f"    assert c.main([*argv, '--out', {str(tmp_path)!r} + f'/{{i}}.csv']) == 0\n"
+            "sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "         or None)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
     def test_unknown_flag_exit_code(self, tmp_path):
         out = ["--out", str(tmp_path / "x.csv")]
@@ -368,11 +398,14 @@ class TestCli:
                                            subcommand):
         # a numeric failure while drawing a test factor or a smin-study
         # design on a pool thread surfaces from the trial as itself: exit 2,
-        # not a crash
-        threads = []
+        # not a crash; the learning-curve training design, drawn on the
+        # calling thread, is drawn as usual
+        real_fill, threads = experiments.fill_design, []
 
         def failing_fill(law, out, seed):
             threads.append(threading.current_thread())
+            if threading.current_thread() is threading.main_thread():
+                return real_fill(law, out, seed)
             raise NumericError("synthetic draw failure")
 
         monkeypatch.setattr(experiments, "fill_design", failing_fill)
@@ -380,7 +413,8 @@ class TestCli:
                          "--n_grid", "8", "--trials", "1", "--n-test", "20"])
         assert code == 2
         assert "synthetic draw failure" in capsys.readouterr().err
-        assert threads and threading.main_thread() not in threads
+        on_main = threads.count(threading.main_thread())
+        assert len(threads) > on_main == (subcommand == "learning-curve")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_factor_exit_code(self, tmp_path, monkeypatch, capsys, bad):
@@ -490,3 +524,120 @@ class TestCli:
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["condnum", "--config", str(tmp_path / "nope.cfg"),
                          "--out", str(tmp_path / "x.csv")]) == 1
+
+
+# extreme finite floats: the largest and smallest normal and subnormal
+# magnitudes of both signs and powers that overflow when squared, then
+# ordinary positive values (a decay rate a > 1.23 puts an N = 16
+# exponential factor on the Jacobi path: lambda_1/lambda_16 = e^(15 a) > 1e8),
+# then any finite float
+_EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1e150, 1e300, -1e300, 5e-324,
+                     2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+    st.floats(0.01, 40.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _flag_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+# one strategy per config key; int keys stay small and n_grid and trials are
+# always given, so every example is cheap (N <= 16 and one trial); enum keys
+# add one unknown value
+_CONFIG_VALUES = {
+    "experiment": st.sampled_from([*experiments.TRIALS, "foo"]),
+    "spectrum": st.sampled_from([*DECAY_KINDS, "foo"]),
+    "a": _EXTREME_FLOATS,
+    "law": st.sampled_from([*FEATURE_LAWS, "foo"]),
+    "eta": st.integers(-1, 40),
+    "n_grid": st.lists(st.integers(-1, 16), min_size=1, max_size=3,
+                       unique=True).map(sorted),
+    "trials": st.just(1),
+    "n_test": st.integers(-1, 64),
+    "sigma": _EXTREME_FLOATS,
+    "master_seed": st.integers(-2**70, 2**70),
+    "kernel": st.sampled_from([*KERNEL_KINDS, "foo"]),
+    "bandwidth": _EXTREME_FLOATS,
+    "input_domain": st.sampled_from(["", *INPUT_DOMAINS, "foo"]),
+    "interval_lo": _EXTREME_FLOATS,
+    "interval_hi": _EXTREME_FLOATS,
+    "n_anchors": st.integers(-1, 20),
+    "anchors_in_training": st.booleans(),
+    "eta_full": st.integers(-1, 120),
+    "truncation_etas": st.lists(st.integers(-1, 12), max_size=3),
+    "spectrum_length": st.integers(-1, 200),
+}
+
+
+def test_property_strategy_covers_every_config_key():
+    assert set(_CONFIG_VALUES) == CONFIG_KEYS
+
+
+def _assert_exit_contract(argv) -> int:
+    """Run ``cli.main(argv + --out)`` and check the exit-code contract: 0, 1
+    or 2 and nothing raised; exit 0 wrote only finite floats, except the
+    sentinels of an s_min cut to 0; exit 2 reported a numeric failure."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            code = cli.main([*argv, "--out", str(out)])
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert err.getvalue().startswith("numeric failure"), (argv, err.getvalue())
+        if code == 0:
+            for row in csv.DictReader(out.open(encoding="utf-8")):
+                for name, cell in row.items():
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue  # empty, or a name
+                    assert math.isfinite(value) or name in (
+                        "condition_number", "ratio_to_theory"), (argv, name, cell)
+    return code
+
+
+def _argv(subcommand, config) -> list[str]:
+    argv = [subcommand]
+    for key, value in config.items():
+        argv += [f"--{key}", _flag_value(value)]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(subcommand=st.sampled_from(sorted(cli.SUBCOMMANDS)),
+       config=st.fixed_dictionaries(
+           {key: _CONFIG_VALUES[key] for key in ("n_grid", "trials")},
+           optional={key: values for key, values in _CONFIG_VALUES.items()
+                     if key not in ("n_grid", "trials")}))
+def test_every_config_keeps_the_exit_code_contract(subcommand, config):
+    code = _assert_exit_contract(_argv(subcommand, config))
+    event(f"{subcommand} exit {code}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(subcommand=st.sampled_from(["condnum", "learning-curve", "smin-study",
+                                   "truncation"]),
+       config=st.fixed_dictionaries(
+           {"spectrum": st.just("exponential"),
+            "a": st.one_of(st.floats(1.3, 60.0), _EXTREME_FLOATS),
+            "n_grid": st.lists(st.integers(12, 16), min_size=1, max_size=2,
+                               unique=True).map(sorted),
+            "trials": st.just(1)},
+           optional={key: _CONFIG_VALUES[key] for key in (
+               "law", "eta", "n_test", "sigma", "master_seed", "eta_full",
+               "truncation_etas")}))
+def test_steep_configs_keep_the_exit_code_contract(subcommand, config):
+    # the same contract where the factors are steep: a decay rate a puts an
+    # N-column factor on the Jacobi path once e^((N - 1) a) > 1e8, so every
+    # N = 16 factor here and the N = 12 ones from a > 1.68
+    code = _assert_exit_contract(_argv(subcommand, config))
+    event(f"{subcommand} exit {code}")

@@ -235,10 +235,11 @@ class TestLearningCurve:
         assert len(calls) == 4
 
     def test_trial_peak_memory(self):
-        # Psi is freed once the labels are taken and the test factor once the
-        # MSE is, so a trial's traced peak is about Psi + G + the test factor,
-        # 8 (2 M N + M n_test) bytes; kept to the end, Psi and the test
-        # factor would coexist with the variance's M x N left vectors
+        # the design is scaled into G in place and the test factor is freed
+        # once the MSE is taken, so a trial's traced peak is about G + the
+        # test factor, 8 (M N + M n_test) bytes (1.06 of it measured); a
+        # separate Psi beside G read 1.21, and the test factor kept to the
+        # end would coexist with the variance's M x N left vectors
         n, m, n_test = 256, 2560, 1000
         cfg = _cfg(experiment="learning_curve", n_grid=(n,), trials=1, n_test=n_test)
         experiments._learning_curve_trial(cfg, n, 1)  # warm up imports and caches
@@ -249,35 +250,37 @@ class TestLearningCurve:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * 8 * (m * n + m * n_test)
+        assert peak <= 1.15 * 8 * (m * n + m * n_test)
 
     def test_design_and_test_factor_freed_before_the_variance(self, monkeypatch):
-        # the variance forms M x N left vectors; by then nothing holds Psi or
-        # the M x n_test test factor: not the kernel, the trial, nor the pool
-        real_sample, real_draw = experiments.sample_design, experiments._draw_test_factor
+        # the variance forms M x N left vectors; by then the training design's
+        # buffer is the kernel's G (scaled in place, no separate Psi) and
+        # nothing holds the M x n_test test factor: not the trial, nor the pool
+        real_fill, real_draw = experiments.fill_design, experiments._draw_test_factor
         real_variance = regression.variance_closed_form
-        refs, alive = [], []
+        designs, tests, seen = [], [], []
 
-        def sample(*args):
-            d = real_sample(*args)
-            refs.append(weakref.ref(d.entries))
-            return d
+        def fill(law, out, seed):
+            if out.shape[1] == 16:  # the training design; test factors have 30
+                designs.append(out)
+            return real_fill(law, out, seed)
 
         def draw(*args):
             out = real_draw(*args)
-            refs.append(weakref.ref(out))
+            tests.append(weakref.ref(out))
             return out
 
-        def variance(*args):
-            alive.extend(ref() is not None for ref in refs)
-            return real_variance(*args)
+        def variance(K, sigma):
+            seen.append((K.factor is designs[0],
+                         [ref() is not None for ref in tests]))
+            return real_variance(K, sigma)
 
-        monkeypatch.setattr(experiments, "sample_design", sample)
+        monkeypatch.setattr(experiments, "fill_design", fill)
         monkeypatch.setattr(experiments, "_draw_test_factor", draw)
         monkeypatch.setattr(regression, "variance_closed_form", variance)
         cfg = _cfg(experiment="learning_curve", n_grid=(16,), trials=1, n_test=30)
         experiments._learning_curve_trial(cfg, 16, 0)
-        assert alive == [False, False]
+        assert len(designs) == 1 and seen == [(True, [False])]
 
 
 @pytest.mark.parametrize("experiment", ["learning_curve", "smin_study"])
@@ -430,7 +433,7 @@ class TestTruncation:
 def blas_threads():
     """numpy's OpenBLAS thread-count getter, with the caller's count set to 3
     for the test and put back after it; skips on any other BLAS."""
-    blas = linalg._numpy_openblas()
+    blas = linalg._openblas("numpy")
     if blas is None:
         info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         pytest.skip(f"numpy's BLAS is {info.get('name')} {info.get('version')}, "

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -22,6 +23,7 @@ from overfit_lab.experiments import TRIALS, ExperimentConfig, derive_seed
 from overfit_lab.features import (
     FEATURE_LAWS,
     AnalyticKernel,
+    fill_design,
     kernel_gram,
     sample_design,
 )
@@ -447,9 +449,12 @@ class TestGramCertificate:
                 return real[name](*args, **kwargs)
             return call
 
-        def tagged_sample_design(law, *args):
-            laws.append(law)
-            return sample_design(law, *args)
+        # the learning-curve trial draws its training design on the calling
+        # thread and its test factor on a pool thread; tag the first
+        def tagged_fill_design(law, out, seed):
+            if threading.current_thread() is threading.main_thread():
+                laws.append(law)
+            return fill_design(law, out, seed)
 
         # smin-study draws on a pool thread; its calling thread takes each
         # law's row norms just before that law's decomposition, in the
@@ -463,7 +468,7 @@ class TestGramCertificate:
 
         for name in real:
             monkeypatch.setattr(np.linalg, name, counting(name))
-        monkeypatch.setattr(experiments, "sample_design", tagged_sample_design)
+        monkeypatch.setattr(experiments, "fill_design", tagged_fill_design)
         monkeypatch.setattr(experiments, "row_norm_diagnostics", tagged_row_norms)
         cfg = ExperimentConfig(experiment="learning_curve", law="cosine",
                                n_grid=(512,), trials=1, n_test=20)
@@ -635,7 +640,7 @@ class TestTallValues:
     def test_fallback_is_gesdd_bit_for_bit(self, monkeypatch):
         # where numpy's OpenBLAS is not found, the values are numpy's gesdd of G
         K = _smin_grid_kernel("cosine", 256)
-        monkeypatch.setattr(linalg, "_numpy_openblas", lambda: None)
+        monkeypatch.setattr(linalg, "_openblas", lambda package: None)
         summary = singular_extremes(K)
         assert summary.path == "gesdd"
         ref = np.linalg.svd(K.factor, compute_uv=False)
@@ -656,7 +661,7 @@ class TestTallValues:
         monkeypatch.setattr(np.linalg, "svd", recording)
         assert singular_extremes(K).path == "gesdd"
         assert shapes and K.factor.shape[0] > K.size
-        if linalg._numpy_openblas() is not None:
+        if linalg._openblas("numpy") is not None:
             assert all(rows <= K.size for rows, _ in shapes), shapes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -667,6 +672,78 @@ class TestTallValues:
         with pytest.raises((NumericError, np.linalg.LinAlgError)) as failure:
             singular_extremes(assemble_kernel(s, psi))
         assert any(entry.name == "_values_only_svd" for entry in failure.traceback)
+
+
+@pytest.fixture
+def scipy_lapack():
+    """Skips where scipy has no bundled OpenBLAS with ``dgejsv``."""
+    if linalg._openblas("scipy") is None:
+        pytest.skip("scipy's bundled scipy-openblas or its LAPACKE_dgejsv_work "
+                    "not found; the Jacobi SVD takes scipy.linalg's wrapper")
+
+
+class TestJacobiLibrary:
+    @pytest.mark.parametrize("want_vectors", [False, True], ids=["values", "full"])
+    @pytest.mark.parametrize("n,m", [(512, 690), (6, 6)])
+    def test_matches_the_scipy_wrapper_bit_for_bit(self, scipy_lapack, n, m,
+                                                   want_vectors):
+        # the steep sweeps' largest factor, where scipy's thread count and
+        # jobp move bits, and a square one, the only shape whose bits jobt
+        # moves (dgejsv considers transposing square matrices only)
+        from scipy.linalg.lapack import dgejsv
+
+        s = make_spectrum("exponential", 1.0, m)
+        seed = derive_seed(2024, "condnum", n, 0)
+        g = mercer_factor(s, sample_design(GAUSSIAN, m, n, seed).entries)
+        g.setflags(write=False)
+        u, sv, v = linalg._jacobi_svd(g, want_vectors)
+        job = 0 if want_vectors else 3
+        sva, u_ref, v_ref, work, _, info = dgejsv(np.asfortranarray(g), joba=2,
+                                                  jobu=job, jobv=job)
+        assert info == 0
+        assert np.array_equal(sv, sva * (work[0] / work[1]))
+        if want_vectors:
+            assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
+            assert u.flags.f_contiguous and v.flags.f_contiguous
+        else:
+            assert u is None and v is None
+
+    def test_factor_is_left_untouched(self, scipy_lapack):
+        # dgejsv overwrites its input; a one-column factor is already in
+        # Fortran order, so only a copy keeps G
+        g = np.sqrt(make_spectrum("exponential", 1.0, 40).eigenvalues)[:, None]
+        before = g.copy()
+        linalg._jacobi_svd(g, want_vectors=True)
+        assert np.array_equal(g, before)
+
+    def test_fallback_writes_the_same_bytes(self, scipy_lapack, monkeypatch,
+                                            tmp_path):
+        # without the bundled library the Jacobi SVD imports scipy's wrapper;
+        # steep condnum and learning-curve sweeps write the same bytes
+        import scipy.linalg.lapack as lapack
+
+        from overfit_lab import cli
+
+        def sweeps(tag):
+            for sub in ("condnum", "learning-curve"):
+                out = tmp_path / f"{sub}-{tag}.csv"
+                assert cli.main([sub, "--spectrum", "exponential", "--n-grid",
+                                 "32,64", "--trials", "2", "--n-test", "20",
+                                 "--out", str(out)]) == 0
+                yield out.read_bytes()
+
+        direct = list(sweeps("ctypes"))
+        real_openblas, real_dgejsv, calls = linalg._openblas, lapack.dgejsv, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_dgejsv(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_openblas", lambda package: (
+            None if package == "scipy" else real_openblas(package)))
+        monkeypatch.setattr(lapack, "dgejsv", counting)
+        assert list(sweeps("wrapper")) == direct
+        assert calls
 
 
 class TestRowNormDiagnostics:
