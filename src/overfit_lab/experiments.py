@@ -31,9 +31,11 @@ The sweep runs with numpy's OpenBLAS on one thread
 (``linalg.single_threaded_blas``): on two cores its second thread cost more
 than it gave, competing with the draw thread and with the thread pool of
 scipy's bundled OpenBLAS, which runs the Jacobi SVD (called through
-``ctypes``, so no sweep imports scipy).  scipy's library keeps its threads,
-because the steep-spectrum values depend on its thread count in their last
-bits.
+``ctypes``, so no sweep imports scipy).  A values-only Jacobi SVD (condnum's
+steep values) runs scipy's library on one thread too.  The Jacobi SVD with
+vectors (a steep learning-curve fit) keeps scipy's thread count, which the
+fit's last bits depend on, until the benchmark's steep bias check has a
+roundoff floor.
 
 ``derive_seed`` hashes (master_seed, experiment, N, trial index, stream tag)
 with SHA-256, so runs are reproducible bit for bit, trials never share

@@ -73,10 +73,13 @@ package bundles, and ``_openblas`` resolves both the same way, through
 ``ctypes`` and without importing scipy: numpy's (ILP64; every call here
 except ``dgejsv``) and scipy's (LP64; ``dgejsv``).  ``scipy.linalg`` is
 imported only where scipy's bundle or its ``dgejsv`` is missing.
-``single_threaded_blas`` runs a block with numpy's on one thread; sweeps use
-it.  It leaves scipy's alone, whose thread count moves the last bits of
-Jacobi results.  Values on the other routes move by roundoff only, within
-their bounds.
+``single_threaded_blas(package)`` runs a block with one of them on one
+thread.  Sweeps and TSQR pin numpy's.  Values-only Jacobi SVDs pin scipy's:
+its thread count moves their last bits, within dgejsv's relative accuracy,
+and a second thread costs more CPU than it saves.  The Jacobi SVD with
+vectors keeps scipy's count, since the steep bias carries its bits, until
+the benchmark's bias check has a roundoff floor (ROADMAP item 1).  Values on
+the other routes move by roundoff only, within their bounds.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ import math
 import os
 import threading
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -513,30 +516,33 @@ def _jacobi_svd(g: np.ndarray, want_vectors: bool):
     LWORK picks dgejsv's blocked or unblocked inner paths, so any other
     value moves the last bits.  The wrapper itself, and with it
     ``scipy.linalg``, is imported only where that library or its symbol is
-    missing.
+    missing.  Values only run on one scipy thread; a call with vectors keeps
+    scipy's thread count (see the module docstring).
     """
     m, n = g.shape
     lapack = _openblas("scipy")
-    if lapack is None:
-        from scipy.linalg.lapack import dgejsv
+    with nullcontext() if want_vectors else single_threaded_blas("scipy"):
+        if lapack is None:
+            from scipy.linalg.lapack import dgejsv
 
-        jobu, jobv = (0, 0) if want_vectors else (3, 3)
-        sva, u, v, work, _, info = dgejsv(
-            np.asfortranarray(g), joba=2, jobu=jobu, jobv=jobv
-        )
-    else:
-        a = np.array(g, dtype=np.float64, order="F")  # dgejsv overwrites it
-        sva = np.empty(n)
-        u = np.empty((m, n) if want_vectors else (0, 0), order="F")
-        v = np.empty((n, n) if want_vectors else (0, 0), order="F")
-        lwork = max(6 * n + 2 * n * n, 2 * m + n, 4 * n + n * n, 2 * n + n * n + 6, 7)
-        work = np.empty(lwork)
-        iwork = np.empty(max(3, m + 3 * n), dtype=np.int32)  # LP64
-        jobu, jobv = (b"U", b"V") if want_vectors else (b"N", b"N")
-        info = lapack.dgejsv(_COL_MAJOR, b"F", jobu, jobv, b"R", b"N", b"P", m, n,
-                             a.ctypes.data, m, sva.ctypes.data, u.ctypes.data,
-                             max(1, len(u)), v.ctypes.data, max(1, n),
-                             work.ctypes.data, lwork, iwork.ctypes.data)
+            jobu, jobv = (0, 0) if want_vectors else (3, 3)
+            sva, u, v, work, _, info = dgejsv(
+                np.asfortranarray(g), joba=2, jobu=jobu, jobv=jobv
+            )
+        else:
+            a = np.array(g, dtype=np.float64, order="F")  # dgejsv overwrites it
+            sva = np.empty(n)
+            u = np.empty((m, n) if want_vectors else (0, 0), order="F")
+            v = np.empty((n, n) if want_vectors else (0, 0), order="F")
+            lwork = max(6 * n + 2 * n * n, 2 * m + n, 4 * n + n * n,
+                        2 * n + n * n + 6, 7)
+            work = np.empty(lwork)
+            iwork = np.empty(max(3, m + 3 * n), dtype=np.int32)  # LP64
+            jobu, jobv = (b"U", b"V") if want_vectors else (b"N", b"N")
+            info = lapack.dgejsv(_COL_MAJOR, b"F", jobu, jobv, b"R", b"N", b"P", m, n,
+                                 a.ctypes.data, m, sva.ctypes.data, u.ctypes.data,
+                                 max(1, len(u)), v.ctypes.data, max(1, n),
+                                 work.ctypes.data, lwork, iwork.ctypes.data)
     if info != 0:
         raise NumericError(f"Jacobi SVD did not converge (info={info})")
     s = sva * (work[0] / work[1])
@@ -641,36 +647,38 @@ def _openblas(package: str) -> _OpenBLAS | None:
 
 
 _blas_lock = threading.Lock()
-_blas_users = 0
-_blas_saved = 0
+_blas_depth: dict[str, list[int]] = {}  # package: [users, saved count]
 
 
 @contextmanager
-def single_threaded_blas():
-    """Run the block with numpy's OpenBLAS on one thread, then restore the
-    count, also when the block raises.  A no-op on any other BLAS.
+def single_threaded_blas(package: str = "numpy"):
+    """Run the block with ``package``'s bundled OpenBLAS ("numpy" or "scipy")
+    on one thread, then restore its count, also when the block raises.  A
+    no-op where that library is not found (``_openblas``).
 
-    The count is process-wide, so nested and concurrent blocks share one
-    depth count: the outermost entry saves it, the outermost exit restores
-    it.  scipy's bundled OpenBLAS, which runs the Jacobi SVD, keeps its own
-    count: its thread getter and setter are resolved (``_openblas``) but not
-    called here.
+    A count is process-wide, so nested and concurrent blocks on one library
+    share one depth count: the outermost entry saves the count, the
+    outermost exit restores it.  Sweeps pin numpy's, and so do values-only
+    factorizations: TSQR pins numpy's, the values-only Jacobi SVD scipy's.
+    The Jacobi SVD with vectors keeps scipy's count, which moves the last
+    bits of the steep bias; a call that overlaps a scipy block on another
+    thread runs on one thread too.
     """
-    global _blas_users, _blas_saved
-    blas = _openblas("numpy")
+    blas = _openblas(package)
     if blas is None:
         yield
         return
     get, set_ = blas.get_threads, blas.set_threads
     with _blas_lock:
-        if _blas_users == 0:
-            _blas_saved = get()
+        depth = _blas_depth.setdefault(package, [0, 0])
+        if depth[0] == 0:
+            depth[1] = get()
             set_(1)
-        _blas_users += 1
+        depth[0] += 1
     try:
         yield
     finally:
         with _blas_lock:
-            _blas_users -= 1
-            if _blas_users == 0:
-                set_(_blas_saved)
+            depth[0] -= 1
+            if depth[0] == 0:
+                set_(depth[1])

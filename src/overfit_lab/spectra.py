@@ -66,7 +66,10 @@ def max_exponential_length(a: float) -> int:
     """Largest M for which exp(-a*M) stays at or above the underflow floor."""
     if a <= 0:
         raise InvalidParameterError("decay parameter must be positive")
-    return int(math.floor(-math.log(UNDERFLOW_FLOOR) / a))
+    cap = -math.log(UNDERFLOW_FLOOR) / a
+    if not math.isfinite(cap):  # a so small that the quotient overflows
+        raise InvalidParameterError(f"decay parameter a={a} is too small to cap M")
+    return int(math.floor(cap))
 
 
 def make_spectrum(kind, a=1.0, M=None, eigenvalues=None) -> Spectrum:

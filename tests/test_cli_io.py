@@ -459,6 +459,15 @@ class TestCli:
             assert code == 1
             assert n in capsys.readouterr().err
 
+    def test_uncapped_decay_rate_exit_code(self, tmp_path, capsys):
+        # exp(-a M) stays above the underflow floor for more M than a float
+        # holds: a validation error naming a, before anything is computed
+        out = tmp_path / "x.csv"
+        code = cli.main(["smin-study", "--spectrum", "exponential", "--a", "5e-324",
+                         "--n-grid", "12", "--trials", "1", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert "a=5e-324" in capsys.readouterr().err
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"

@@ -2,6 +2,8 @@ import math
 import sys
 import threading
 import warnings
+from contextlib import nullcontext
+from types import SimpleNamespace
 from unittest import mock
 
 import mpmath
@@ -19,7 +21,12 @@ from overfit_lab.errors import (
     RankDeficientKernelWarning,
     ShapeError,
 )
-from overfit_lab.experiments import TRIALS, ExperimentConfig, derive_seed
+from overfit_lab.experiments import (
+    TRIALS,
+    ExperimentConfig,
+    derive_seed,
+    run_experiment,
+)
 from overfit_lab.features import (
     FEATURE_LAWS,
     AnalyticKernel,
@@ -698,8 +705,10 @@ class TestJacobiLibrary:
         g.setflags(write=False)
         u, sv, v = linalg._jacobi_svd(g, want_vectors)
         job = 0 if want_vectors else 3
-        sva, u_ref, v_ref, work, _, info = dgejsv(np.asfortranarray(g), joba=2,
-                                                  jobu=job, jobv=job)
+        # at the thread count the call runs on: one scipy thread for values only
+        with nullcontext() if want_vectors else linalg.single_threaded_blas("scipy"):
+            sva, u_ref, v_ref, work, _, info = dgejsv(np.asfortranarray(g), joba=2,
+                                                      jobu=job, jobv=job)
         assert info == 0
         assert np.array_equal(sv, sva * (work[0] / work[1]))
         if want_vectors:
@@ -744,6 +753,76 @@ class TestJacobiLibrary:
         monkeypatch.setattr(lapack, "dgejsv", counting)
         assert list(sweeps("wrapper")) == direct
         assert calls
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    def test_one_thread_values_match_two_thread_values(self, scipy_lapack, n):
+        # the steep condnum sweep's factors: the values-only call on one
+        # scipy thread agrees with the wrapper on two to a few N eps relative,
+        # the accuracy dgejsv attains on a row-graded factor at any count
+        from scipy.linalg.lapack import dgejsv
+
+        lib, m = linalg._openblas("scipy"), min(10 * n, 690)
+        s = make_spectrum("exponential", 1.0, m)
+        g = mercer_factor(s, sample_design(
+            GAUSSIAN, m, n, derive_seed(2024, "condnum", n, 0)).entries)
+        _, sv, _ = linalg._jacobi_svd(g, want_vectors=False)
+        before = lib.get_threads()
+        lib.set_threads(2)
+        try:
+            sva, _, _, work, _, info = dgejsv(np.asfortranarray(g), joba=2,
+                                              jobu=3, jobv=3)
+        finally:
+            lib.set_threads(before)
+        assert info == 0
+        ref = sva * (work[0] / work[1])
+        assert np.max(np.abs(sv - ref) / ref) <= 4 * n * np.finfo(np.float64).eps
+
+
+@pytest.fixture
+def scipy_threads(scipy_lapack, monkeypatch):
+    """scipy's OpenBLAS with its thread count set to 3 for the test and put
+    back after it: ``get`` reads the count, ``seen`` lists the count each
+    ``dgejsv`` call ran at, and setting ``fail`` makes each return info 1."""
+    real_openblas = linalg._openblas
+    lib = real_openblas("scipy")
+    probe = SimpleNamespace(get=lib.get_threads, seen=[], fail=False)
+
+    def recording(*args):
+        probe.seen.append(lib.get_threads())
+        return 1 if probe.fail else lib.dgejsv(*args)
+
+    patched = lib._replace(dgejsv=recording)
+    monkeypatch.setattr(linalg, "_openblas", lambda package: (
+        patched if package == "scipy" else real_openblas(package)))
+    before = lib.get_threads()
+    lib.set_threads(3)  # neither one thread nor OpenBLAS's default on two cores
+    yield probe
+    lib.set_threads(before)
+
+
+class TestJacobiThreads:
+    def test_values_only_run_on_one_thread(self, scipy_threads):
+        K = _steep_kernel()
+        singular_extremes(K)
+        linalg._jacobi_svd(K.factor, want_vectors=True)
+        assert scipy_threads.seen == [1, 3] and scipy_threads.get() == 3
+
+    @pytest.mark.parametrize("experiment,count", [("condnum", 1),
+                                                  ("learning_curve", 3)])
+    def test_steep_sweep_restores_the_count(self, scipy_threads, experiment,
+                                            count):
+        # condnum takes values only; a learning-curve trial fits first, and
+        # its values reuse the fit's record, so every call keeps the count
+        run_experiment(ExperimentConfig(experiment=experiment,
+                                        spectrum="exponential", n_grid=(32, 64),
+                                        trials=1, n_test=20))
+        assert scipy_threads.seen == [count] * 2 and scipy_threads.get() == 3
+
+    def test_failed_call_restores_the_count(self, scipy_threads):
+        scipy_threads.fail = True
+        with pytest.raises(NumericError, match="info=1"):
+            singular_extremes(_steep_kernel())
+        assert scipy_threads.seen == [1] and scipy_threads.get() == 3
 
 
 class TestRowNormDiagnostics:

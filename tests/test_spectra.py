@@ -66,6 +66,11 @@ class TestMakeSpectrum:
         with pytest.raises(SpectrumTruncationError):
             make_spectrum("exponential", 1.0, cap + 1)
 
+    def test_uncapped_decay_rate_rejected(self):
+        # -log(1e-300) / 5e-324 overflows to inf, which no length matches
+        with pytest.raises(InvalidParameterError, match="a=5e-324"):
+            max_exponential_length(5e-324)
+
     @pytest.mark.parametrize("kind,a", [
         ("polynomial", 0.5), ("polynomial", 2.0),
         ("exponential", 0.3), ("exponential", 1.0),
