@@ -30,12 +30,11 @@ thread decomposes the previous law's.  Both pools keep one rule:
 The sweep runs with numpy's OpenBLAS on one thread
 (``linalg.single_threaded_blas``): on two cores its second thread cost more
 than it gave, competing with the draw thread and with the thread pool of
-scipy's bundled OpenBLAS, which runs the Jacobi SVD (called through
-``ctypes``, so no sweep imports scipy).  A values-only Jacobi SVD (condnum's
-steep values) runs scipy's library on one thread too.  The Jacobi SVD with
-vectors (a steep learning-curve fit) keeps scipy's thread count, which the
-fit's last bits depend on, until the benchmark's steep bias check has a
-roundoff floor.
+scipy's bundled OpenBLAS.  Values-only factorizations, the Jacobi SVD's
+among them, run numpy's library (called through ``ctypes``, so no sweep
+imports scipy).  scipy's runs only the Jacobi SVD with vectors (a steep
+learning-curve fit), at scipy's own thread count, which the fit's last bits
+depend on, until the benchmark's steep bias check has a roundoff floor.
 
 ``derive_seed`` hashes (master_seed, experiment, N, trial index, stream tag)
 with SHA-256, so runs are reproducible bit for bit, trials never share
@@ -160,6 +159,8 @@ class ExperimentConfig:
             raise InvariantViolationError("sigma must be >= 0")
         if self.a <= 0:
             raise InvariantViolationError("decay parameter a must be positive")
+        if self.bandwidth <= 0:
+            raise InvariantViolationError("bandwidth must be positive")
         if len(self.n_grid) == 0 or any(n < 1 for n in self.n_grid):
             raise InvariantViolationError("n_grid must hold positive sample sizes")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
@@ -174,6 +175,8 @@ class ExperimentConfig:
         for key in ("a", "sigma", "bandwidth", "interval_lo", "interval_hi"):
             if not math.isfinite(getattr(self, key)):
                 raise InvariantViolationError(f"{key} must be finite")
+        if self.interval_lo >= self.interval_hi:
+            raise InvariantViolationError("interval_lo must be below interval_hi")
 
     def feature_count(self, n: int, eta: int | None = None) -> int:
         """M for sample size n: eta*n, capped where the spectrum underflows.

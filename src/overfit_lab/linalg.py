@@ -70,16 +70,14 @@ which keeps every positive eigenvalue.
 
 Two OpenBLAS libraries can be loaded, each the scipy-openblas build its
 package bundles, and ``_openblas`` resolves both the same way, through
-``ctypes`` and without importing scipy: numpy's (ILP64; every call here
-except ``dgejsv``) and scipy's (LP64; ``dgejsv``).  ``scipy.linalg`` is
-imported only where scipy's bundle or its ``dgejsv`` is missing.
-``single_threaded_blas(package)`` runs a block with one of them on one
-thread.  Sweeps and TSQR pin numpy's.  Values-only Jacobi SVDs pin scipy's:
-its thread count moves their last bits, within dgejsv's relative accuracy,
-and a second thread costs more CPU than it saves.  The Jacobi SVD with
-vectors keeps scipy's count, since the steep bias carries its bits, until
-the benchmark's bias check has a roundoff floor (ROADMAP item 1).  Values on
-the other routes move by roundoff only, within their bounds.
+``ctypes`` and without importing scipy.  numpy's (ILP64) runs every call
+here but one, on one thread in sweeps and in values-only factorizations
+(``single_threaded_blas``).  scipy's (LP64) runs only the Jacobi SVD with
+vectors, at scipy's own thread count, since the steep bias carries its
+bits, until the benchmark's bias check has a roundoff floor (ROADMAP item
+1).  ``scipy.linalg`` is imported only where the bundle a call takes, or
+its ``dgejsv``, is missing.  Values on the other routes move with numpy's
+thread count by roundoff only, within their bounds.
 """
 
 from __future__ import annotations
@@ -91,7 +89,7 @@ import math
 import os
 import threading
 from collections.abc import Callable
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -509,36 +507,36 @@ def _jacobi_svd(g: np.ndarray, want_vectors: bool):
     joba='F' targets matrices of the form D1*C*D2 with ill-conditioned
     diagonal scalings; singular values come back scaled by work[0]/work[1].
 
-    The routine is ``LAPACKE_dgejsv_work`` of scipy's bundled OpenBLAS,
-    called through ``ctypes`` on a Fortran copy of G with what scipy's f2py
-    wrapper ``scipy.linalg.lapack.dgejsv`` passes: jobr='R', jobt='N',
-    jobp='P', the wrapper's default LWORK and an IWORK of max(3, M + 3N).
-    LWORK picks dgejsv's blocked or unblocked inner paths, so any other
-    value moves the last bits.  The wrapper itself, and with it
-    ``scipy.linalg``, is imported only where that library or its symbol is
-    missing.  Values only run on one scipy thread; a call with vectors keeps
-    scipy's thread count (see the module docstring).
+    The routine is ``LAPACKE_dgejsv_work`` of a bundled OpenBLAS, numpy's
+    for values only and scipy's with vectors (see the module docstring),
+    called through ``ctypes`` inside ``single_threaded_blas`` on a Fortran
+    copy of G with what scipy's f2py wrapper ``scipy.linalg.lapack.dgejsv``
+    passes: jobr='R', jobt='N', jobp='P', the wrapper's default LWORK and an
+    IWORK of max(3, M + 3N).  LWORK picks dgejsv's blocked or unblocked inner
+    paths, so any other value moves the last bits.  The wrapper itself, and
+    with it ``scipy.linalg``, is imported only where that library or its
+    symbol is missing.
     """
     m, n = g.shape
-    lapack = _openblas("scipy")
-    with nullcontext() if want_vectors else single_threaded_blas("scipy"):
-        if lapack is None:
-            from scipy.linalg.lapack import dgejsv
+    package = "scipy" if want_vectors else "numpy"
+    lapack = _openblas(package)
+    if lapack is None:
+        from scipy.linalg.lapack import dgejsv
 
-            jobu, jobv = (0, 0) if want_vectors else (3, 3)
-            sva, u, v, work, _, info = dgejsv(
-                np.asfortranarray(g), joba=2, jobu=jobu, jobv=jobv
-            )
-        else:
-            a = np.array(g, dtype=np.float64, order="F")  # dgejsv overwrites it
-            sva = np.empty(n)
-            u = np.empty((m, n) if want_vectors else (0, 0), order="F")
-            v = np.empty((n, n) if want_vectors else (0, 0), order="F")
-            lwork = max(6 * n + 2 * n * n, 2 * m + n, 4 * n + n * n,
-                        2 * n + n * n + 6, 7)
-            work = np.empty(lwork)
-            iwork = np.empty(max(3, m + 3 * n), dtype=np.int32)  # LP64
-            jobu, jobv = (b"U", b"V") if want_vectors else (b"N", b"N")
+        jobu, jobv = (0, 0) if want_vectors else (3, 3)
+        sva, u, v, work, _, info = dgejsv(
+            np.asfortranarray(g), joba=2, jobu=jobu, jobv=jobv
+        )
+    else:
+        a = np.array(g, dtype=np.float64, order="F")  # dgejsv overwrites it
+        sva = np.empty(n)
+        u = np.empty((m, n) if want_vectors else (0, 0), order="F")
+        v = np.empty((n, n) if want_vectors else (0, 0), order="F")
+        lwork = max(6 * n + 2 * n * n, 2 * m + n, 4 * n + n * n, 2 * n + n * n + 6, 7)
+        work = np.empty(lwork)
+        iwork = np.empty(max(3, m + 3 * n), dtype=_BUNDLES[package][2])
+        jobu, jobv = (b"U", b"V") if want_vectors else (b"N", b"N")
+        with single_threaded_blas():
             info = lapack.dgejsv(_COL_MAJOR, b"F", jobu, jobv, b"R", b"N", b"P", m, n,
                                  a.ctypes.data, m, sva.ctypes.data, u.ctypes.data,
                                  max(1, len(u)), v.ctypes.data, max(1, n),
@@ -647,38 +645,35 @@ def _openblas(package: str) -> _OpenBLAS | None:
 
 
 _blas_lock = threading.Lock()
-_blas_depth: dict[str, list[int]] = {}  # package: [users, saved count]
+_blas_users = 0
+_blas_saved = 0
 
 
 @contextmanager
-def single_threaded_blas(package: str = "numpy"):
-    """Run the block with ``package``'s bundled OpenBLAS ("numpy" or "scipy")
-    on one thread, then restore its count, also when the block raises.  A
-    no-op where that library is not found (``_openblas``).
+def single_threaded_blas():
+    """Run the block with numpy's bundled OpenBLAS on one thread, then restore
+    the count, also when the block raises.  A no-op on any other BLAS.
 
-    A count is process-wide, so nested and concurrent blocks on one library
-    share one depth count: the outermost entry saves the count, the
-    outermost exit restores it.  Sweeps pin numpy's, and so do values-only
-    factorizations: TSQR pins numpy's, the values-only Jacobi SVD scipy's.
-    The Jacobi SVD with vectors keeps scipy's count, which moves the last
-    bits of the steep bias; a call that overlaps a scipy block on another
-    thread runs on one thread too.
+    The count is process-wide, so nested and concurrent blocks share one
+    depth count: the outermost entry saves it, the outermost exit restores
+    it.  Sweeps, TSQR and the Jacobi SVD's ``dgejsv`` call run inside it, so
+    values-only factorizations take one thread.  scipy's bundled OpenBLAS,
+    which runs only the Jacobi SVD with vectors, keeps its own count.
     """
-    blas = _openblas(package)
+    global _blas_users, _blas_saved
+    blas = _openblas("numpy")
     if blas is None:
         yield
         return
-    get, set_ = blas.get_threads, blas.set_threads
     with _blas_lock:
-        depth = _blas_depth.setdefault(package, [0, 0])
-        if depth[0] == 0:
-            depth[1] = get()
-            set_(1)
-        depth[0] += 1
+        if _blas_users == 0:
+            _blas_saved = blas.get_threads()
+            blas.set_threads(1)
+        _blas_users += 1
     try:
         yield
     finally:
         with _blas_lock:
-            depth[0] -= 1
-            if depth[0] == 0:
-                set_(depth[1])
+            _blas_users -= 1
+            if _blas_users == 0:
+                blas.set_threads(_blas_saved)

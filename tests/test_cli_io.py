@@ -335,9 +335,9 @@ class TestCli:
         assert "law" in capsys.readouterr().err
 
     def test_import_loads_no_scipy(self, tmp_path):
-        # no import loads scipy, nor any sweep where scipy's bundled OpenBLAS
-        # runs the Jacobi SVD through ctypes: steep condnum, learning-curve
-        # and truncation sweeps take that path
+        # no import loads scipy, nor any sweep where a bundled OpenBLAS runs
+        # the Jacobi SVD through ctypes: steep condnum, learning-curve and
+        # truncation sweeps take that path
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         code = "import overfit_lab.cli, sys; sys.exit('scipy' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
@@ -359,6 +359,48 @@ class TestCli:
         run = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
+
+    @pytest.mark.parametrize("argv,mapped", [
+        (["condnum", "--spectrum", "exponential", "--n-grid", "32,64"], False),
+        (["smin-study", "--n-grid", "16,256"], False),
+        (["learning-curve", "--n-grid", "16,64", "--n-test", "20"], False),
+        # the Jacobi SVD with vectors (a steep fit) still runs scipy's
+        # library, until ROADMAP item 2's last step
+        (["learning-curve", "--spectrum", "exponential", "--n-grid", "32",
+          "--n-test", "20"], True),
+    ], ids=["condnum-steep", "smin-study", "learning-curve", "learning-curve-steep"])
+    def test_sweep_maps_one_openblas(self, tmp_path, argv, mapped):
+        # values-only factorizations run numpy's bundled OpenBLAS; a fresh
+        # interpreter maps scipy's only for a call with vectors
+        if not Path("/proc/self/maps").exists():
+            pytest.skip("no /proc/self/maps to read the mapped libraries from")
+        for package in ("numpy", "scipy"):
+            if linalg._openblas(package) is None:
+                pytest.skip(f"{package}'s bundled scipy-openblas or its "
+                            "LAPACKE_dgejsv_work not found")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        code = (
+            "import overfit_lab.cli as c\n"
+            f"assert c.main([*{argv!r}, '--trials', '1', '--out', "
+            f"{str(tmp_path / 'out.csv')!r}]) == 0\n"
+            "print('libscipy_openblas-' in open('/proc/self/maps').read())\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split()[-1] == str(mapped)
+
+    @pytest.mark.parametrize("subcommand", sorted(cli.SUBCOMMANDS))
+    def test_range_checks_in_every_subcommand(self, tmp_path, capsys, subcommand):
+        # a range error is a validation error (exit 1) whether or not the
+        # subcommand reads the key
+        for flags, message in ((["--bandwidth", "0"], "bandwidth must be positive"),
+                               (["--interval-lo", "3", "--interval-hi", "1"],
+                                "interval_lo must be below interval_hi")):
+            code = cli.main([subcommand, *flags, "--n-grid", "4", "--trials", "1",
+                             "--out", str(tmp_path / "x.csv")])
+            assert code == 1, flags
+            assert message in capsys.readouterr().err
 
     def test_unknown_flag_exit_code(self, tmp_path):
         out = ["--out", str(tmp_path / "x.csv")]

@@ -3,7 +3,6 @@ import sys
 import threading
 import tracemalloc
 import weakref
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -529,25 +528,19 @@ class TestBlasThreads:
     def test_threads_churning_the_block_keep_the_count(self, blas_threads):
         # more threads than cores enter and leave the block with a short
         # switch interval; a lost update to the depth count would restore the
-        # count while a thread is inside, or leave it at 1.  Half the threads
-        # also pin scipy's library, whose depth count is its own
-        wrong, scipy = [], linalg._openblas("scipy")
-        scipy_before = scipy and scipy.get_threads()
+        # count while a thread is inside, or leave it at 1
+        wrong = []
 
-        def churn(also_scipy):
+        def churn():
             for _ in range(200):
-                with (linalg.single_threaded_blas(),
-                      linalg.single_threaded_blas("scipy") if also_scipy
-                      else nullcontext()):
+                with linalg.single_threaded_blas():
                     if blas_threads() != 1:
                         wrong.append(blas_threads())
-                    if also_scipy and scipy and scipy.get_threads() != 1:
-                        wrong.append(("scipy", scipy.get_threads()))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=churn, args=(i % 2,)) for i in range(8)]
+            threads = [threading.Thread(target=churn) for _ in range(8)]
             for th in threads:
                 th.start()
             for th in threads:
@@ -556,15 +549,14 @@ class TestBlasThreads:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert wrong == [] and blas_threads() == 3
-        assert not scipy or scipy.get_threads() == scipy_before
 
     @pytest.mark.parametrize("experiment", ["condnum", "learning_curve"])
     def test_jacobi_records_keep_their_bits(self, experiment):
-        # the sweep leaves scipy's OpenBLAS, which runs the Jacobi SVD, to
-        # the SVD itself (values only on one thread, with vectors at its
-        # count), so a steep trial swept by run_experiment is the bits of the
-        # trial called directly at the default thread counts; N=512 is where
-        # scipy's thread count moves them
+        # a Jacobi SVD sets its own threads (values only from numpy's bundle
+        # on one thread, with vectors from scipy's at its count), so a steep
+        # trial swept by run_experiment is the bits of the trial called
+        # directly at the default thread counts; N=512 is where scipy's
+        # thread count moves them
         cfg = _cfg(experiment=experiment, spectrum="exponential", n_grid=(512,),
                    trials=1)
         assert cfg.feature_count(512) == 690

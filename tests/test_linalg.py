@@ -2,7 +2,8 @@ import math
 import sys
 import threading
 import warnings
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
+from functools import partial
 from types import SimpleNamespace
 from unittest import mock
 
@@ -682,17 +683,31 @@ class TestTallValues:
 
 
 @pytest.fixture
-def scipy_lapack():
-    """Skips where scipy has no bundled OpenBLAS with ``dgejsv``."""
-    if linalg._openblas("scipy") is None:
-        pytest.skip("scipy's bundled scipy-openblas or its LAPACKE_dgejsv_work "
-                    "not found; the Jacobi SVD takes scipy.linalg's wrapper")
+def jacobi_bundles():
+    """Skips where numpy's or scipy's bundled OpenBLAS, or its ``dgejsv``, is
+    missing: values only then take scipy.linalg's wrapper, or vectors do."""
+    for package in ("numpy", "scipy"):
+        if linalg._openblas(package) is None:
+            pytest.skip(f"{package}'s bundled scipy-openblas or its "
+                        "LAPACKE_dgejsv_work not found")
+
+
+@contextmanager
+def _scipy_threads(count):
+    """scipy's bundled OpenBLAS at ``count`` threads for the block."""
+    lib = linalg._openblas("scipy")
+    before = lib.get_threads()
+    lib.set_threads(count)
+    try:
+        yield
+    finally:
+        lib.set_threads(before)
 
 
 class TestJacobiLibrary:
     @pytest.mark.parametrize("want_vectors", [False, True], ids=["values", "full"])
     @pytest.mark.parametrize("n,m", [(512, 690), (6, 6)])
-    def test_matches_the_scipy_wrapper_bit_for_bit(self, scipy_lapack, n, m,
+    def test_matches_the_scipy_wrapper_bit_for_bit(self, jacobi_bundles, n, m,
                                                    want_vectors):
         # the steep sweeps' largest factor, where scipy's thread count and
         # jobp move bits, and a square one, the only shape whose bits jobt
@@ -705,8 +720,9 @@ class TestJacobiLibrary:
         g.setflags(write=False)
         u, sv, v = linalg._jacobi_svd(g, want_vectors)
         job = 0 if want_vectors else 3
-        # at the thread count the call runs on: one scipy thread for values only
-        with nullcontext() if want_vectors else linalg.single_threaded_blas("scipy"):
+        # values only run numpy's bundle on one thread, which must match the
+        # wrapper on one scipy thread; vectors run scipy's at its count
+        with nullcontext() if want_vectors else _scipy_threads(1):
             sva, u_ref, v_ref, work, _, info = dgejsv(np.asfortranarray(g), joba=2,
                                                       jobu=job, jobv=job)
         assert info == 0
@@ -717,7 +733,7 @@ class TestJacobiLibrary:
         else:
             assert u is None and v is None
 
-    def test_factor_is_left_untouched(self, scipy_lapack):
+    def test_factor_is_left_untouched(self, jacobi_bundles):
         # dgejsv overwrites its input; a one-column factor is already in
         # Fortran order, so only a copy keeps G
         g = np.sqrt(make_spectrum("exponential", 1.0, 40).eigenvalues)[:, None]
@@ -725,104 +741,111 @@ class TestJacobiLibrary:
         linalg._jacobi_svd(g, want_vectors=True)
         assert np.array_equal(g, before)
 
-    def test_fallback_writes_the_same_bytes(self, scipy_lapack, monkeypatch,
+    def test_fallback_writes_the_same_bytes(self, jacobi_bundles, monkeypatch,
                                             tmp_path):
-        # without the bundled library the Jacobi SVD imports scipy's wrapper;
-        # steep condnum and learning-curve sweeps write the same bytes
+        # without the bundle a Jacobi call takes, it imports scipy's wrapper;
+        # a steep condnum sweep (values only, numpy's bundle) and a steep
+        # learning-curve sweep (vectors, scipy's) write the same bytes
         import scipy.linalg.lapack as lapack
 
         from overfit_lab import cli
 
-        def sweeps(tag):
-            for sub in ("condnum", "learning-curve"):
-                out = tmp_path / f"{sub}-{tag}.csv"
-                assert cli.main([sub, "--spectrum", "exponential", "--n-grid",
-                                 "32,64", "--trials", "2", "--n-test", "20",
-                                 "--out", str(out)]) == 0
-                yield out.read_bytes()
+        def sweep(sub):
+            out = tmp_path / f"{sub}.csv"
+            assert cli.main([sub, "--spectrum", "exponential", "--n-grid", "32,64",
+                             "--trials", "2", "--n-test", "20",
+                             "--out", str(out)]) == 0
+            return out.read_bytes()
 
-        direct = list(sweeps("ctypes"))
-        real_openblas, real_dgejsv, calls = linalg._openblas, lapack.dgejsv, []
+        real_openblas, real_dgejsv = linalg._openblas, lapack.dgejsv
+        for sub, missing in (("condnum", "numpy"), ("learning-curve", "scipy")):
+            direct, calls = sweep(sub), []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real_dgejsv(*args, **kwargs)
+            def counting(*args, **kwargs):
+                calls.append(1)
+                return real_dgejsv(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "_openblas", lambda package: (
-            None if package == "scipy" else real_openblas(package)))
-        monkeypatch.setattr(lapack, "dgejsv", counting)
-        assert list(sweeps("wrapper")) == direct
-        assert calls
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_openblas", lambda package: (
+                    None if package == missing else real_openblas(package)))
+                patch.setattr(lapack, "dgejsv", counting)
+                assert sweep(sub) == direct
+            assert calls, sub
 
     @pytest.mark.parametrize("n", [64, 128, 256, 512])
-    def test_one_thread_values_match_two_thread_values(self, scipy_lapack, n):
+    def test_one_thread_values_match_two_thread_values(self, jacobi_bundles, n):
         # the steep condnum sweep's factors: the values-only call on one
-        # scipy thread agrees with the wrapper on two to a few N eps relative,
-        # the accuracy dgejsv attains on a row-graded factor at any count
+        # thread agrees with the wrapper on two scipy threads to a few N eps
+        # relative, the accuracy dgejsv attains on a row-graded factor at
+        # any count
         from scipy.linalg.lapack import dgejsv
 
-        lib, m = linalg._openblas("scipy"), min(10 * n, 690)
+        m = min(10 * n, 690)
         s = make_spectrum("exponential", 1.0, m)
         g = mercer_factor(s, sample_design(
             GAUSSIAN, m, n, derive_seed(2024, "condnum", n, 0)).entries)
         _, sv, _ = linalg._jacobi_svd(g, want_vectors=False)
-        before = lib.get_threads()
-        lib.set_threads(2)
-        try:
+        with _scipy_threads(2):
             sva, _, _, work, _, info = dgejsv(np.asfortranarray(g), joba=2,
                                               jobu=3, jobv=3)
-        finally:
-            lib.set_threads(before)
         assert info == 0
         ref = sva * (work[0] / work[1])
         assert np.max(np.abs(sv - ref) / ref) <= 4 * n * np.finfo(np.float64).eps
 
 
 @pytest.fixture
-def scipy_threads(scipy_lapack, monkeypatch):
-    """scipy's OpenBLAS with its thread count set to 3 for the test and put
-    back after it: ``get`` reads the count, ``seen`` lists the count each
-    ``dgejsv`` call ran at, and setting ``fail`` makes each return info 1."""
-    real_openblas = linalg._openblas
-    lib = real_openblas("scipy")
-    probe = SimpleNamespace(get=lib.get_threads, seen=[], fail=False)
+def jacobi_calls(jacobi_bundles, monkeypatch):
+    """Both bundled OpenBLAS libraries with their thread counts set to 3 for
+    the test and put back after it.  ``seen`` lists (package, that library's
+    count) for each ``dgejsv`` call, ``counts()`` reads both counts, and
+    setting ``fail`` makes numpy's ``dgejsv`` return info 1."""
+    libs = {package: linalg._openblas(package) for package in ("numpy", "scipy")}
+    probe = SimpleNamespace(seen=[], fail=False, counts=lambda: {
+        package: lib.get_threads() for package, lib in libs.items()})
 
-    def recording(*args):
-        probe.seen.append(lib.get_threads())
-        return 1 if probe.fail else lib.dgejsv(*args)
+    def recording(package, *args):
+        lib = libs[package]
+        probe.seen.append((package, lib.get_threads()))
+        return 1 if probe.fail and package == "numpy" else lib.dgejsv(*args)
 
-    patched = lib._replace(dgejsv=recording)
-    monkeypatch.setattr(linalg, "_openblas", lambda package: (
-        patched if package == "scipy" else real_openblas(package)))
-    before = lib.get_threads()
-    lib.set_threads(3)  # neither one thread nor OpenBLAS's default on two cores
+    patched = {package: lib._replace(dgejsv=partial(recording, package))
+               for package, lib in libs.items()}
+    monkeypatch.setattr(linalg, "_openblas", patched.get)
+    before = probe.counts()
+    for lib in libs.values():
+        lib.set_threads(3)  # neither one thread nor OpenBLAS's default on two cores
     yield probe
-    lib.set_threads(before)
+    for package, lib in libs.items():
+        lib.set_threads(before[package])
 
 
 class TestJacobiThreads:
-    def test_values_only_run_on_one_thread(self, scipy_threads):
-        K = _steep_kernel()
-        singular_extremes(K)
-        linalg._jacobi_svd(K.factor, want_vectors=True)
-        assert scipy_threads.seen == [1, 3] and scipy_threads.get() == 3
+    def test_values_only_run_on_one_thread(self, jacobi_calls):
+        # from numpy's bundle; scipy's library is neither called nor set
+        singular_extremes(_steep_kernel())
+        assert jacobi_calls.seen == [("numpy", 1)]
+        assert jacobi_calls.counts() == {"numpy": 3, "scipy": 3}
 
     @pytest.mark.parametrize("experiment,count", [("condnum", 1),
                                                   ("learning_curve", 3)])
-    def test_steep_sweep_restores_the_count(self, scipy_threads, experiment,
+    def test_steep_sweep_restores_the_count(self, jacobi_calls, experiment,
                                             count):
-        # condnum takes values only; a learning-curve trial fits first, and
-        # its values reuse the fit's record, so every call keeps the count
+        # condnum takes values only, from numpy's bundle on one thread; a
+        # learning-curve trial fits first, and its values reuse the fit's
+        # record, so every call runs scipy's bundle at scipy's count
         run_experiment(ExperimentConfig(experiment=experiment,
                                         spectrum="exponential", n_grid=(32, 64),
                                         trials=1, n_test=20))
-        assert scipy_threads.seen == [count] * 2 and scipy_threads.get() == 3
+        package = "numpy" if experiment == "condnum" else "scipy"
+        assert jacobi_calls.seen == [(package, count)] * 2
+        assert jacobi_calls.counts() == {"numpy": 3, "scipy": 3}
 
-    def test_failed_call_restores_the_count(self, scipy_threads):
-        scipy_threads.fail = True
+    def test_failed_call_restores_the_count(self, jacobi_calls):
+        jacobi_calls.fail = True
         with pytest.raises(NumericError, match="info=1"):
             singular_extremes(_steep_kernel())
-        assert scipy_threads.seen == [1] and scipy_threads.get() == 3
+        assert jacobi_calls.seen == [("numpy", 1)]
+        assert jacobi_calls.counts() == {"numpy": 3, "scipy": 3}
 
 
 class TestRowNormDiagnostics:
