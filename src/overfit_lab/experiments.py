@@ -35,6 +35,11 @@ among them, run numpy's library (called through ``ctypes``, so no sweep
 imports scipy).  scipy's runs only the Jacobi SVD with vectors (a steep
 learning-curve fit), at scipy's own thread count, which the fit's last bits
 depend on, until the benchmark's steep bias check has a roundoff floor.
+The sweep loads that library (``linalg._openblas``) with OpenBLAS's
+shortest idle-wait timeout, so its worker sleeps between and after fits
+instead of spinning a core for about 0.13 s after each; the count and the
+bits are unchanged.  A process that imported ``scipy.linalg`` before its
+first steep fit has the library mapped already, with the default timeout.
 
 ``derive_seed`` hashes (master_seed, experiment, N, trial index, stream tag)
 with SHA-256, so runs are reproducible bit for bit, trials never share

@@ -75,9 +75,14 @@ here but one, on one thread in sweeps and in values-only factorizations
 (``single_threaded_blas``).  scipy's (LP64) runs only the Jacobi SVD with
 vectors, at scipy's own thread count, since the steep bias carries its
 bits, until the benchmark's bias check has a roundoff floor (ROADMAP item
-1).  ``scipy.linalg`` is imported only where the bundle a call takes, or
-its ``dgejsv``, is missing.  Values on the other routes move with numpy's
-thread count by roundoff only, within their bounds.
+1).  ``_openblas`` loads it with OpenBLAS's shortest idle-wait timeout,
+so its idle worker sleeps instead of spinning a core through and after
+each call; the count and the bits stay.  Where ``scipy.linalg`` was
+imported first, its library is already mapped and keeps the default
+timeout, with the same bits.  ``scipy.linalg`` is imported only where the
+bundle a call takes, or its ``dgejsv``, is missing.  Values on the other
+routes move with numpy's thread count by roundoff only, within their
+bounds.
 """
 
 from __future__ import annotations
@@ -617,13 +622,35 @@ def _openblas(package: str) -> _OpenBLAS | None:
     scipy-openblas library that ``package`` ("numpy" or "scipy") bundles in
     ``<package>.libs/``, or None where the package, the library or a symbol
     is missing.  Resolved on first use; ``find_spec`` locates the package
-    without importing it."""
+    without importing it.
+
+    The library is loaded with ``OPENBLAS_THREAD_TIMEOUT=4`` in the
+    environment, unless the caller set the variable, whose value is then
+    left as it is; the environment is restored right after the load.  That
+    is OpenBLAS's floor: an idle worker sleeps after 2^4 cycles, where the
+    default 2^28 (about 0.13 s at 2 GHz) has it spin a core between the
+    parallel regions of a call and after it.  Only idle waiting changes,
+    not the thread count or the work split, so results keep their bits.
+    numpy's library is mapped by ``import numpy`` and scipy's by an import
+    of ``scipy.linalg``; where it already was, the load returns that copy
+    and its pool keeps the default timeout, with the same bits.  In a sweep
+    scipy's library is first loaded here, by the first steep fit."""
     pattern, suffix, i = _BUNDLES[package]
     try:
         root = os.path.dirname(importlib.util.find_spec(package).origin)
         # the copy the package's extensions load: same file, same handle
-        lib = ctypes.CDLL(glob.glob(os.path.join(
-            os.path.dirname(root), f"{package}.libs", pattern))[0])
+        path = glob.glob(os.path.join(os.path.dirname(root), f"{package}.libs",
+                                      pattern))[0]
+        # OpenBLAS reads the variable once, as the library loads; the lock
+        # keeps concurrent first loads from undoing each other's setting
+        with _blas_lock:
+            caller_timeout = "OPENBLAS_THREAD_TIMEOUT" in os.environ
+            os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+            try:
+                lib = ctypes.CDLL(path)
+            finally:
+                if not caller_timeout:
+                    del os.environ["OPENBLAS_THREAD_TIMEOUT"]
         blas = _OpenBLAS(*(getattr(lib, f"scipy_{name}{suffix}") for name in (
             "openblas_get_num_threads", "openblas_set_num_threads",
             "LAPACKE_dgeqrt_work", "LAPACKE_dtpqrt_work", "LAPACKE_dgejsv_work")))

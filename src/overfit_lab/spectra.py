@@ -40,7 +40,8 @@ class Spectrum:
     kind: str
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=np.float64)
+        # a copy, so freezing it leaves the caller's array writable
+        lam = np.array(self.eigenvalues, dtype=np.float64)
         lam.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
         if lam.ndim != 1 or lam.size < 1:

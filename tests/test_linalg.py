@@ -1,9 +1,13 @@
+import ctypes
 import math
+import os
+import subprocess
 import sys
 import threading
 import warnings
 from contextlib import contextmanager, nullcontext
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -846,6 +850,63 @@ class TestJacobiThreads:
             singular_extremes(_steep_kernel())
         assert jacobi_calls.seen == [("numpy", 1)]
         assert jacobi_calls.counts() == {"numpy": 3, "scipy": 3}
+
+
+class TestThreadTimeout:
+    """scipy's bundled OpenBLAS loads with ``OPENBLAS_THREAD_TIMEOUT=4``."""
+
+    @staticmethod
+    def _timeout_at_load(monkeypatch):
+        # loads scipy's bundle past ``_openblas``'s cache (the library is
+        # mapped already, so that is a no-op) and returns the variable's
+        # value as ``ctypes.CDLL`` saw it
+        real, seen = ctypes.CDLL, []
+
+        def recording(*args, **kwargs):
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ctypes, "CDLL", recording)
+            assert linalg._openblas.__wrapped__("scipy") is not None
+        return seen
+
+    def test_load_leaves_the_environment_as_it_was(self, jacobi_bundles,
+                                                   monkeypatch):
+        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+        before = dict(os.environ)
+        assert self._timeout_at_load(monkeypatch) == ["4"]
+        assert dict(os.environ) == before
+
+    def test_callers_timeout_is_kept(self, jacobi_bundles, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", "28")
+        assert self._timeout_at_load(monkeypatch) == ["28"]
+        assert os.environ["OPENBLAS_THREAD_TIMEOUT"] == "28"
+
+    def test_pool_sleeps_after_a_steep_fit(self, jacobi_bundles, tmp_path):
+        # in a fresh interpreter that never imports scipy.linalg, the steep
+        # fit loads scipy's library, whose idle worker then sleeps: at the
+        # default timeout it spins a core for about 0.11 s of the 0.4 s
+        pytest.importorskip("resource")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        env["PYTHONPATH"] = str(Path(linalg.__file__).parents[1])
+        env["OPENBLAS_NUM_THREADS"] = "2"  # a worker to idle, on two cores or more
+        code = (
+            "import resource, sys, time\n"
+            "import overfit_lab.cli as c\n"
+            "assert c.main(['learning-curve', '--spectrum', 'exponential', "
+            "'--n-grid', '512', '--trials', '1', '--n-test', '20', '--out', "
+            f"{str(tmp_path / 'steep.csv')!r}]) == 0\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "cpu = lambda: sum(resource.getrusage(resource.RUSAGE_SELF)[:2])\n"
+            "before = cpu()\n"
+            "time.sleep(0.4)\n"
+            "print(cpu() - before)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert float(run.stdout.split()[-1]) < 0.03
 
 
 class TestRowNormDiagnostics:

@@ -88,6 +88,14 @@ class TestMakeSpectrum:
         with pytest.raises(ValueError):
             s.eigenvalues[0] = 2.0
 
+    def test_custom_leaves_the_callers_array_writable(self):
+        lam = np.array([3.0, 2.0, 0.5])
+        s = make_spectrum("custom", eigenvalues=lam)
+        assert lam.flags.writeable
+        lam[0] = 9.0  # the spectrum holds its own frozen copy
+        assert s.eigenvalues[0] == 3.0
+        assert not s.eigenvalues.flags.writeable
+
 
 class TestEffectiveRank:
     def test_geometric_tail(self):
