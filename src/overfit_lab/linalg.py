@@ -26,9 +26,9 @@ G's.  Values are produced by one of three routes, recorded in
   bound reported as ``rel_error_bound``.  The result is accepted when it is
   at most GRAM_CERTIFIED_TOLERANCE (2e-6 on K's singular values, 1e-6 on
   G's).  Where s_min collapses (dependent features) the bound fails and the
-  computation escalates to the next route; a bound on lambda_min from pairs
-  of K's entries catches most such failures before the eigensolver runs
-  (``KernelMatrix._decompose``).
+  computation escalates to the next route; a screen of near-duplicate
+  column pairs of G (``_pair_screen``) proves most such failures before K
+  is formed, and the route then skips both K and the eigensolver.
 * ``"gesdd"`` -- everything else: NumPy's divide-and-conquer SVD of G, whose
   absolute error is about eps * s_max.  Values only of a tall factor take R
   of a Householder QR of G first, by tall-skinny QR (``_values_only_svd``), and
@@ -196,6 +196,12 @@ class KernelMatrix:
     is None.  Every downstream solve, prediction, and variance evaluation
     reuses the one cached full record (``_full``).  Instances are immutable
     and safe to share across trial workers.
+
+    The Mercer constructor freezes a float64 array ``factor`` in place, so
+    the caller's array becomes read-only: a copy would cost a second M x N
+    buffer, and the sweeps hand over a buffer they no longer write.
+    ``from_entries`` keeps a frozen copy of its N x N entries and leaves the
+    caller's array writable.
     """
 
     spectrum: Spectrum | None = None
@@ -218,8 +224,8 @@ class KernelMatrix:
 
     @classmethod
     def from_entries(cls, entries) -> KernelMatrix:
-        """Wrap a raw symmetric PSD matrix (no factor or spectrum)."""
-        entries = np.asarray(entries, dtype=np.float64)
+        """Wrap a copy of a raw symmetric PSD matrix (no factor or spectrum)."""
+        entries = np.array(entries, dtype=np.float64)
         # an empty matrix has no max to scale the symmetry check by
         if (entries.ndim != 2 or entries.shape[0] != entries.shape[1]
                 or entries.size == 0):
@@ -306,15 +312,14 @@ class KernelMatrix:
         matrix, which raises InvariantViolationError when it is not PSD;
         Jacobi for steep spectra; else certified ``eigvalsh``/``eigh`` of K
         for a tall factor with finite trace(K) that has not already failed the
-        certificate; else gesdd.
+        certificate; else TSQR (values only) or gesdd.
 
-        Before ``eigvalsh``/``eigh``, a pair bound skips a certificate that
-        cannot hold.  ``ub`` (``_pair_lambda_min_bound``) bounds lambda_min
-        of the computed K from above, and the backward-stable eigensolver
-        returns w[-1] <= ub + N eps lambda_max <= ub + N eps trace(K).  The
-        certificate is at least gamma_M trace(K) / w[-1], so when
-        gamma_M trace(K) / (ub + N eps trace(K)) exceeds the tolerance the
-        eigensolver's result would be thrown away: go straight to gesdd.
+        Before K is formed, ``_pair_screen`` may prove from G that the
+        certificate cannot hold; the route then goes straight to TSQR or
+        gesdd without forming K.  A skipped eigensolver is one whose result
+        would have been thrown away, so the route and every output bit are
+        those of the unscreened rule; a screen that does not fire costs time
+        only.
         """
         if not self.is_mercer:
             if not np.all(np.isfinite(self.entries)):
@@ -331,18 +336,18 @@ class KernelMatrix:
             u, s, v = _jacobi_svd(g, want_vectors=full)
             return _Decomposition(s, s * s, "jacobi", None, v, u)
         values = self.__dict__.get("_values")
-        if m >= n and (values is None or values.path != "gesdd"):
+        if (m >= n and (values is None or values.path != "gesdd")
+                and not _pair_screen(g)):
             k = self.entries
             trace = float(np.trace(k))
-            eps = np.finfo(np.float64).eps
-            gamma = m * eps / (1.0 - m * eps)
-            if np.isfinite(trace) and gamma * trace <= GRAM_CERTIFIED_TOLERANCE * (
-                    _pair_lambda_min_bound(k) + n * eps * trace):
+            if np.isfinite(trace):
                 if full:
                     w, q = _eigh_descending(k)
                 else:
                     w, q = np.linalg.eigvalsh(k)[::-1], None
                 if w[-1] > 0.0:
+                    eps = np.finfo(np.float64).eps
+                    gamma = m * eps / (1.0 - m * eps)
                     bound = (gamma * trace + n * eps * w[0]) / w[-1]
                     if bound <= GRAM_CERTIFIED_TOLERANCE:
                         return _Decomposition(np.sqrt(w), w, "gram_eigh",
@@ -484,20 +489,51 @@ def min_norm_solve(K: KernelMatrix, y) -> MinNormSolution:
     return MinNormSolution(alpha=alpha, inconsistent=inconsistent, rank=int(full.keep.sum()))
 
 
-def _pair_lambda_min_bound(k: np.ndarray) -> float:
-    """min over i != j of (k_ii + k_jj - 2|k_ij|)/2 + 4 eps max k_ii: an upper
-    bound on lambda_min of symmetric k (+inf for 1 x 1).
+# leading rows a pair screen sketches, and the candidate pairs it evaluates
+# over all rows (``_pair_screen``)
+SCREEN_ROWS = 32
+SCREEN_PAIRS = 4
 
-    (k_ii + k_jj - 2|k_ij|)/2 is the Rayleigh quotient of (e_i -+ e_j)/sqrt 2;
-    the 4 eps max k_ii term covers the roundoff of evaluating it.
+
+def _pair_screen(g: np.ndarray) -> bool:
+    """Whether the Gram certificate provably fails for the tall factor ``g``,
+    decided before K = G^T G is formed; False means no proof.
+
+    (a_ii + a_jj - 2|a_ij|)/2, with a_ij = g_i . g_j, is the Rayleigh
+    quotient of (e_i -+ e_j)/sqrt 2, so a near-duplicate column pair (up to
+    sign) bounds lambda_min(K) from above.  Candidates come from the leading
+    SCREEN_ROWS rows (the largest eigenvalues): the columns are sorted by
+    |sum of those rows|, each adjacent pair is scored there, and the
+    SCREEN_PAIRS best are evaluated over all M rows.  Adding
+    4 gamma_M (a_ii + a_jj) covers the roundoff of the computed K's entries
+    and of the screen's own, which gives ``ub``; the leading rows' sum of
+    squares, shrunk by its rounding, is ``trace_lb`` <= the computed
+    trace(K).  The eigensolver returns w[-1] <= ub + N eps trace(K), so the
+    certificate's gamma_M trace(K) <= tol w[-1] fails when
+    trace_lb (gamma_M - tol N eps) > tol ub.  Non-finite values prove
+    nothing and warn nothing.
     """
-    d = np.diagonal(k)
-    pairs = np.abs(k)
-    pairs *= -2.0
-    pairs += d[:, None]
-    pairs += d[None, :]
-    np.fill_diagonal(pairs, np.inf)
-    return float(pairs.min() / 2.0 + 4.0 * np.finfo(np.float64).eps * d.max())
+    m, n = g.shape
+    if n < 2:
+        return False
+    eps = np.finfo(np.float64).eps
+    gamma = m * eps / (1.0 - m * eps)
+    lead = g[:SCREEN_ROWS]
+    with np.errstate(all="ignore"):
+        order = np.argsort(np.abs(lead.sum(axis=0)), kind="stable")
+        sketch = lead[:, order]
+        norms = np.einsum("ki,ki->i", sketch, sketch)
+        dots = np.einsum("ki,ki->i", sketch[:, :-1], sketch[:, 1:])
+        score = norms[:-1] + norms[1:] - 2.0 * np.abs(dots)
+        best = np.argsort(score, kind="stable")[:SCREEN_PAIRS]
+        gi, gj = g[:, order[best]], g[:, order[best + 1]]
+        diag = np.einsum("ki,ki->i", gi, gi) + np.einsum("ki,ki->i", gj, gj)
+        a_ij = np.einsum("ki,ki->i", gi, gj)
+        ub = float(np.min((diag - 2.0 * np.abs(a_ij)) / 2.0 + 4.0 * gamma * diag))
+        trace_lb = float(np.einsum("ki,ki->", lead, lead)) * (
+            1.0 - 2.0 * (m + n + lead.size) * eps)
+        return bool(np.isfinite(trace_lb) and trace_lb * (
+            gamma - GRAM_CERTIFIED_TOLERANCE * n * eps) > GRAM_CERTIFIED_TOLERANCE * ub)
 
 
 def _eigh_descending(k: np.ndarray):

@@ -1,5 +1,6 @@
 """Shared test helpers: Monte-Carlo oracles used against closed-form paths,
-predictions of a fitted dual and the effective rank of a spectrum."""
+the Gram pair bound the factor's pair screen is held against, predictions of
+a fitted dual and the effective rank of a spectrum."""
 
 import numpy as np
 
@@ -26,6 +27,23 @@ def effective_rank(s, l, N):
     lam = s.eigenvalues
     tail = float(np.sum(lam[l:]))  # lam[l] is lambda_{l+1} in 1-based indexing
     return tail / (N * float(lam[l]))
+
+
+def gram_pair_bound(k):
+    """min over i != j of (k_ii + k_jj - 2|k_ij|)/2 + 4 eps max k_ii: an upper
+    bound on lambda_min of the symmetric matrix k (+inf for 1 x 1), read from
+    all N^2 entries of a formed Gram.
+
+    (k_ii + k_jj - 2|k_ij|)/2 is the Rayleigh quotient of (e_i -+ e_j)/sqrt 2;
+    the 4 eps max k_ii term covers the roundoff of evaluating it.
+    """
+    d = np.diagonal(k)
+    pairs = np.abs(k)
+    pairs *= -2.0
+    pairs += d[:, None]
+    pairs += d[None, :]
+    np.fill_diagonal(pairs, np.inf)
+    return float(pairs.min() / 2.0 + 4.0 * np.finfo(np.float64).eps * d.max())
 
 
 def mc_noise_variance(kernel, spectrum, law, sigma, draws=2000, batches=20,

@@ -51,8 +51,12 @@ condnum,219182256276397182,8,80,1,polynomial,gaussian,,7.1943380327101965,0.0574
 # learning-curve digests were re-frozen again when the exact population bias
 # replaced the Monte-Carlo estimate over n_test=20 columns: only ``bias``
 # moved, by at most 30% relative (polynomial) and 44% (exponential), the
-# spread of a 20-column estimate.  The exponential learning curve takes the
-# Jacobi path at N=32; the ntk case puts the anchors in training.
+# spread of a 20-column estimate.  The smin-study digest was re-frozen when
+# cosine and sine designs moved to block angle addition: only their rows
+# moved, s_min, condition_number and the s_min ratios by at most 8.0e-14
+# relative, min_p_squared by 9.1e-15 and s_max by 4.7e-16.  The exponential
+# learning curve takes the Jacobi path at N=32; the ntk case puts the
+# anchors in training.
 GOLDEN_SHA256 = {
     "learning_curve-polynomial": (
         dict(experiment="learning_curve", n_grid=(8, 16), trials=2, n_test=20),
@@ -65,7 +69,7 @@ GOLDEN_SHA256 = {
     ),
     "smin_study": (
         dict(experiment="smin_study", n_grid=(8, 16), trials=2),
-        "687f89ad249bc5e60846080ddf9630eca07fc9329d9a9f351865bc6010887c95",
+        "ac41f50d275f5b06a26d6e52ee3fbc8b174820062a734ff4170e2433e5ba97aa",
     ),
     "kernel_interp": (
         dict(experiment="kernel_interp", n_grid=(16, 32), trials=2, n_test=20),

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,16 +84,42 @@ class TestSampleDesign:
 
 def _allocating_design(law, M, N, seed):
     """The allocating draw each law used before the in-place fill: the oracle
-    the fill must reproduce bit for bit."""
+    the fill must reproduce bit for bit.  Cosine and sine designs are
+    ``fourier_design`` of the same angles into a new array (its accuracy is
+    ``TestFourierAccuracy``'s)."""
     rng = np.random.default_rng(seed)
     if law == "gaussian":
         return rng.standard_normal((M, N))
     if law == "uniform_subgaussian":
         return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), (M, N))
     x = rng.uniform(0.0, 2.0 * math.pi, (N, 1))[:, 0]
-    phases = np.arange(1, M + 1, dtype=np.float64)[:, None] * x[None, :]
-    fn = np.cos if law == "cosine" else np.sin
-    return math.sqrt(2.0) * fn(phases)
+    return fourier_design(x, M, law)
+
+
+class TestFourierAccuracy:
+    @pytest.mark.parametrize("kind", ["cosine", "sine"])
+    def test_within_the_phase_bound_of_mpmath(self, kind):
+        # k up to 51,200, the truncation study's M_full at N=512, and x in
+        # [0, 2 pi): every value lies within sqrt(2) eps (k |x| + 4) of the
+        # 40-digit sqrt(2) cos(k x), a bound sqrt(2) cos(fl(k x)) evaluated
+        # elementwise also meets; rows at and after block edges included
+        eps = np.finfo(np.float64).eps
+        M = 51_200
+        rng = np.random.default_rng(23)
+        x = np.concatenate([[0.0, 1e-300, np.nextafter(2.0 * math.pi, 0.0)],
+                            rng.uniform(0.0, 2.0 * math.pi, 13)])
+        got = fourier_design(x, M, kind)
+        ks = np.unique(np.concatenate([rng.integers(1, M + 1, 120),
+                                       [1, 2, 64, 65, 66, 128, 129, M - 1, M]]))
+        elementwise = math.sqrt(2.0) * (np.cos if kind == "cosine" else np.sin)(
+            ks[:, None] * x[None, :])
+        fn = mpmath.cos if kind == "cosine" else mpmath.sin
+        with mpmath.workdps(40):
+            exact = np.array([[float(mpmath.sqrt(2) * fn(int(k) * mpmath.mpf(xi)))
+                               for xi in x] for k in ks])
+        bound = math.sqrt(2.0) * eps * (ks[:, None] * np.abs(x)[None, :] + 4.0)
+        assert np.all(np.abs(got[ks - 1] - exact) <= bound)
+        assert np.all(np.abs(elementwise - exact) <= bound)
 
 
 @settings(max_examples=200, deadline=None)

@@ -14,6 +14,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
+from conftest import gram_pair_bound
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
@@ -210,6 +211,14 @@ class TestKernelMatrixConstruction:
         assert not explicit.is_mercer and explicit.spectrum is None
         assert explicit.factor is None and explicit.size == 2
 
+    def test_from_entries_leaves_the_callers_array_writable(self):
+        entries = np.eye(3)
+        K = KernelMatrix.from_entries(entries)
+        assert entries.flags.writeable
+        assert not K.entries.flags.writeable
+        entries[0, 0] = 5.0  # the kernel keeps its own copy
+        assert K.entries[0, 0] == 1.0 and singular_extremes(K).s_max == 1.0
+
 
 class TestSingularExtremes:
     def test_diagonal(self):
@@ -340,6 +349,53 @@ GRADED_FACTORS = dict(
 )
 
 
+def _planted_kernel(n, extra_rows, decay, flip, perturbation, tail_only, scale,
+                    seed):
+    """G = 10^scale * D * B with D = diag(sqrt(lambda)) graded over up to 1e4
+    in lambda (never steep) and M = n + extra_rows, where B's last column is
+    a near-duplicate of its first, sign-flipped or not, perturbed by
+    ``perturbation`` on every row or only on rows past the pair screen's
+    leading SCREEN_ROWS."""
+    m = n + extra_rows
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((m, n))
+    noise = rng.standard_normal(m)
+    if tail_only:
+        noise[:linalg.SCREEN_ROWS] = 0.0
+    b[:, -1] = (-1.0 if flip else 1.0) * b[:, 0] + perturbation * noise
+    s = make_spectrum("custom", eigenvalues=10.0 ** (-decay * np.arange(m) / m))
+    return KernelMatrix(mercer_factor(s, b) * 10.0 ** scale, s)
+
+
+def _gram_certified(K):
+    """Whether eigvalsh of K's formed Gram passes the Gram route's
+    certificate."""
+    eps = np.finfo(np.float64).eps
+    m, n = K.factor.shape
+    gamma = m * eps / (1.0 - m * eps)
+    trace = float(np.trace(K.entries))
+    w = np.linalg.eigvalsh(K.entries)
+    return bool(w[0] > 0.0 and (gamma * trace + n * eps * w[-1]) / w[0]
+                <= GRAM_CERTIFIED_TOLERANCE)
+
+
+def _record_fields(summary, full):
+    """Every field of a kernel's values summary and of its full record."""
+    return [*vars(summary).values(), *full]
+
+
+PLANTED_FACTORS = dict(
+    n=st.integers(2, 24),
+    extra_rows=st.integers(0, 120),
+    decay=st.floats(0.0, 4.0),
+    flip=st.booleans(),
+    perturbation=st.sampled_from([1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2]),
+    tail_only=st.booleans(),
+    scale=st.sampled_from([-100, 0, 100]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
 def _smin_grid_design(law, n, trial=0):
     """Spectrum and design of trial ``trial`` of the default smin-study sweep
     at N = n."""
@@ -418,29 +474,29 @@ class TestGramCertificate:
 
     @pytest.mark.parametrize("law", FEATURE_LAWS)
     def test_pair_bound_fires_only_where_certificate_fails(self, law):
-        # smin-grid designs at N=128 and 512 and the design of a default
-        # learning-curve trial at N=512: the pair bound never rules out a
-        # certificate that holds, rules out every cosine and sine one at
+        # smin-grid designs at N=128, 256 and 512 and the design of a default
+        # learning-curve trial at N=512: the pair screen on G never rules out
+        # a certificate that holds, fires wherever the Gram pair bound of the
+        # formed K does, rules out every cosine and sine certificate at
         # N=512, and never fires on independent designs
         eps = np.finfo(np.float64).eps
         lc_seed = derive_seed(2024, "learning_curve", 512, 0)
-        kernels = [_smin_grid_kernel(law, n, trial) for n in (128, 512)
+        kernels = [_smin_grid_kernel(law, n, trial) for n in (128, 256, 512)
                    for trial in range(3)]
         kernels.append(assemble_kernel(make_spectrum("polynomial", 1.0, 5120),
                                        sample_design(law, 5120, 512,
                                                      lc_seed).entries))
         fired = []
         for K in kernels:
+            fires = linalg._pair_screen(K.factor)
             k = K.entries
             m, n = K.factor.shape
             trace = float(np.trace(k))
             gamma = m * eps / (1.0 - m * eps)
-            fires = gamma * trace > GRAM_CERTIFIED_TOLERANCE * (
-                linalg._pair_lambda_min_bound(k) + n * eps * trace)
-            w = np.linalg.eigvalsh(k)
-            certified = w[0] > 0.0 and (
-                (gamma * trace + n * eps * w[-1]) / w[0] <= GRAM_CERTIFIED_TOLERANCE)
-            assert not (fires and certified)
+            oracle = gamma * trace > GRAM_CERTIFIED_TOLERANCE * (
+                gram_pair_bound(k) + n * eps * trace)
+            assert fires or not oracle, (n, "the Gram pair bound fires, the screen not")
+            assert not (fires and _gram_certified(K))
             if fires:
                 assert singular_extremes(K).path == "gesdd"
             fired.append((n, fires))
@@ -448,11 +504,36 @@ class TestGramCertificate:
         assert all(fires != independent for n, fires in fired if n == 512)
         assert not (independent and any(fires for _, fires in fired))
 
+    @settings(max_examples=300, deadline=None)
+    @given(**PLANTED_FACTORS)
+    @example(n=8, extra_rows=92, decay=0.0, flip=True, perturbation=1e-2,
+             tail_only=True, scale=0, seed=0)
+    def test_pair_screen_is_sound(self, n, extra_rows, decay, flip, perturbation,
+                                  tail_only, scale, seed):
+        # a fired screen proves that eigvalsh of the formed K fails the
+        # certificate, and the screen moves no bit: with it forced off, the
+        # values and the full record are the same
+        K = _planted_kernel(n, extra_rows, decay, flip, perturbation, tail_only,
+                            scale, seed)
+        assert not K._steep
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fires = linalg._pair_screen(K.factor)
+        event(f"screen fires: {fires}")
+        assert not (fires and _gram_certified(K))
+        screened = singular_extremes(K), K._full
+        unscreened = KernelMatrix(K.factor, K.spectrum)
+        with mock.patch.object(linalg, "_pair_screen", return_value=False):
+            plain = singular_extremes(unscreened), unscreened._full
+        for got, want in zip(_record_fields(*screened), _record_fields(*plain)):
+            assert (got is None and want is None) or np.array_equal(got, want)
+
     def test_pair_bound_skips_eigh(self, monkeypatch):
         # a cosine learning-curve trial at N=512 runs no eigensolver, and in
-        # a smin-study trial only the gaussian and uniform designs do
+        # a smin-study trial only the gaussian and uniform designs do; the
+        # cosine and sine kernels never form their Gram
         real = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
-        laws, calls = [], []
+        laws, calls, kernels = [], [], {}
 
         def counting(name):
             def call(*args, **kwargs):
@@ -478,17 +559,27 @@ class TestGramCertificate:
             laws.append(next(smin_order))
             return real_row_norms(psi, *args)
 
+        real_extremes = experiments.singular_extremes
+
+        def kept_extremes(K):
+            kernels[laws[-1]] = K
+            return real_extremes(K)
+
         for name in real:
             monkeypatch.setattr(np.linalg, name, counting(name))
         monkeypatch.setattr(experiments, "fill_design", tagged_fill_design)
         monkeypatch.setattr(experiments, "row_norm_diagnostics", tagged_row_norms)
+        monkeypatch.setattr(experiments, "singular_extremes", kept_extremes)
         cfg = ExperimentConfig(experiment="learning_curve", law="cosine",
                                n_grid=(512,), trials=1, n_test=20)
         TRIALS["learning_curve"](cfg, 512, 0)
         assert laws == ["cosine"] and calls == []
+        assert kernels.pop("cosine")._entries is None
         cfg = ExperimentConfig(experiment="smin_study", n_grid=(512,), trials=1)
         TRIALS["smin_study"](cfg, 512, 0)
         assert sorted(calls) == sorted(["gaussian", "uniform_subgaussian"])
+        assert {law for law, K in kernels.items() if K._entries is None} == {
+            "cosine", "sine"}
 
     def test_steep_kernel_keeps_jacobi(self):
         summary = singular_extremes(_steep_kernel())
@@ -681,9 +772,13 @@ class TestTallValues:
         s = make_spectrum("polynomial", 1.0, 37)
         psi = np.random.default_rng(3).standard_normal((37, 8))
         psi[34, 5] = bad  # in the one, partial fold block (rows 8-36)
-        with pytest.raises((NumericError, np.linalg.LinAlgError)) as failure:
-            singular_extremes(assemble_kernel(s, psi))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises((NumericError, np.linalg.LinAlgError)) as failure:
+                singular_extremes(assemble_kernel(s, psi))
         assert any(entry.name == "_values_only_svd" for entry in failure.traceback)
+        # the pair screen reads the column too, and proves nothing from it
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.fixture
