@@ -10,16 +10,18 @@ anchors) and draws every random number from a seed given by
 processes and still give the same records.
 
 Two trials draw on a one-thread pool that lives only for that trial.  A
-learning-curve trial draws its one M x n_test test factor there (for the
-empirical MSE; the bias is exact and needs none) while the calling thread
-draws the training design and fits; the factor is freed once the MSE is
-taken.  A smin-study trial draws each law's design there while the calling
-thread decomposes the previous law's.  Both pools keep one rule:
+learning-curve trial streams its test design there, a row block at a
+time, into the residuals of the empirical MSE (the bias is exact and needs
+none): the first block while the calling thread draws the training design
+and fits, the rest while it takes the bias, the variance and the extremes;
+no M x n_test array is formed.  A smin-study trial draws each law's design
+there while the calling thread decomposes the previous law's.  Both pools
+keep one rule:
 
-* the pool thread only fills or scales a buffer the calling thread
-  allocated (RNG fills and elementwise ufuncs, which release the GIL); a
-  large allocation there would sit in a per-thread malloc arena after the
-  trial;
+* the pool thread only fills, scales or reduces buffers the calling thread
+  allocated (RNG fills, elementwise ufuncs and ``np.add.reduce``, which
+  release the GIL); a large allocation there would sit in a per-thread
+  malloc arena after the trial;
 * it makes no BLAS call, so the records are the same bytes as a sequential
   run's;
 * it calls nothing ``bench/spans.py`` wraps (``sample_design``,
@@ -65,10 +67,12 @@ from .errors import (
 )
 from .features import (
     FEATURE_LAWS,
+    FOURIER_BLOCK,
     INPUT_DOMAINS,
     KERNEL_KINDS,
     AnalyticKernel,
     InputDomain,
+    design_blocks,
     fill_design,
     kernel_cross,
     kernel_gram,
@@ -356,30 +360,45 @@ def _condnum_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:
                     ratio_to_theory=ext["condition_number"] / theory)]
 
 
+# fewest entries of a learning-curve test-design block (8 MB): where half of
+# G is less (N < 512 at M = 10 N, or a steep spectrum's capped M), the pool
+# would draw little of the test design during the fit, and the calling
+# thread would wait for the rest after it
+TEST_BLOCK_FLOOR = 1 << 20
+
+
 def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:
     """Test error, bias, and variance of the interpolant.
 
     The true coefficient is drawn from a per-N seed, so all trials of one N
-    share it; each trial redraws design, label noise, and test inputs.  The
-    M x n_test test factor of the MSE (stream "test") is drawn on a pool
-    thread while this thread draws the training design and fits (the pool
-    rule is in the module docstring).
+    share it; each trial redraws design, label noise, and test inputs.
 
     The training design is drawn into one M x N buffer (``fill_design``),
     which gives the clean labels and is then scaled into G in place, as in
-    smin-study; the test factor is dropped once the MSE is taken, so it does
-    not coexist with the M x N left vectors the variance forms.  The clean
-    labels are taken once: the noisy labels add noise to them, and the bias
-    regresses them.
+    smin-study.  The clean labels are taken once: the noisy labels add noise
+    to them, and the bias regresses them.  The MSE's test design (stream
+    "test") is streamed on a pool thread (the pool rule is in the module
+    docstring) through one buffer of a multiple of FOURIER_BLOCK rows
+    holding about half as many entries as G, or TEST_BLOCK_FLOOR if that is
+    more; only a test design within that floor is ever held whole.  The
+    first block is drawn while this thread draws, factors and fits; after
+    the fit the pool reduces the blocks into the residuals
+    G_test^T (w - theta) = Psi_test^T d with d = Lambda^{1/2} (w - theta),
+    while this thread takes the bias, the variance and the extremes.
     """
     m = cfg.feature_count(n)
     s = make_spectrum(cfg.spectrum, cfg.a, m)
     theta_rng = np.random.default_rng(_seed(cfg, n, -1, "theta"))
     target = TargetModel(theta_rng.standard_normal(m), cfg.sigma)
     seed = _seed(cfg, n, t)
+    rows = FOURIER_BLOCK * max(1, max(m * n // 2, TEST_BLOCK_FLOOR)
+                               // (cfg.n_test * FOURIER_BLOCK))
+    block = np.empty((min(m, rows), cfg.n_test))
+    blocks = design_blocks(cfg.law, m, block, _seed(cfg, n, t, "test"))
+    residuals = np.zeros(cfg.n_test)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        draw = pool.submit(_draw_test_factor, cfg.law, s, np.empty((m, cfg.n_test)),
-                           _seed(cfg, n, t, "test"))
+        # the first test block is drawn while this thread draws, factors and fits
+        first = pool.submit(next, blocks)
         psi = fill_design(cfg.law, np.empty((m, n)), seed)
         clean = clean_labels(psi, s, target)
         # psi becomes G in place, so the trial holds one M x N training buffer
@@ -387,21 +406,29 @@ def _learning_curve_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRe
         del psi
         y = synthesize_labels(clean, target.sigma, _seed(cfg, n, t, "noise"))
         dual = fit_ridgeless(K, y)
-    # the pool has joined, so the Future holds the test factor's only reference
-    mse = regression.empirical_test_error(dual, target, draw.result())
-    del draw
-    # after the fit, so the values are read from the full record it cached
-    return [_record(cfg, n, m, t, seed, mse=mse,
-                    bias=regression.population_bias(K, target, clean),
+        d = np.sqrt(s.eigenvalues) * (dual - target.theta_star)
+        stream = pool.submit(_test_residuals, first, blocks, block, d, residuals)
+        # after the fit, so the values are read from the full record it cached
+        risk = dict(bias=regression.population_bias(K, target, clean),
                     variance=regression.variance_closed_form(K, cfg.sigma),
-                    **_extremes(K))]
+                    **_extremes(K))
+        stream.result()
+    return [_record(cfg, n, m, t, seed, **risk,
+                    mse=regression.empirical_test_error(residuals))]
 
 
-def _draw_test_factor(law: str, s, out, seed):
-    """G_test = Lambda^{1/2} Psi_test drawn into ``out``: the same bits as
-    ``mercer_factor`` of a ``sample_design`` draw.  Runs on a pool thread,
-    under the pool rule in the module docstring."""
-    return mercer_factor(s, fill_design(law, out, seed), out=out)
+def _test_residuals(first, blocks, block, d, out):
+    """Add Psi_test^T d to ``out`` (n_test), for the M x n_test test design
+    (M = d.size) that the row-block generator ``blocks`` (``design_blocks``)
+    writes into ``block``; ``first`` is the future of its first block,
+    already drawn.  Runs on a pool thread, under the pool rule in the module
+    docstring."""
+    rows = first.result()
+    while rows is not None:
+        c = block[:rows.stop - rows.start]
+        c *= d[rows, None]
+        out += np.add.reduce(c, axis=0)
+        rows = next(blocks, None)
 
 
 def _smin_study_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:

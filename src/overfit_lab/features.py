@@ -7,16 +7,18 @@ entries i.i.d.; the dependent laws (cosine, sine) evaluate a deterministic
 feature map at randomly drawn scalar inputs, which couples the entries of
 each column.
 
-``fill_design(law, out, seed)`` draws a design into a caller's M x N buffer
-and is the one sampler: ``sample_design`` allocates that buffer with
-``np.empty`` and returns it read-only as ``DesignMatrix.entries``.  The fill
-writes the RNG output straight into the buffer (``standard_normal(out=)``;
-``random(out=)`` scaled in place to low + (high - low) u, numpy's
-``uniform``; cosine and sine rows by block angle addition into ``out``,
-``fourier_design``), which is bit-for-bit what the allocating expressions
-give and leaves no M x N temporary.  Its M x N work (RNG fills and
-elementwise ufuncs) releases the GIL and it makes no BLAS call, so a pool
-thread may run it.
+``design_blocks(law, M, block, seed)`` is the one sampler: it draws an
+M x N design a row block at a time into a caller's buffer, with the same
+bits whatever the block height.  ``fill_design(law, out, seed)`` is its
+one-block case, a whole design into a caller's M x N buffer, and
+``sample_design`` allocates that buffer with ``np.empty`` and returns it
+read-only as ``DesignMatrix.entries``.  The sampler writes the RNG output
+straight into the buffer (``standard_normal(out=)``; ``random(out=)``
+scaled in place to low + (high - low) u, numpy's ``uniform``; cosine and
+sine rows by block angle addition, ``fourier_design``), which is
+bit-for-bit what the allocating expressions give and leaves no M x N
+temporary.  Its work (RNG fills and elementwise ufuncs) releases the GIL
+and it makes no BLAS call, so a pool thread may run it.
 """
 
 from __future__ import annotations
@@ -131,55 +133,89 @@ def fourier_design(x: np.ndarray, M: int, kind: str, out=None) -> np.ndarray:
     sqrt(2) eps (k |x| + 4) of sqrt(2) cos(k x) (the tests check this against
     mpmath for k up to 51,200).
     """
-    if kind not in ("cosine", "sine"):
-        raise InvalidParameterError(f"fourier_design expects cosine or sine, got {kind!r}")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if out is None:
         out = np.empty((M, x.size))
+    for _ in _fourier_rows(x, M, kind, out):
+        pass
+    return out
+
+
+def _fourier_rows(x: np.ndarray, M: int, kind: str, block: np.ndarray):
+    """``fourier_design``'s rows, len(block) at a time, written into the head
+    of ``block``; yields each filled row slice.  Angle-addition blocks start
+    at k = 1 (mod FOURIER_BLOCK) whatever the height of ``block``, so every
+    row keeps the bits of one whole fill."""
+    if kind not in ("cosine", "sine"):
+        raise InvalidParameterError(f"fourier_design expects cosine or sine, got {kind!r}")
     b = min(FOURIER_BLOCK, M)
     cos_j = np.arange(b, dtype=np.float64)[:, None] * x[None, :]
     sin_j = np.sin(cos_j)
     np.cos(cos_j, out=cos_j)
     term = np.empty_like(cos_j)
-    for k0 in range(1, M + 1, b):
-        rows = min(b, M + 1 - k0)
-        phase = k0 * x
-        cos0 = np.cos(phase)
-        cos0 *= math.sqrt(2.0)
-        sin0 = np.sin(phase, out=phase)
-        sin0 *= math.sqrt(2.0)
-        block = out[k0 - 1:k0 - 1 + rows]
-        if kind == "cosine":
-            np.multiply(cos_j[:rows], cos0, out=block)
-            np.multiply(sin_j[:rows], sin0, out=term[:rows])
-            block -= term[:rows]
+    for start in range(0, M, len(block)):
+        stop = min(start + len(block), M)
+        # the angle-addition blocks [k0, k0 + b) that meet rows [start, stop)
+        for k0 in range(start - start % b, stop, b):
+            j = slice(max(start - k0, 0), min(b, stop - k0))
+            rows = block[k0 + j.start - start:k0 + j.stop - start]
+            phase = (k0 + 1) * x
+            cos0 = np.cos(phase)
+            cos0 *= math.sqrt(2.0)
+            sin0 = np.sin(phase, out=phase)
+            sin0 *= math.sqrt(2.0)
+            if kind == "cosine":
+                np.multiply(cos_j[j], cos0, out=rows)
+                np.multiply(sin_j[j], sin0, out=term[j])
+                rows -= term[j]
+            else:
+                np.multiply(cos_j[j], sin0, out=rows)
+                np.multiply(sin_j[j], cos0, out=term[j])
+                rows += term[j]
+        yield slice(start, stop)
+
+
+def design_blocks(law: str, M: int, block: np.ndarray, seed):
+    """Draw an M x N design under the law named ``law`` in row blocks
+    through the float64 buffer ``block`` (N = block.shape[1]).
+
+    Each step writes the design's next len(block) rows (fewer in the last)
+    into the head of ``block`` and yields their row slice; the next step
+    overwrites them.  The rows are those of one whole fill, bit for bit: the
+    RNG fills row after row, and cosine and sine rows keep their
+    angle-addition blocks.  A name outside FEATURE_LAWS raises
+    InvalidParameterError before anything is drawn.
+    """
+    if law not in FEATURE_LAWS:
+        raise InvalidParameterError(f"unknown feature law {law!r}")
+    if M < 1:  # an empty design has no rows to draw (and ``block`` may have none)
+        return
+    rng = np.random.default_rng(seed)
+    if law in ("cosine", "sine"):
+        x = sample_inputs(InputDomain("uniform_interval", 0.0, TWO_PI), block.shape[1], rng)
+        yield from _fourier_rows(x[:, 0], M, law, block)
+        return
+    for start in range(0, M, len(block)):
+        rows = block[:min(len(block), M - start)]
+        if law == "gaussian":
+            rng.standard_normal(out=rows)
         else:
-            np.multiply(cos_j[:rows], sin0, out=block)
-            np.multiply(sin_j[:rows], cos0, out=term[:rows])
-            block += term[:rows]
-    return out
+            rng.random(out=rows)
+            rows *= SQRT3 - (-SQRT3)
+            rows += -SQRT3
+        yield slice(start, start + len(rows))
 
 
 def fill_design(law: str, out: np.ndarray, seed) -> np.ndarray:
     """Draw an M x N design under the law named ``law`` into the float64
     buffer ``out``.
 
-    Deterministic in ``seed``; ``sample_design`` is this fill into a new
-    buffer.  A name outside FEATURE_LAWS raises InvalidParameterError before
-    anything is drawn.  Returns ``out``.
+    Deterministic in ``seed``; ``design_blocks`` with ``out`` as its one
+    block, and ``sample_design`` is this fill into a new buffer.  Returns
+    ``out``.
     """
-    if law not in FEATURE_LAWS:
-        raise InvalidParameterError(f"unknown feature law {law!r}")
-    rng = np.random.default_rng(seed)
-    if law == "gaussian":
-        rng.standard_normal(out=out)
-    elif law == "uniform_subgaussian":
-        rng.random(out=out)
-        out *= SQRT3 - (-SQRT3)
-        out += -SQRT3
-    else:  # cosine or sine
-        x = sample_inputs(InputDomain("uniform_interval", 0.0, TWO_PI), out.shape[1], rng)
-        fourier_design(x[:, 0], out.shape[0], law, out)
+    for _ in design_blocks(law, len(out), out, seed):
+        pass
     return out
 
 

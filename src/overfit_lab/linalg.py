@@ -386,18 +386,6 @@ class KernelMatrix:
             return g @ alpha
         return full.u[:, keep] @ ((qk.T @ y) / full.s[keep])
 
-    def _kept_left_vectors(self) -> np.ndarray:
-        """U_k = G V_k S_k^-1, the factor's left singular vectors over the kept
-        modes; on the ``gram_eigh`` route formed from K's eigenvectors and not
-        cached, so no M x N matrix stays on the kernel."""
-        g = self._require_factor()
-        full = self._full
-        if full.path == "gram_eigh":
-            gq = g @ full.q[:, full.keep]
-            gq /= np.sqrt(full.w[full.keep])
-            return gq
-        return full.u[:, full.keep]
-
 
 def mercer_factor(s: Spectrum, entries, out=None) -> np.ndarray:
     """G = Lambda^{1/2} Psi: the Mercer factor of feature columns ``entries``

@@ -19,11 +19,12 @@ pseudo-inverse (kept modes and dual) is the kernel's own,
 caller takes the clean labels ``clean_labels(psi, s, t)`` = G^T theta from
 the M x N design array before dropping it; ``synthesize_labels(clean, sigma,
 seed)`` adds noise to them, and the bias regresses them.  The risk terms are
-``empirical_test_error(dual, t, test_factor)``, ``population_bias(K, t,
-clean)`` and ``variance_closed_form(K, sigma)``.  The empirical MSE takes an
-M x n_test test factor G_test = Lambda^{1/2} Psi_test drawn by the caller
-(``mercer_factor(s, sample_design(...).entries)``), so where and when the
-test inputs are drawn, and when they are freed, is the caller's choice.
+``empirical_test_error(residuals)``, ``population_bias(K, t, clean)`` and
+``variance_closed_form(K, sigma)``.  Nothing here draws test inputs: the
+empirical MSE takes the residuals G_test^T (w - theta) at the caller's test
+inputs, and how they are drawn is the caller's choice.  A learning-curve
+trial streams its test design Psi_test in row blocks (``experiments``) and
+never forms the M x n_test factor G_test = Lambda^{1/2} Psi_test.
 
 The bias needs no test draw.  Every feature law is isotropic on its domain,
 E[psi psi^T] = I, so the clean-label interpolant's population error is
@@ -100,27 +101,15 @@ def fit_ridgeless(K: KernelMatrix, y) -> np.ndarray:
     return K.dual(y)
 
 
-def empirical_test_error(dual, t: TargetModel, test_factor) -> float:
-    """MSE of the interpolant with dual ``dual`` against the noise-free target
-    at the columns of the test factor G_test = Lambda^{1/2} Psi_test
-    (M x n_test)."""
-    return _test_mse(_check_test_factor(len(dual), test_factor), dual, t.theta_star)
-
-
-def _check_test_factor(rows: int, test_factor) -> np.ndarray:
-    g = np.asarray(test_factor, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] != rows:
-        raise ShapeError(
-            f"test factor has shape {g.shape}, expected {rows} rows"
-        )
-    if g.shape[1] < 1:
-        raise InvalidParameterError("test factor needs at least one column")
-    return g
-
-
-def _test_mse(g_test, dual, theta) -> float:
-    """Mean of (G_test^T dual - G_test^T theta)^2 over the test columns."""
-    return float(np.mean((g_test.T @ dual - g_test.T @ theta) ** 2))
+def empirical_test_error(residuals) -> float:
+    """Test MSE of an interpolant from its residuals fhat(x_i) - f*(x_i) at
+    n_test fresh inputs: G_test^T (w - theta) for the dual w and a test
+    factor G_test = Lambda^{1/2} Psi_test (M x n_test)."""
+    r = np.asarray(residuals, dtype=np.float64)
+    if r.ndim != 1 or r.size < 1:
+        raise InvalidParameterError(
+            f"test error needs a non-empty vector of residuals, got shape {r.shape}")
+    return float(np.mean(r ** 2))
 
 
 def variance_closed_form(K: KernelMatrix, sigma: float) -> float:
@@ -129,19 +118,33 @@ def variance_closed_form(K: KernelMatrix, sigma: float) -> float:
     Evaluated as sigma^2 * sum_j ||L^{1/2} u_j||^2 / s_j(K) over the kept
     left singular vectors u_j of the factor (on the certified Gram route
     u_j = G q_j / sqrt(s_j(K))); every term is a positive sum, so steep
-    spectra lose no accuracy.  Numerically rank-deficient kernels fall back
-    to the pseudo-inverse and emit a RankDeficientKernelWarning.
+    spectra lose no accuracy.  The sums run over row blocks of N rows, so
+    the largest array formed is N x N, the size of K, and never an M x N
+    U_k beside G.  Numerically rank-deficient kernels fall back to the
+    pseudo-inverse and emit a RankDeficientKernelWarning.
     """
-    uk = K._kept_left_vectors()
+    g = K._require_factor()
     full = K._full
-    if int(full.keep.sum()) < K.size:
+    keep = full.keep
+    if int(keep.sum()) < K.size:
         warnings.warn(
             "kernel numerically rank deficient; variance uses the pseudo-inverse",
             RankDeficientKernelWarning,
             stacklevel=2,
         )
-    weights = np.einsum("kj,k,kj->j", uk, K.spectrum.eigenvalues, uk)
-    return float(sigma**2 * np.sum(weights / full.w[full.keep]))
+    w = full.w[keep]
+    lam = K.spectrum.eigenvalues
+    qk = full.q[:, keep]
+    weights = np.zeros(w.size)
+    for start in range(0, len(g), K.size):
+        rows = slice(start, start + K.size)
+        if full.path == "gram_eigh":
+            uk = g[rows] @ qk
+            uk /= np.sqrt(w)
+        else:
+            uk = full.u[rows, keep]
+        weights += np.einsum("kj,k,kj->j", uk, lam[rows], uk)
+    return float(sigma**2 * np.sum(weights / w))
 
 
 def population_bias(K: KernelMatrix, t: TargetModel, clean) -> float:
@@ -166,8 +169,12 @@ def bias_monte_carlo(K: KernelMatrix, t: TargetModel, clean, test_factor) -> flo
     law.
     """
     K._require_factor()  # explicit kernels (no spectrum) raise InvalidParameterError
-    g = _check_test_factor(K.spectrum.size, test_factor)
-    return _test_mse(g, K.dual(clean), t.theta_star)
+    g = np.asarray(test_factor, dtype=np.float64)
+    if g.ndim != 2 or g.shape[0] != K.spectrum.size:
+        raise ShapeError(
+            f"test factor has shape {g.shape}, expected {K.spectrum.size} rows"
+        )
+    return empirical_test_error(g.T @ (K.dual(clean) - t.theta_star))
 
 
 def truncation_study(K_full: KernelMatrix, sigma: float, M_list) -> list[dict]:

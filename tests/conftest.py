@@ -1,6 +1,7 @@
 """Shared test helpers: Monte-Carlo oracles used against closed-form paths,
-the Gram pair bound the factor's pair screen is held against, predictions of
-a fitted dual and the effective rank of a spectrum."""
+the whole-array forms the streamed MSE and the blocked variance are held
+against, the Gram pair bound the factor's pair screen is held against,
+predictions of a fitted dual and the effective rank of a spectrum."""
 
 import numpy as np
 
@@ -12,6 +13,31 @@ def predict(s, dual, test_design):
     """Predictions K_x^T alpha at the columns of the M x n_test design
     ``test_design``, through the dual of ``fit_ridgeless`` under spectrum s."""
     return mercer_factor(s, test_design).T @ dual
+
+
+def mc_test_error(dual, t, test_factor):
+    """Monte-Carlo MSE of the interpolant with dual ``dual`` against the
+    noise-free target over the columns of a whole M x n_test test factor
+    G_test: mean((G_test^T w - G_test^T theta)^2), the formula a
+    learning-curve trial used before it streamed its test design."""
+    g = np.asarray(test_factor, dtype=np.float64)
+    return float(np.mean((g.T @ dual - g.T @ t.theta_star) ** 2))
+
+
+def left_vector_variance(kernel, sigma):
+    """sigma^2 sum_j ||L^{1/2} u_j||^2 / s_j(K) with the kept left singular
+    vectors U_k formed whole (U_k = G Q_k / sqrt(w) on the Gram route): the
+    single einsum ``variance_closed_form`` made before it summed over row
+    blocks."""
+    full = kernel._full
+    keep = full.keep
+    if full.path == "gram_eigh":
+        uk = kernel.factor @ full.q[:, keep]
+        uk /= np.sqrt(full.w[keep])
+    else:
+        uk = full.u[:, keep]
+    weights = np.einsum("kj,k,kj->j", uk, kernel.spectrum.eigenvalues, uk)
+    return float(sigma**2 * np.sum(weights / full.w[keep]))
 
 
 def effective_rank(s, l, N):

@@ -54,18 +54,24 @@ condnum,219182256276397182,8,80,1,polynomial,gaussian,,7.1943380327101965,0.0574
 # spread of a 20-column estimate.  The smin-study digest was re-frozen when
 # cosine and sine designs moved to block angle addition: only their rows
 # moved, s_min, condition_number and the s_min ratios by at most 8.0e-14
-# relative, min_p_squared by 9.1e-15 and s_max by 4.7e-16.  The exponential
+# relative, min_p_squared by 9.1e-15 and s_max by 4.7e-16.  The
+# learning-curve and truncation digests were re-frozen when the trial
+# streamed its test design into residuals and the variance summed over row
+# blocks: mse moved by at most 3.7e-16 relative (polynomial) and 6.7e-16
+# (exponential), variance by 3.8e-16; in truncation variance by 3.8e-16,
+# variance_full by 4.6e-16, truncation_bound by 4.4e-16 and
+# truncation_gap, a difference of two variances, by 1.5e-14.  The exponential
 # learning curve takes the Jacobi path at N=32; the ntk case puts the
 # anchors in training.
 GOLDEN_SHA256 = {
     "learning_curve-polynomial": (
         dict(experiment="learning_curve", n_grid=(8, 16), trials=2, n_test=20),
-        "1972e12fbb01eb778b803f705af1f9dd7710bb9edccf57d22b60a16d5a38d678",
+        "698673fd49dd029d3d9a30ee1f0247f8b24948659ef68202ff1a8cd362e8b59d",
     ),
     "learning_curve-exponential": (
         dict(experiment="learning_curve", spectrum="exponential", n_grid=(16, 32),
              trials=2, n_test=20),
-        "e67971213163e9cbff187740fde330d0394a18431272ebff6988667d66d438d4",
+        "293e9b16e6e50a900d4d810d540d4b823ea3d1a444e3b0f88a2743ce104e741d",
     ),
     "smin_study": (
         dict(experiment="smin_study", n_grid=(8, 16), trials=2),
@@ -84,7 +90,7 @@ GOLDEN_SHA256 = {
     "truncation": (
         dict(experiment="truncation", n_grid=(8, 16), trials=2, eta_full=20,
              truncation_etas=(5, 10)),
-        "13d0ea74ee5d23f03c8da539f60fc048761d384aff9eca2e93edcffd4ba9befe",
+        "eb2e0cf58fdd0b53e86becf349ef49b6ba02ba382a6333fd7493c48e4655c89a",
     ),
 }
 
@@ -442,19 +448,28 @@ class TestCli:
     @pytest.mark.parametrize("subcommand", ["learning-curve", "smin-study"])
     def test_pool_thread_failure_exit_code(self, tmp_path, monkeypatch, capsys,
                                            subcommand):
-        # a numeric failure while drawing a test factor or a smin-study
-        # design on a pool thread surfaces from the trial as itself: exit 2,
-        # not a crash; the learning-curve training design, drawn on the
-        # calling thread, is drawn as usual
-        real_fill, threads = experiments.fill_design, []
+        # a numeric failure while streaming the learning-curve test design
+        # or drawing a smin-study design on a pool thread surfaces from the
+        # trial as itself: exit 2, not a crash; the learning-curve training
+        # design, drawn on the calling thread, is drawn as usual
+        real_fill, real_blocks = experiments.fill_design, experiments.design_blocks
+        threads = []
+
+        def on_main():
+            threads.append(threading.current_thread())
+            if threading.current_thread() is not threading.main_thread():
+                raise NumericError("synthetic draw failure")
 
         def failing_fill(law, out, seed):
-            threads.append(threading.current_thread())
-            if threading.current_thread() is threading.main_thread():
-                return real_fill(law, out, seed)
-            raise NumericError("synthetic draw failure")
+            on_main()
+            return real_fill(law, out, seed)
+
+        def failing_blocks(*args):  # the generator is drawn where it is iterated
+            on_main()
+            yield from real_blocks(*args)
 
         monkeypatch.setattr(experiments, "fill_design", failing_fill)
+        monkeypatch.setattr(experiments, "design_blocks", failing_blocks)
         code = cli.main([subcommand, "--out", str(tmp_path / "x.csv"),
                          "--n_grid", "8", "--trials", "1", "--n-test", "20"])
         assert code == 2

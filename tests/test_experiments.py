@@ -2,11 +2,11 @@ import math
 import sys
 import threading
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
 
+from conftest import mc_test_error
 from overfit_lab import experiments, linalg, regression
 from overfit_lab.errors import (
     EmptyReportError,
@@ -23,7 +23,12 @@ from overfit_lab.experiments import (
     run_experiment,
 )
 from overfit_lab.features import FEATURE_LAWS, sample_design
-from overfit_lab.linalg import assemble_kernel, row_norm_diagnostics, singular_extremes
+from overfit_lab.linalg import (
+    assemble_kernel,
+    mercer_factor,
+    row_norm_diagnostics,
+    singular_extremes,
+)
 from overfit_lab.regression import TargetModel, clean_labels, fit_ridgeless
 from overfit_lab.spectra import make_spectrum
 
@@ -221,26 +226,64 @@ class TestLearningCurve:
         assert len(calls) == svds
 
     def test_one_test_factor_per_trial(self, monkeypatch):
-        # the bias is exact, so a trial draws only the MSE's test factor
-        real_draw = experiments._draw_test_factor
+        # the bias is exact, so a trial streams only the MSE's test design
+        real_stream = experiments._test_residuals
         calls = []
 
-        def counting_draw(*args):
+        def counting_stream(*args):
             calls.append(1)
-            return real_draw(*args)
+            return real_stream(*args)
 
-        monkeypatch.setattr(experiments, "_draw_test_factor", counting_draw)
+        monkeypatch.setattr(experiments, "_test_residuals", counting_stream)
         run_experiment(_cfg(experiment="learning_curve", n_grid=(8, 16), trials=2,
                             n_test=30))
         assert len(calls) == 4
 
+    @pytest.mark.parametrize("floor", [None, 0], ids=["one-block", "blocks"])
+    @pytest.mark.parametrize("law,spectrum,n,route", [
+        ("gaussian", "polynomial", 64, "gram_eigh"),
+        ("uniform_subgaussian", "polynomial", 64, "gram_eigh"),
+        ("cosine", "polynomial", 192, "gesdd"),
+        ("sine", "polynomial", 192, "gesdd"),
+        ("gaussian", "exponential", 32, "jacobi"),
+    ])
+    def test_streamed_mse_matches_the_whole_test_factor(
+            self, monkeypatch, law, spectrum, n, route, floor):
+        # the trial streams Psi_test in row blocks into the residuals
+        # Psi_test^T Lambda^{1/2} (w - theta): in one block within
+        # TEST_BLOCK_FLOOR, and in four to ten blocks of about M N / 2
+        # entries without it; the oracle draws the whole M x n_test test
+        # factor and averages (G_test^T w - G_test^T theta)^2, the trial's
+        # formula before
+        if floor is not None:
+            monkeypatch.setattr(experiments, "TEST_BLOCK_FLOOR", floor)
+        cfg = _cfg(experiment="learning_curve", law=law, spectrum=spectrum,
+                   n_grid=(n,), trials=1, n_test=300)
+        m = cfg.feature_count(n)
+        s = make_spectrum(spectrum, cfg.a, m)
+        theta = np.random.default_rng(experiments._seed(cfg, n, -1, "theta"))
+        target = TargetModel(theta.standard_normal(m), cfg.sigma)
+        d = sample_design(law, m, n, experiments._seed(cfg, n, 0)).entries
+        with linalg.single_threaded_blas():
+            (rec,) = TRIALS["learning_curve"](cfg, n, 0)
+            K = assemble_kernel(s, d)
+            y = regression.synthesize_labels(clean_labels(d, s, target), target.sigma,
+                                             experiments._seed(cfg, n, 0, "noise"))
+            dual = fit_ridgeless(K, y)
+        assert K._full.path == route
+        g_test = mercer_factor(s, sample_design(
+            law, m, cfg.n_test, experiments._seed(cfg, n, 0, "test")).entries)
+        assert rec.mse == pytest.approx(mc_test_error(dual, target, g_test),
+                                        rel=1e-12, abs=0)
+
     def test_trial_peak_memory(self):
-        # the design is scaled into G in place and the test factor is freed
-        # once the MSE is taken, so a trial's traced peak is about G + the
-        # test factor, 8 (M N + M n_test) bytes (1.06 of it measured); a
-        # separate Psi beside G read 1.21, and the test factor kept to the
-        # end would coexist with the variance's M x N left vectors
-        n, m, n_test = 256, 2560, 1000
+        # the design is scaled into G in place, the test design streams
+        # through a buffer of about M N / 2 entries (at N = 512, above
+        # TEST_BLOCK_FLOOR) and the variance forms its left vectors N rows at
+        # a time, so a trial's traced peak is G, half of G and a few N x N
+        # arrays: 2.00 x 8 M N measured, with no M x n_test term; a whole
+        # test factor here would add 1.95 x 8 M N, a second M x N array 1.0
+        n, m, n_test = 512, 5120, 1000
         cfg = _cfg(experiment="learning_curve", n_grid=(n,), trials=1, n_test=n_test)
         experiments._learning_curve_trial(cfg, n, 1)  # warm up imports and caches
         tracemalloc.start()
@@ -250,43 +293,57 @@ class TestLearningCurve:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 1.15 * 8 * (m * n + m * n_test)
+        assert peak <= 2.25 * 8 * m * n
 
     def test_design_and_test_factor_freed_before_the_variance(self, monkeypatch):
-        # the variance forms M x N left vectors; by then the training design's
-        # buffer is the kernel's G (scaled in place, no separate Psi) and
-        # nothing holds the M x n_test test factor: not the trial, nor the pool
-        real_fill, real_draw = experiments.fill_design, experiments._draw_test_factor
+        # the variance meets one M x N array, the kernel's G, which is the
+        # training design's buffer scaled in place (no separate Psi); the
+        # test design streams through a buffer of fewer than M rows (here
+        # TEST_BLOCK_FLOOR entries, more than half of G), so no M x n_test
+        # array exists; and the variance sums its left vectors over row
+        # blocks, so it forms no second M x N array beside G (its N x N
+        # blocks and einsum buffers measure about 0.31 of one)
+        n, n_test = 256, 1000
+        m = 10 * n
+        real_fill, real_stream = experiments.fill_design, experiments._test_residuals
         real_variance = regression.variance_closed_form
-        designs, tests, seen = [], [], []
+        designs, blocks, seen = [], [], []
 
         def fill(law, out, seed):
-            if out.shape[1] == 16:  # the training design; test factors have 30
-                designs.append(out)
+            designs.append(out)
             return real_fill(law, out, seed)
 
-        def draw(*args):
-            out = real_draw(*args)
-            tests.append(weakref.ref(out))
-            return out
+        def stream(first, rows, block, d, out):
+            blocks.append(block.shape)
+            return real_stream(first, rows, block, d, out)
 
         def variance(K, sigma):
-            seen.append((K.factor is designs[0],
-                         [ref() is not None for ref in tests]))
-            return real_variance(K, sigma)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                value = real_variance(K, sigma)
+                grown = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            seen.append((K.factor is designs[0], grown))
+            return value
 
         monkeypatch.setattr(experiments, "fill_design", fill)
-        monkeypatch.setattr(experiments, "_draw_test_factor", draw)
+        monkeypatch.setattr(experiments, "_test_residuals", stream)
         monkeypatch.setattr(regression, "variance_closed_form", variance)
-        cfg = _cfg(experiment="learning_curve", n_grid=(16,), trials=1, n_test=30)
-        experiments._learning_curve_trial(cfg, 16, 0)
-        assert len(designs) == 1 and seen == [(True, [False])]
+        cfg = _cfg(experiment="learning_curve", n_grid=(n,), trials=1, n_test=n_test)
+        experiments._learning_curve_trial(cfg, n, 0)
+        ((rows, cols),) = blocks
+        assert len(designs) == 1 and rows < m
+        assert rows * cols <= max(m * n / 2, experiments.TEST_BLOCK_FLOOR)
+        ((factor_is_design, grown),) = seen
+        assert factor_is_design and grown < 0.5 * 8 * m * n
 
 
 @pytest.mark.parametrize("experiment", ["learning_curve", "smin_study"])
 def test_no_thread_outlives_the_sweep(experiment):
-    # test factors and smin-study designs are drawn on a pool scoped to each
-    # trial
+    # learning-curve test designs are streamed, and smin-study designs
+    # drawn, on a pool scoped to each trial
     before = threading.active_count()
     run_experiment(_cfg(experiment=experiment, n_grid=(8, 16), trials=2, n_test=30))
     assert threading.active_count() == before
@@ -588,8 +645,8 @@ class TestBlasThreads:
                                              experiments._seed(cfg, n, 0, "noise"))
             duals = {"mse": fit_ridgeless(K, y),
                      "bias": K.dual(clean_labels(d, s, target))}
-            g_test = experiments._draw_test_factor(
-                law, s, np.empty((m, cfg.n_test)), experiments._seed(cfg, n, 0, "test"))
+            g_test = mercer_factor(s, sample_design(
+                law, m, cfg.n_test, experiments._seed(cfg, n, 0, "test")).entries)
         summary = singular_extremes(K)
         bound = summary.rel_error_bound
         assert summary.path == "gram_eigh"

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overfit_lab.errors import DomainError, InvalidParameterError, ShapeError
@@ -11,6 +11,7 @@ from overfit_lab.features import (
     FEATURE_LAWS,
     AnalyticKernel,
     InputDomain,
+    design_blocks,
     fill_design,
     fourier_design,
     kernel_cross,
@@ -132,6 +133,33 @@ def test_in_place_fill_matches_allocating_draw(law, M, N, seed):
     out = np.full((M, N), np.nan)
     assert fill_design(law, out, seed) is out
     assert np.array_equal(out, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=st.sampled_from(FEATURE_LAWS), rows=st.integers(1, 160),
+       blocks=st.integers(0, 3), tail=st.integers(0, 159), N=st.integers(1, 16),
+       seed=st.integers(0, 2**63 - 1))
+@example(law="cosine", rows=64, blocks=0, tail=30, N=3, seed=0)  # M below a block
+@example(law="sine", rows=64, blocks=1, tail=0, N=3, seed=0)  # M equal to one
+@example(law="cosine", rows=64, blocks=2, tail=17, N=3, seed=0)  # not a multiple
+@example(law="sine", rows=50, blocks=3, tail=13, N=3, seed=0)  # blocks off the grid
+@example(law="gaussian", rows=64, blocks=2, tail=17, N=3, seed=0)
+@example(law="uniform_subgaussian", rows=50, blocks=3, tail=13, N=3, seed=0)
+def test_streamed_rows_match_one_fill(law, rows, blocks, tail, N, seed):
+    # a design streamed through a buffer of ``rows`` rows is, row for row,
+    # the bits of one fill of the whole M x N design; M runs from
+    # blocks * rows + 1 to (blocks + 1) * rows, so it lands below, on and
+    # off a multiple of the buffer's height, and the buffer need not sit on
+    # FOURIER_BLOCK's grid
+    M = blocks * rows + min(tail, rows - 1) + 1
+    want = fill_design(law, np.empty((M, N)), seed)
+    block = np.full((rows, N), np.nan)
+    got, starts = np.full((M, N), np.nan), []
+    for r in design_blocks(law, M, block, seed):
+        starts.append(r.start)
+        got[r] = block[:r.stop - r.start]
+    assert starts == list(range(0, M, rows))
+    assert np.array_equal(got, want)
 
 
 class TestSampleInputs:

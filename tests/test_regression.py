@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import mc_noise_variance, predict
+from conftest import left_vector_variance, mc_noise_variance, mc_test_error, predict
 from test_linalg import _smin_grid_design, _steep_design
 from overfit_lab import regression
 from overfit_lab.errors import (
@@ -95,7 +97,7 @@ class TestFitAndPredict:
         preds = predict(s, f, fresh)
         truth = (np.sqrt(s.eigenvalues) * t.theta_star) @ fresh
         np.testing.assert_allclose(preds, truth, rtol=1e-6, atol=1e-9)
-        assert empirical_test_error(f, t, mercer_factor(s, fresh)) <= 1e-8
+        assert mc_test_error(f, t, mercer_factor(s, fresh)) <= 1e-8
 
     def test_zero_labels_zero_coefficients(self):
         s, d, _ = _square_problem(8, seed=2)
@@ -195,7 +197,8 @@ class TestEmpiricalTestError:
         s, d, t = _square_problem(12, seed=6)
         y = synthesize_labels(clean_labels(d, s, t), t.sigma, seed=0)
         f = fit_ridgeless(assemble_kernel(s, d), y)
-        assert empirical_test_error(f, t, _test_factor(s, 100, 13)) < 1e-12
+        g_test = _test_factor(s, 100, 13)
+        assert empirical_test_error(g_test.T @ (f - t.theta_star)) < 1e-12
 
     def test_constant_offset_squares(self):
         # constant feature: fitting f* + c yields exactly c^2 error
@@ -207,7 +210,8 @@ class TestEmpiricalTestError:
         f = fit_ridgeless(assemble_kernel(s, d), y)
         test = np.ones((1, 50))
         g_test = mercer_factor(s, test)
-        assert empirical_test_error(f, t, g_test) == pytest.approx(c * c, rel=1e-12)
+        residuals = g_test.T @ (f - t.theta_star)
+        assert empirical_test_error(residuals) == pytest.approx(c * c, rel=1e-12)
 
     def test_tempered_error_stays_bounded(self):
         # medians over 20 seeds at N=64 and N=256 within a factor 3
@@ -220,7 +224,7 @@ class TestEmpiricalTestError:
                 d = sample_design(GAUSSIAN, 10 * n, n, seed=base_seed + trial + 1).entries
                 y = synthesize_labels(clean_labels(d, s, t), t.sigma, seed=7000 + trial)
                 f = fit_ridgeless(assemble_kernel(s, d), y)
-                out.append(empirical_test_error(f, t, _test_factor(s, 500, 8000 + trial)))
+                out.append(mc_test_error(f, t, _test_factor(s, 500, 8000 + trial)))
             return float(np.median(out))
 
         lo = median_mse(64, 100)
@@ -228,10 +232,12 @@ class TestEmpiricalTestError:
         assert max(lo, hi) / min(lo, hi) < 3.0
 
     def test_n_test_validation(self):
+        # no test input, or residuals that are not one per test input
         s, d, t = _square_problem(4, seed=1)
         f = fit_ridgeless(assemble_kernel(s, d), np.zeros(4))
-        with pytest.raises(InvalidParameterError):
-            empirical_test_error(f, t, np.empty((4, 0)))
+        for residuals in (np.empty((4, 0)).T @ (f - t.theta_star), np.ones((3, 2))):
+            with pytest.raises(InvalidParameterError):
+                empirical_test_error(residuals)
 
 
 class TestVarianceClosedForm:
@@ -263,6 +269,39 @@ class TestVarianceClosedForm:
         oracle = 2.0**2 * np.trace(inner @ pinv @ pinv)
         got = variance_closed_form(assemble_kernel(s, d), sigma=2.0)
         assert got == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize("law,kind,n,route", [
+        ("gaussian", "polynomial", 64, "gram_eigh"),
+        ("cosine", "polynomial", 192, "gesdd"),
+        ("gaussian", "exponential", 32, "jacobi"),
+    ])
+    def test_row_blocks_match_whole_left_vectors(self, law, kind, n, route):
+        # the variance sums over row blocks of N rows; the oracle forms U_k
+        # whole and takes one einsum.  Both are sums of the same positive
+        # terms, in another order, so they agree within 4 M eps relative
+        m = 10 * n
+        s = make_spectrum(kind, 1.0, m)
+        K = assemble_kernel(s, sample_design(law, m, n, seed=1).entries)
+        got = variance_closed_form(K, sigma=1.5)
+        assert K._full.path == route
+        want = left_vector_variance(K, 1.5)
+        assert abs(got - want) <= 4 * m * np.finfo(np.float64).eps * want
+
+    def test_row_blocks_on_a_rank_deficient_kernel(self):
+        # two equal design columns: one mode is cut, the blocked sums run
+        # over the kept modes like the whole U_k, and the kernel warns once
+        m, n = 200, 10
+        s = make_spectrum("polynomial", 1.0, m)
+        d = sample_design(GAUSSIAN, m, n, seed=3).entries.copy()
+        d[:, 1] = d[:, 0]
+        K = assemble_kernel(s, d)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = variance_closed_form(K, sigma=1.0)
+        assert [w.category for w in caught] == [RankDeficientKernelWarning]
+        assert int(K._full.keep.sum()) == n - 1
+        want = left_vector_variance(K, 1.0)
+        assert abs(got - want) <= 4 * m * np.finfo(np.float64).eps * want
 
     @pytest.mark.parametrize("kind,seed", [("polynomial", 11), ("exponential", 14)])
     def test_matches_monte_carlo(self, kind, seed):
@@ -368,7 +407,7 @@ class TestBias:
         for i in range(60):
             y = synthesize_labels(clean_labels(d, s, t), t.sigma, seed=900 + i)
             f = fit_ridgeless(K, y)
-            risks.append(empirical_test_error(f, t, _test_factor(s, 500, 5000 + i)))
+            risks.append(mc_test_error(f, t, _test_factor(s, 500, 5000 + i)))
         risks = np.asarray(risks)
         se = risks.std(ddof=1) / np.sqrt(len(risks))
         assert abs(risks.mean() - (b + v)) <= 3 * se
