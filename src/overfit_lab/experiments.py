@@ -9,14 +9,12 @@ anchors) and draws every random number from a seed given by
 ``derive_seed``, so the (N, t) cells can run in any order or in separate
 processes and still give the same records.
 
-Two trials draw on a one-thread pool that lives only for that trial.  A
-learning-curve trial streams its test design there, a row block at a
-time, into the residuals of the empirical MSE (the bias is exact and needs
-none): the first block while the calling thread draws the training design
-and fits, the rest while it takes the bias, the variance and the extremes;
-no M x n_test array is formed.  A smin-study trial draws each law's design
-there while the calling thread decomposes the previous law's.  Both pools
-keep one rule:
+A learning-curve trial streams its test design on a one-thread pool, a row
+block at a time, into the residuals of the empirical MSE (the bias is exact
+and needs none): the first block while the calling thread draws the
+training design and fits, the rest while it takes the bias, the variance
+and the extremes; no M x n_test array is formed.  Every other draw runs on
+the calling thread.  The pool keeps one rule:
 
 * the pool thread only fills, scales or reduces buffers the calling thread
   allocated (RNG fills, elementwise ufuncs and ``np.add.reduce``, which
@@ -27,11 +25,11 @@ keep one rule:
 * it calls nothing ``bench/spans.py`` wraps (``sample_design``,
   ``assemble_kernel`` and the rest), because that tracing assumes
   single-threaded, strictly nested calls;
-* no pool outlives its trial.
+* it does not outlive its trial.
 
 The sweep runs with numpy's OpenBLAS on one thread
 (``linalg.single_threaded_blas``): on two cores its second thread cost more
-than it gave, competing with the draw thread and with the thread pool of
+than it gave, competing with the pool thread and with the thread pool of
 scipy's bundled OpenBLAS.  Values-only factorizations, the Jacobi SVD's
 among them, run numpy's library (called through ``ctypes``, so no sweep
 imports scipy).  scipy's runs only the Jacobi SVD with vectors (a steep
@@ -434,42 +432,29 @@ def _test_residuals(first, blocks, block, d, out):
 def _smin_study_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:
     """Smallest singular value for each feature law, normalized two ways.
 
-    Runs all four laws regardless of cfg.law: the point of the study is the
-    independent-vs-dependent contrast.  Each law's design is drawn on a pool
-    thread (``fill_design``) while this thread decomposes the previous law's.
-    This thread takes the row norms from the unscaled draw, then scales that
-    same buffer into G in place, so at most two M x N buffers are alive: the
-    law being decomposed and the next law's draw.
-
-    The laws are drawn uniform first, whose draw is the cheapest, so the
-    first decomposition waits least; the records come back in
-    ``FEATURE_LAWS`` order, each law with its own seed.
+    Runs all four laws regardless of cfg.law, in ``FEATURE_LAWS`` order and
+    each with its own seed: the point of the study is the
+    independent-vs-dependent contrast.  Each law's design is drawn into one
+    M x N buffer (``fill_design``), which gives the row norms unscaled and
+    is then scaled into G in place, so one M x N buffer is alive at a time.
     """
     m = cfg.feature_count(n)
-    laws = ("uniform_subgaussian", "gaussian", "cosine", "sine")
-    seeds = [_seed(cfg, n, t, law) for law in laws]
-    records = {}
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        def draw(i):
-            return pool.submit(fill_design, laws[i], np.empty((m, n)), seeds[i])
-
-        pending = draw(0)
-        s = make_spectrum(cfg.spectrum, cfg.a, m)
-        lam_n = float(s.eigenvalues[n - 1])
-        for i, law in enumerate(laws):
-            psi = pending.result()
-            pending = draw(i + 1) if i + 1 < len(laws) else None
-            diag = row_norm_diagnostics(psi, n)
-            # psi becomes G in place; the next result() rebinds it before the
-            # draw after that allocates, so no third M x N buffer appears
-            ext = _extremes(KernelMatrix(mercer_factor(s, psi, out=psi), s))
-            records[law] = _record(
-                cfg, n, m, t, seeds[i], law=law, **ext,
-                s_min_over_n_lambda_n=ext["s_min"] / (n * lam_n),
-                s_min_over_n=ext["s_min"] / n,
-                min_p_squared=diag.min_p_squared,
-            )
-    return [records[kind] for kind in FEATURE_LAWS]
+    s = make_spectrum(cfg.spectrum, cfg.a, m)
+    lam_n = float(s.eigenvalues[n - 1])
+    records = []
+    for law in FEATURE_LAWS:
+        seed = _seed(cfg, n, t, law)
+        psi = fill_design(law, np.empty((m, n)), seed)
+        diag = row_norm_diagnostics(psi, n)
+        ext = _extremes(KernelMatrix(mercer_factor(s, psi, out=psi), s))
+        del psi  # before the next law's draw allocates
+        records.append(_record(
+            cfg, n, m, t, seed, law=law, **ext,
+            s_min_over_n_lambda_n=ext["s_min"] / (n * lam_n),
+            s_min_over_n=ext["s_min"] / n,
+            min_p_squared=diag.min_p_squared,
+        ))
+    return records
 
 
 def _kernel_domain(cfg: ExperimentConfig) -> InputDomain:

@@ -148,6 +148,8 @@ def _fourier_rows(x: np.ndarray, M: int, kind: str, block: np.ndarray):
     row keeps the bits of one whole fill."""
     if kind not in ("cosine", "sine"):
         raise InvalidParameterError(f"fourier_design expects cosine or sine, got {kind!r}")
+    if M < 1:  # an empty design has no rows to draw
+        return
     b = min(FOURIER_BLOCK, M)
     cos_j = np.arange(b, dtype=np.float64)[:, None] * x[None, :]
     sin_j = np.sin(cos_j)

@@ -441,8 +441,8 @@ def singular_extremes(K: KernelMatrix) -> SpectrumSummary:
 def row_norm_diagnostics(psi, N: int) -> RowNormDiagnostics:
     """P_i = sqrt(mean of squared tail entries) per column of the M x N design
     ``psi``, tail = rows > N."""
-    if np.ndim(psi) != 2:
-        raise ShapeError(f"design must be 2-d, got shape {np.shape(psi)}")
+    if np.ndim(psi) != 2 or np.shape(psi)[1] == 0:
+        raise ShapeError(f"design must be 2-d with columns, got shape {np.shape(psi)}")
     if N < 0:
         raise InvalidParameterError(f"tail offset N must be >= 0, got {N}")
     m = len(psi)

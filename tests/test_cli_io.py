@@ -449,24 +449,26 @@ class TestCli:
     def test_pool_thread_failure_exit_code(self, tmp_path, monkeypatch, capsys,
                                            subcommand):
         # a numeric failure while streaming the learning-curve test design
-        # or drawing a smin-study design on a pool thread surfaces from the
-        # trial as itself: exit 2, not a crash; the learning-curve training
-        # design, drawn on the calling thread, is drawn as usual
+        # on its pool thread surfaces from the trial as itself: exit 2, not a
+        # crash; the learning-curve training design, drawn on the calling
+        # thread, is drawn as usual.  smin-study opens no pool: every law is
+        # drawn on the calling thread, and a failure in its last draw exits 2
         real_fill, real_blocks = experiments.fill_design, experiments.design_blocks
         threads = []
 
-        def on_main():
+        def on_main(law):
             threads.append(threading.current_thread())
-            if threading.current_thread() is not threading.main_thread():
+            if threading.current_thread() is not threading.main_thread() or (
+                    subcommand == "smin-study" and law == FEATURE_LAWS[-1]):
                 raise NumericError("synthetic draw failure")
 
         def failing_fill(law, out, seed):
-            on_main()
+            on_main(law)
             return real_fill(law, out, seed)
 
-        def failing_blocks(*args):  # the generator is drawn where it is iterated
-            on_main()
-            yield from real_blocks(*args)
+        def failing_blocks(law, *args):  # the generator is drawn where it is iterated
+            on_main(law)
+            yield from real_blocks(law, *args)
 
         monkeypatch.setattr(experiments, "fill_design", failing_fill)
         monkeypatch.setattr(experiments, "design_blocks", failing_blocks)
@@ -474,8 +476,10 @@ class TestCli:
                          "--n_grid", "8", "--trials", "1", "--n-test", "20"])
         assert code == 2
         assert "synthetic draw failure" in capsys.readouterr().err
-        on_main = threads.count(threading.main_thread())
-        assert len(threads) > on_main == (subcommand == "learning-curve")
+        if subcommand == "smin-study":
+            assert threads == [threading.main_thread()] * len(FEATURE_LAWS)
+        else:
+            assert len(threads) > threads.count(threading.main_thread()) == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_factor_exit_code(self, tmp_path, monkeypatch, capsys, bad):

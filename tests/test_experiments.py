@@ -341,12 +341,21 @@ class TestLearningCurve:
 
 
 @pytest.mark.parametrize("experiment", ["learning_curve", "smin_study"])
-def test_no_thread_outlives_the_sweep(experiment):
-    # learning-curve test designs are streamed, and smin-study designs
-    # drawn, on a pool scoped to each trial
+def test_no_thread_outlives_the_sweep(experiment, monkeypatch):
+    # learning-curve test designs are streamed on a one-thread pool scoped
+    # to each trial, open while the training design is drawn; a smin-study
+    # sweep starts no thread
+    real_fill, counts = experiments.fill_design, []
+
+    def fill(law, out, seed):
+        counts.append(threading.active_count())
+        return real_fill(law, out, seed)
+
+    monkeypatch.setattr(experiments, "fill_design", fill)
     before = threading.active_count()
     run_experiment(_cfg(experiment=experiment, n_grid=(8, 16), trials=2, n_test=30))
     assert threading.active_count() == before
+    assert set(counts) == {before + (experiment == "learning_curve")}
 
 
 class TestSminStudy:
@@ -400,9 +409,9 @@ class TestSminStudy:
             assert got == expected  # field by field, floats by ==
 
     def test_trial_peak_memory(self):
-        # each law's draw is scaled into its G in place, so a trial holds at
-        # most two M x N buffers: the law being decomposed and the next law's
-        # draw; a separate G would make it three
+        # each law's draw is scaled into its G in place and dropped before
+        # the next law's draw, so a trial holds one M x N buffer per law; a
+        # prefetched next draw would make it two, a separate G three
         n, m = 256, 2560
         cfg = _cfg(experiment="smin_study", n_grid=(n,), trials=1)
         experiments._smin_study_trial(cfg, n, 1)  # warm up imports and caches
@@ -413,7 +422,7 @@ class TestSminStudy:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * m * n
+        assert peak <= 1.5 * 8 * m * n
 
 
 class TestKernelInterp:

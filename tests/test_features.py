@@ -61,6 +61,11 @@ class TestSampleDesign:
         with pytest.raises(InvalidParameterError):
             sample_design("gaussian", 0, 3, seed=0)
 
+    @pytest.mark.parametrize("kind", ["cosine", "sine"])
+    def test_fourier_design_without_rows(self, kind):
+        # M = 0 is the empty block, as in design_blocks
+        assert fourier_design(np.arange(3.0), 0, kind).shape == (0, 3)
+
     def test_cosine_isotropy(self):
         # empirical second-moment matrix of the feature vector approaches I
         d = sample_design("cosine", 20, 10_000, seed=3)

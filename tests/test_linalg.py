@@ -542,22 +542,12 @@ class TestGramCertificate:
                 return real[name](*args, **kwargs)
             return call
 
-        # the learning-curve trial draws its training design on the calling
-        # thread and its test factor on a pool thread; tag the first
+        # both trials draw every design they decompose on the calling thread;
+        # the learning-curve test factor streams on a pool thread
         def tagged_fill_design(law, out, seed):
             if threading.current_thread() is threading.main_thread():
                 laws.append(law)
             return fill_design(law, out, seed)
-
-        # smin-study draws on a pool thread; its calling thread takes each
-        # law's row norms just before that law's decomposition, in the
-        # study's fixed order (uniform first)
-        real_row_norms = experiments.row_norm_diagnostics
-        smin_order = iter(("uniform_subgaussian", "gaussian", "cosine", "sine"))
-
-        def tagged_row_norms(psi, *args):
-            laws.append(next(smin_order))
-            return real_row_norms(psi, *args)
 
         real_extremes = experiments.singular_extremes
 
@@ -568,7 +558,6 @@ class TestGramCertificate:
         for name in real:
             monkeypatch.setattr(np.linalg, name, counting(name))
         monkeypatch.setattr(experiments, "fill_design", tagged_fill_design)
-        monkeypatch.setattr(experiments, "row_norm_diagnostics", tagged_row_norms)
         monkeypatch.setattr(experiments, "singular_extremes", kept_extremes)
         cfg = ExperimentConfig(experiment="learning_curve", law="cosine",
                                n_grid=(512,), trials=1, n_test=20)
@@ -577,7 +566,7 @@ class TestGramCertificate:
         assert kernels.pop("cosine")._entries is None
         cfg = ExperimentConfig(experiment="smin_study", n_grid=(512,), trials=1)
         TRIALS["smin_study"](cfg, 512, 0)
-        assert sorted(calls) == sorted(["gaussian", "uniform_subgaussian"])
+        assert calls == ["gaussian", "uniform_subgaussian"]
         assert {law for law, K in kernels.items() if K._entries is None} == {
             "cosine", "sine"}
 
@@ -1040,6 +1029,11 @@ class TestRowNormDiagnostics:
         d = np.ones((3, 3))
         with pytest.raises(InvalidParameterError):
             row_norm_diagnostics(d, -1)
+
+    def test_design_without_columns_rejected(self):
+        # no column has a row norm to take the minimum of
+        with pytest.raises(ShapeError):
+            row_norm_diagnostics(np.ones((4, 0)), 1)
 
 
 class TestMinNormSolve:
