@@ -14,7 +14,11 @@ block at a time, into the residuals of the empirical MSE (the bias is exact
 and needs none): the first block while the calling thread draws the
 training design and fits, the rest while it takes the bias, the variance
 and the extremes; no M x n_test array is formed.  Every other draw runs on
-the calling thread.  The pool keeps one rule:
+the calling thread.  smin-study and condnum trials need K's extreme values
+only: their designs stream through one buffer of 2 N rows, scaled into G's
+rows in place, into a values-only kernel (``KernelMatrix.from_blocks``),
+so they form no M x N array; where the route must see G twice, the design
+is drawn again from its seed.  The pool keeps one rule:
 
 * the pool thread only fills, scales or reduces buffers the calling thread
   allocated (RNG fills, elementwise ufuncs and ``np.add.reduce``, which
@@ -54,6 +58,7 @@ import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -78,6 +83,7 @@ from .features import (
     sample_inputs,
 )
 from .linalg import (
+    SCREEN_ROWS,
     KernelMatrix,
     assemble_kernel,
     mercer_factor,
@@ -346,16 +352,48 @@ def _extremes(K) -> dict:
 
 
 def _condnum_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:
-    """Condition number of the Mercer kernel against its predicted scale."""
+    """Condition number of the Mercer kernel against its predicted scale.
+
+    The design streams through one buffer into a values-only kernel
+    (``_factor_blocks``), as in smin-study.
+    """
     m = cfg.feature_count(n)
     s = make_spectrum(cfg.spectrum, cfg.a, m)
     regime = "exp" if cfg.spectrum == "exponential" else "poly"
     theory = theoretical_condition_ratio(s, n, regime)
     seed = _seed(cfg, n, t)
-    # the kernel keeps only G, so Psi is freed once it is assembled
-    ext = _extremes(assemble_kernel(s, sample_design(cfg.law, m, n, seed).entries))
+    block = _stream_buffer(m, n)
+    ext = _extremes(KernelMatrix.from_blocks(
+        partial(_factor_blocks, cfg.law, s, block, seed), s, n))
     return [_record(cfg, n, m, t, seed, **ext,
                     ratio_to_theory=ext["condition_number"] / theory)]
+
+
+def _stream_buffer(m: int, n: int) -> np.ndarray:
+    """The buffer an M x N design streams through: 2 N rows (at least
+    SCREEN_ROWS, the pair screen's leading rows, and at most M), so a trial
+    holds O(N^2) entries of it whatever M."""
+    return np.empty((min(m, max(2 * n, SCREEN_ROWS)), n))
+
+
+def _factor_blocks(law: str, s, block: np.ndarray, seed, tail_sq=None):
+    """One pass over the Mercer factor G = Lambda^{1/2} Psi of the M x N
+    design (M = s.size, N = block.shape[1]) drawn under ``law``, a row block
+    at a time: ``design_blocks`` draws each block into ``block``, which is
+    scaled into G's rows in place and yielded, so the next block overwrites
+    it.  With ``tail_sq``, the unscaled tail rows' (index >= N) column sums
+    of squares are added into it first; each pass zeroes it."""
+    n = block.shape[1]
+    root = np.sqrt(s.eigenvalues)
+    if tail_sq is not None:
+        tail_sq[...] = 0.0
+    for rows in design_blocks(law, s.size, block, seed):
+        g = block[:rows.stop - rows.start]
+        if tail_sq is not None:
+            tail = g[max(n - rows.start, 0):]
+            tail_sq += np.einsum("ki,ki->i", tail, tail)
+        g *= root[rows, None]
+        yield g
 
 
 # fewest entries of a learning-curve test-design block (8 MB): where half of
@@ -434,20 +472,23 @@ def _smin_study_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord
 
     Runs all four laws regardless of cfg.law, in ``FEATURE_LAWS`` order and
     each with its own seed: the point of the study is the
-    independent-vs-dependent contrast.  Each law's design is drawn into one
-    M x N buffer (``fill_design``), which gives the row norms unscaled and
-    is then scaled into G in place, so one M x N buffer is alive at a time.
+    independent-vs-dependent contrast.  Each law's design streams through
+    one buffer of 2 N rows, reused across the laws (``_factor_blocks``):
+    each block gives the tail's row norms unscaled and is then scaled into
+    G's rows in place and folded into the values-only kernel's K or R
+    (``KernelMatrix.from_blocks``), so no M x N array is formed.  A route
+    that must see G twice draws the design again from its seed.
     """
     m = cfg.feature_count(n)
     s = make_spectrum(cfg.spectrum, cfg.a, m)
     lam_n = float(s.eigenvalues[n - 1])
+    block, tail_sq = _stream_buffer(m, n), np.zeros(n)
     records = []
     for law in FEATURE_LAWS:
         seed = _seed(cfg, n, t, law)
-        psi = fill_design(law, np.empty((m, n)), seed)
-        diag = row_norm_diagnostics(psi, n)
-        ext = _extremes(KernelMatrix(mercer_factor(s, psi, out=psi), s))
-        del psi  # before the next law's draw allocates
+        ext = _extremes(KernelMatrix.from_blocks(
+            partial(_factor_blocks, law, s, block, seed, tail_sq), s, n))
+        diag = row_norm_diagnostics(tail_sq, n, m)
         records.append(_record(
             cfg, n, m, t, seed, law=law, **ext,
             s_min_over_n_lambda_n=ext["s_min"] / (n * lam_n),

@@ -186,12 +186,18 @@ def design_blocks(law: str, M: int, block: np.ndarray, seed):
     overwrites them.  The rows are those of one whole fill, bit for bit: the
     RNG fills row after row, and cosine and sine rows keep their
     angle-addition blocks.  A name outside FEATURE_LAWS raises
-    InvalidParameterError before anything is drawn.
+    InvalidParameterError, and for M >= 1 a ``block`` that is not a 2-d
+    float64 array with a row raises ShapeError, before anything is drawn.
     """
     if law not in FEATURE_LAWS:
         raise InvalidParameterError(f"unknown feature law {law!r}")
     if M < 1:  # an empty design has no rows to draw (and ``block`` may have none)
         return
+    if not (isinstance(block, np.ndarray) and block.dtype == np.float64
+            and block.ndim == 2 and len(block) >= 1):
+        raise ShapeError(
+            f"design block must be a 2-d float64 array with a row, got "
+            f"{getattr(block, 'dtype', type(block).__name__)} of shape {np.shape(block)}")
     rng = np.random.default_rng(seed)
     if law in ("cosine", "sine"):
         x = sample_inputs(InputDomain("uniform_interval", 0.0, TWO_PI), block.shape[1], rng)

@@ -27,13 +27,24 @@ G's.  Values are produced by one of three routes, recorded in
   at most GRAM_CERTIFIED_TOLERANCE (2e-6 on K's singular values, 1e-6 on
   G's).  Where s_min collapses (dependent features) the bound fails and the
   computation escalates to the next route; a screen of near-duplicate
-  column pairs of G (``_pair_screen``) proves most such failures before K
+  column pairs of G (``_PairScreen``) proves most such failures before K
   is formed, and the route then skips both K and the eigensolver.
 * ``"gesdd"`` -- everything else: NumPy's divide-and-conquer SVD of G, whose
   absolute error is about eps * s_max.  Values only of a tall factor take R
   of a Householder QR of G first, by tall-skinny QR (``_values_only_svd``), and
   then the divide-and-conquer SVD of R; both steps are backward stable, so
   the absolute error stays about eps * s_max.
+
+Values only of a tall factor read G once, as a stream of row blocks
+(``KernelMatrix._tall_values``): the screen's pair sums, K = sum of
+G_b^T G_b and TSQR's R each fold one block at a time, so a factor that
+arrives in blocks (``KernelMatrix.from_blocks``) is never held whole.  The
+first block fixes the route, and one case takes a second pass over the
+blocks (see ``_tall_values``).  K from b-row blocks errs by at most
+gamma_{b + ceil(M/b) - 1} per entry, which gamma_M bounds, so the
+certificate keeps gamma_M; TSQR folds at fixed row boundaries, so its bits
+do not depend on the blocks.  A factor held in memory is one block and
+keeps the bits of the rule on G itself.
 
 The same bound covers the outputs of a full solve on the ``gram_eigh``
 route.  To first order in dK, the dual G K^-1 y moves by
@@ -90,10 +101,11 @@ from __future__ import annotations
 import ctypes
 import glob
 import importlib.util
+import itertools
 import math
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -186,14 +198,16 @@ class _Decomposition(NamedTuple):
 class KernelMatrix:
     """Symmetric PSD Gram matrix and the one pseudo-inverse it defines.
 
-    Two constructors.  ``KernelMatrix(factor, spectrum)`` is a Mercer kernel:
+    Three constructors.  ``KernelMatrix(factor, spectrum)`` is a Mercer kernel:
     it keeps the M x N factor G = Lambda^{1/2} Psi and the ``spectrum`` it
     came from (G has one row per eigenvalue) and builds its entries lazily
     as G^T G.  It does not keep Psi: G is the only M x N array a kernel
     pins, and whatever needs Psi itself (clean labels, row norms) takes it
     from the design before the caller drops it.  ``from_entries(entries)``
     wraps an explicit matrix, which holds only its entries; its ``spectrum``
-    is None.  Every downstream solve, prediction, and variance evaluation
+    is None.  ``from_blocks(blocks, spectrum, size)`` is a Mercer kernel that
+    gives values only and holds no factor: G streams in row blocks on each
+    pass.  Every downstream solve, prediction, and variance evaluation
     reuses the one cached full record (``_full``).  Instances are immutable
     and safe to share across trial workers.
 
@@ -206,12 +220,11 @@ class KernelMatrix:
 
     spectrum: Spectrum | None = None
     _factor: np.ndarray | None = None
+    _source: Callable[[], Iterable[np.ndarray]] | None = None  # from_blocks
     _entries: np.ndarray | None = None  # a Mercer kernel builds them on first use
 
     def __init__(self, factor, spectrum: Spectrum):
-        if not isinstance(spectrum, Spectrum):
-            raise InvalidParameterError(
-                f"a Mercer kernel needs a Spectrum, got {spectrum!r}")
+        _check_spectrum(spectrum)
         factor = np.asarray(factor, dtype=np.float64)
         if factor.ndim != 2 or factor.shape[0] != spectrum.size:
             raise ShapeError(
@@ -221,6 +234,30 @@ class KernelMatrix:
         self.spectrum = spectrum
         self._factor = factor
         self.size = int(factor.shape[1])
+
+    @classmethod
+    def from_blocks(cls, blocks: Callable[[], Iterable[np.ndarray]],
+                    spectrum: Spectrum, size: int) -> KernelMatrix:
+        """A values-only Mercer kernel whose factor G streams in row blocks.
+
+        Each call ``blocks()`` starts a new pass over G: an iterable of
+        float64 blocks of ``size`` columns that together hold G's
+        ``spectrum.size`` rows in order.  A block may be overwritten once
+        the next one is asked for, so one buffer can carry the whole pass.
+        ``singular_extremes`` takes one pass, or two where the route must
+        see G again (``_tall_values``); no M x N array is held, except on
+        steep spectra and wide factors, whose SVD needs G whole and collects
+        the blocks into it.  Solves, duals and fits need G in memory and
+        raise InvalidParameterError.
+        """
+        _check_spectrum(spectrum)
+        if size < 1:
+            raise ShapeError(f"a Mercer factor needs columns, got size {size}")
+        kernel = cls.__new__(cls)
+        kernel.spectrum = spectrum
+        kernel._source = blocks
+        kernel.size = int(size)
+        return kernel
 
     @classmethod
     def from_entries(cls, entries) -> KernelMatrix:
@@ -248,39 +285,44 @@ class KernelMatrix:
     @property
     def entries(self) -> np.ndarray:
         if self._entries is None:
-            g = self._factor
-            k = g.T @ g
-            k = 0.5 * (k + k.T)
-            k.setflags(write=False)
-            self._entries = k
+            self._entries = _gram(self._blocks())
         return self._entries
 
     @property
     def is_mercer(self) -> bool:
-        return self._factor is not None
+        return self.spectrum is not None
 
     @property
     def factor(self) -> np.ndarray | None:
+        """G of a Mercer kernel that holds it; None for an explicit matrix or
+        a ``from_blocks`` stream."""
         return self._factor
+
+    def _blocks(self) -> Iterator[np.ndarray]:
+        """A pass over G's rows (``_row_blocks``): the held factor as one
+        block, or a new pass over a ``from_blocks`` stream."""
+        if self._factor is not None:
+            return iter((self._factor,))
+        return _row_blocks(self._source(), self.spectrum.size, self.size)
 
     # -- memoized spectral data ------------------------------------------------
 
     @cached_property
     def _steep(self) -> bool:
-        g = self._factor
-        if g.shape[0] < g.shape[1]:
+        if self.spectrum.size < self.size:
             return False  # wide factors are rank deficient; fast path + cutoff
         lam = self.spectrum.eigenvalues
         visible = min(len(lam), self.size) - 1
         return bool(lam[0] / lam[visible] > STEEP_SPECTRUM_RATIO)
 
     def _require_factor(self) -> np.ndarray:
-        """The Mercer factor G; an explicit matrix raises InvalidParameterError."""
-        if not self.is_mercer:
+        """The Mercer factor G; a kernel that holds none (an explicit matrix or
+        a ``from_blocks`` stream) raises InvalidParameterError."""
+        if self._factor is None:
             raise InvalidParameterError(
-                "kernel has no Mercer factor: duals, fits and risk terms need a "
-                "kernel from assemble_kernel; explicit matrices are solved "
-                "through min_norm_solve"
+                "kernel holds no Mercer factor: duals, fits and risk terms need a "
+                "kernel from assemble_kernel, a from_blocks kernel gives values "
+                "only, and explicit matrices are solved through min_norm_solve"
             )
         return self._factor
 
@@ -314,12 +356,13 @@ class KernelMatrix:
         for a tall factor with finite trace(K) that has not already failed the
         certificate; else TSQR (values only) or gesdd.
 
-        Before K is formed, ``_pair_screen`` may prove from G that the
-        certificate cannot hold; the route then goes straight to TSQR or
-        gesdd without forming K.  A skipped eigensolver is one whose result
-        would have been thrown away, so the route and every output bit are
-        those of the unscreened rule; a screen that does not fire costs time
-        only.
+        Before K is formed, the pair screen (``_PairScreen``) may prove from G
+        that the certificate cannot hold; the route then goes straight to
+        TSQR or gesdd without forming K.  A skipped eigensolver is one whose
+        result would have been thrown away, so the route and every output
+        bit are those of the unscreened rule; a screen that does not fire
+        costs time only.  Values only of a tall factor take one pass over its
+        row blocks (``_tall_values``).
         """
         if not self.is_mercer:
             if not np.all(np.isfinite(self.entries)):
@@ -330,32 +373,61 @@ class KernelMatrix:
                     f"kernel matrix is not positive semi-definite (eigenvalue {w[-1]:.3g})"
                 )
             return _Decomposition(None, w, "eigh", q=q)
-        g = self._factor
-        m, n = g.shape
+        g = self._require_factor() if full else None
+        m, n = self.spectrum.size, self.size
         if self._steep:
-            u, s, v = _jacobi_svd(g, want_vectors=full)
+            u, s, v = _jacobi_svd(_collect(self._blocks(), m, n), want_vectors=full)
             return _Decomposition(s, s * s, "jacobi", None, v, u)
+        if not full:
+            if m >= n:
+                return self._tall_values()
+            s = _values_only_svd(self._blocks(), m, n)
+            return _Decomposition(s, s * s, "gesdd")
         values = self.__dict__.get("_values")
-        if (m >= n and (values is None or values.path != "gesdd")
-                and not _pair_screen(g)):
-            k = self.entries
-            trace = float(np.trace(k))
-            if np.isfinite(trace):
-                if full:
-                    w, q = _eigh_descending(k)
-                else:
-                    w, q = np.linalg.eigvalsh(k)[::-1], None
-                if w[-1] > 0.0:
-                    eps = np.finfo(np.float64).eps
-                    gamma = m * eps / (1.0 - m * eps)
-                    bound = (gamma * trace + n * eps * w[0]) / w[-1]
-                    if bound <= GRAM_CERTIFIED_TOLERANCE:
-                        return _Decomposition(np.sqrt(w), w, "gram_eigh",
-                                              float(bound), q)
-        if full:
-            u, s, vh = np.linalg.svd(g, full_matrices=False)
-            return _Decomposition(s, s * s, "gesdd", None, vh.T, u)
-        s = _values_only_svd(g)
+        if m >= n and (values is None or values.path != "gesdd") and not _pair_screen(g):
+            rec = _certified(self.entries, m, full=True)
+            if rec is not None:
+                return rec
+        u, s, vh = np.linalg.svd(g, full_matrices=False)
+        return _Decomposition(s, s * s, "gesdd", None, vh.T, u)
+
+    def _tall_values(self) -> _Decomposition:
+        """Values only of a tall factor (M >= N) that is not steep, in one
+        pass over its row blocks.
+
+        The route is fixed by the first block (``_row_blocks`` gives it the
+        screen's leading rows).  The pair screen's candidates and
+        ``trace_lb`` come from those rows, and its ``ub`` only grows as rows
+        are added, so a first-block screen that does not fire proves that
+        the screen of all of G will not fire either: the pass forms
+        K = sum of G_b^T G_b (``_gram``) for the certificate.  A first-block
+        screen that fires starts TSQR (``_values_only_svd``) and sums the
+        screen over the rest of the pass.  One case takes a second pass and
+        runs the other route, as the unscreened rule would: the certificate
+        fails (TSQR then), or the screen of all of G does not fire (K then,
+        and TSQR's values stand if its certificate fails).  Forming K from
+        blocks errs by at most gamma_{b + ceil(M/b) - 1} <= gamma_M per
+        entry, so the certificate and the screen keep gamma_M.  A factor
+        held in memory is one block: the first-block screen is the whole
+        screen, and every bit is that of the rule on G itself.
+        """
+        m = self.spectrum.size
+        blocks = self._blocks()
+        first = next(blocks)
+        screen = _PairScreen(first, m)
+        if not screen.fires():
+            self._entries = _gram(itertools.chain([first], blocks))
+            rec = _certified(self._entries, m, full=False)
+            if rec is not None:
+                return rec
+            s = _values_only_svd(self._blocks(), m, self.size)
+        else:
+            s = _values_only_svd(itertools.chain([first], _tap(blocks, screen.add)),
+                                 m, self.size)
+            if not screen.fires():
+                rec = _certified(self.entries, m, full=False)
+                if rec is not None:
+                    return rec
         return _Decomposition(s, s * s, "gesdd")
 
     def dual(self, y) -> np.ndarray:
@@ -438,18 +510,26 @@ def singular_extremes(K: KernelMatrix) -> SpectrumSummary:
     )
 
 
-def row_norm_diagnostics(psi, N: int) -> RowNormDiagnostics:
+def row_norm_diagnostics(psi, N: int, M: int | None = None) -> RowNormDiagnostics:
     """P_i = sqrt(mean of squared tail entries) per column of the M x N design
-    ``psi``, tail = rows > N."""
-    if np.ndim(psi) != 2 or np.shape(psi)[1] == 0:
-        raise ShapeError(f"design must be 2-d with columns, got shape {np.shape(psi)}")
+    ``psi``, tail = rows > N.
+
+    A design streamed in row blocks is never whole: it passes, in place of
+    ``psi``, its tail's column sums of squares (a vector, summed block by
+    block) and its row count ``M``.
+    """
+    want = 1 if M is not None else 2
+    if np.ndim(psi) != want or np.shape(psi)[-1] == 0:
+        raise ShapeError(f"design must be {want}-d with columns, got shape {np.shape(psi)}")
     if N < 0:
         raise InvalidParameterError(f"tail offset N must be >= 0, got {N}")
-    m = len(psi)
+    m = len(psi) if M is None else M
     if m <= N:
         raise InsufficientTailError(f"need M > N for a tail block, got M={m}, N={N}")
-    tail = psi[N:, :]
-    p = np.sqrt(np.einsum("ki,ki->i", tail, tail) / (m - N))
+    if M is None:
+        tail = psi[N:, :]
+        psi = np.einsum("ki,ki->i", tail, tail)
+    p = np.sqrt(np.asarray(psi, dtype=np.float64) / (m - N))
     p.setflags(write=False)
     return RowNormDiagnostics(p_values=p, min_p_squared=float(np.min(p) ** 2))
 
@@ -478,50 +558,173 @@ def min_norm_solve(K: KernelMatrix, y) -> MinNormSolution:
 
 
 # leading rows a pair screen sketches, and the candidate pairs it evaluates
-# over all rows (``_pair_screen``)
+# over all rows (``_PairScreen``)
 SCREEN_ROWS = 32
 SCREEN_PAIRS = 4
 
 
-def _pair_screen(g: np.ndarray) -> bool:
-    """Whether the Gram certificate provably fails for the tall factor ``g``,
-    decided before K = G^T G is formed; False means no proof.
+class _PairScreen:
+    """Whether the Gram certificate provably fails for a tall factor G,
+    decided before K = G^T G is formed, from G's row blocks: built from the
+    first block, which holds the leading min(M, SCREEN_ROWS) rows, and
+    ``add``-ed every later one; ``fires()`` False means no proof.
 
     (a_ii + a_jj - 2|a_ij|)/2, with a_ij = g_i . g_j, is the Rayleigh
     quotient of (e_i -+ e_j)/sqrt 2, so a near-duplicate column pair (up to
     sign) bounds lambda_min(K) from above.  Candidates come from the leading
     SCREEN_ROWS rows (the largest eigenvalues): the columns are sorted by
     |sum of those rows|, each adjacent pair is scored there, and the
-    SCREEN_PAIRS best are evaluated over all M rows.  Adding
+    SCREEN_PAIRS best are summed over the rows added so far.  Adding
     4 gamma_M (a_ii + a_jj) covers the roundoff of the computed K's entries
     and of the screen's own, which gives ``ub``; the leading rows' sum of
     squares, shrunk by its rounding, is ``trace_lb`` <= the computed
     trace(K).  The eigensolver returns w[-1] <= ub + N eps trace(K), so the
     certificate's gamma_M trace(K) <= tol w[-1] fails when
-    trace_lb (gamma_M - tol N eps) > tol ub.  Non-finite values prove
-    nothing and warn nothing.
+    trace_lb (gamma_M - tol N eps) > tol ub.  Candidates, ``trace_lb`` and
+    gamma_M are fixed by the first block, and each pair's
+    min(|g_i - g_j|^2, |g_i + g_j|^2) only grows with rows, so ``ub`` does:
+    a screen that does not fire on the first block would not fire on all of
+    G in exact arithmetic (``KernelMatrix._tall_values``).  Non-finite
+    values prove nothing and warn nothing.
     """
-    m, n = g.shape
-    if n < 2:
-        return False
-    eps = np.finfo(np.float64).eps
-    gamma = m * eps / (1.0 - m * eps)
-    lead = g[:SCREEN_ROWS]
-    with np.errstate(all="ignore"):
-        order = np.argsort(np.abs(lead.sum(axis=0)), kind="stable")
-        sketch = lead[:, order]
-        norms = np.einsum("ki,ki->i", sketch, sketch)
-        dots = np.einsum("ki,ki->i", sketch[:, :-1], sketch[:, 1:])
-        score = norms[:-1] + norms[1:] - 2.0 * np.abs(dots)
-        best = np.argsort(score, kind="stable")[:SCREEN_PAIRS]
-        gi, gj = g[:, order[best]], g[:, order[best + 1]]
-        diag = np.einsum("ki,ki->i", gi, gi) + np.einsum("ki,ki->i", gj, gj)
-        a_ij = np.einsum("ki,ki->i", gi, gj)
-        ub = float(np.min((diag - 2.0 * np.abs(a_ij)) / 2.0 + 4.0 * gamma * diag))
-        trace_lb = float(np.einsum("ki,ki->", lead, lead)) * (
-            1.0 - 2.0 * (m + n + lead.size) * eps)
-        return bool(np.isfinite(trace_lb) and trace_lb * (
-            gamma - GRAM_CERTIFIED_TOLERANCE * n * eps) > GRAM_CERTIFIED_TOLERANCE * ub)
+
+    def __init__(self, first: np.ndarray, m: int):
+        n = first.shape[1]
+        eps = np.finfo(np.float64).eps
+        self.gamma = m * eps / (1.0 - m * eps)
+        self.margin = self.gamma - GRAM_CERTIFIED_TOLERANCE * n * eps
+        self.pairs = None  # a single column has no pair: the screen never fires
+        if n < 2:
+            return
+        lead = first[:SCREEN_ROWS]
+        with np.errstate(all="ignore"):
+            order = np.argsort(np.abs(lead.sum(axis=0)), kind="stable")
+            sketch = lead[:, order]
+            norms = np.einsum("ki,ki->i", sketch, sketch)
+            dots = np.einsum("ki,ki->i", sketch[:, :-1], sketch[:, 1:])
+            score = norms[:-1] + norms[1:] - 2.0 * np.abs(dots)
+            best = np.argsort(score, kind="stable")[:SCREEN_PAIRS]
+            self.trace_lb = float(np.einsum("ki,ki->", lead, lead)) * (
+                1.0 - 2.0 * (m + n + lead.size) * eps)
+        self.pairs = order[best], order[best + 1]
+        self.diag, self.a_ij = np.zeros(best.size), np.zeros(best.size)
+        self.add(first)
+
+    def add(self, block: np.ndarray) -> None:
+        """Sum the candidate pairs over the rows of ``block``."""
+        if self.pairs is None:
+            return
+        with np.errstate(all="ignore"):
+            gi, gj = block[:, self.pairs[0]], block[:, self.pairs[1]]
+            self.diag += np.einsum("ki,ki->i", gi, gi) + np.einsum("ki,ki->i", gj, gj)
+            self.a_ij += np.einsum("ki,ki->i", gi, gj)
+
+    def fires(self) -> bool:
+        """Whether the rows added so far prove that the certificate fails."""
+        if self.pairs is None or not np.isfinite(self.trace_lb):
+            return False
+        with np.errstate(all="ignore"):
+            ub = float(np.min((self.diag - 2.0 * np.abs(self.a_ij)) / 2.0
+                              + 4.0 * self.gamma * self.diag))
+            return bool(self.trace_lb * self.margin > GRAM_CERTIFIED_TOLERANCE * ub)
+
+
+def _pair_screen(g: np.ndarray) -> bool:
+    """``_PairScreen`` of the tall factor ``g`` held whole, as one block."""
+    return _PairScreen(g, len(g)).fires()
+
+
+def _row_blocks(blocks: Iterable[np.ndarray], m: int, n: int) -> Iterator[np.ndarray]:
+    """The blocks of a ``KernelMatrix.from_blocks`` pass, checked to be
+    float64 2-d arrays of n columns holding m rows in all (ShapeError
+    otherwise).  Blocks are copied and joined, before anything is yielded,
+    until the first holds the pair screen's min(m, SCREEN_ROWS) leading
+    rows; every later block passes through as it came."""
+    lead, rows, held = min(m, SCREEN_ROWS), 0, []
+    for block in blocks:
+        if not (isinstance(block, np.ndarray) and block.dtype == np.float64
+                and block.ndim == 2 and block.shape[1] == n):
+            raise ShapeError(f"factor blocks must be float64 arrays of {n} columns, "
+                             f"got {getattr(block, 'dtype', type(block).__name__)} "
+                             f"of shape {np.shape(block)}")
+        rows += len(block)
+        if rows > m:
+            raise ShapeError(f"factor blocks hold more than the spectrum's {m} rows")
+        if held is None:
+            yield block
+        elif not held and len(block) >= lead:  # the usual first block
+            held = None
+            yield block
+        else:
+            held.append(block.copy())
+            if rows >= lead:
+                yield np.concatenate(held)
+                held = None
+    if rows != m:
+        raise ShapeError(f"factor blocks hold {rows} rows, the spectrum {m}")
+
+
+def _tap(blocks: Iterable[np.ndarray], fn: Callable[[np.ndarray], None]):
+    """``blocks``, each passed to ``fn`` before it is yielded."""
+    for block in blocks:
+        fn(block)
+        yield block
+
+
+def _collect(blocks: Iterable[np.ndarray], m: int, n: int) -> np.ndarray:
+    """The M x N factor whole: a lone block of m rows as it is, else the
+    blocks copied into a new array."""
+    g, rows = None, 0
+    for block in blocks:
+        if g is None and len(block) == m:
+            g = block
+        else:
+            if g is None:
+                g = np.empty((m, n))
+            g[rows:rows + len(block)] = block
+        rows += len(block)
+    return g
+
+
+def _gram(blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """K = G^T G as the sum of G_b^T G_b over G's row blocks (one syrk each),
+    symmetrized and read-only; one block gives the bits of G^T G itself."""
+    k = None
+    with np.errstate(all="ignore"):  # non-finite entries fail the trace check
+        for block in blocks:
+            if k is None:
+                k = block.T @ block
+            else:
+                k += block.T @ block
+        k = 0.5 * (k + k.T)
+    k.setflags(write=False)
+    return k
+
+
+def _certified(k: np.ndarray, m: int, full: bool) -> _Decomposition | None:
+    """The ``"gram_eigh"`` record of K formed from an M-row factor:
+    ``eigh`` (``full``) or ``eigvalsh`` under the certificate of the module
+    docstring, or None where trace(K) is not finite or the certificate
+    fails."""
+    trace = float(np.trace(k))
+    if not np.isfinite(trace):
+        return None
+    if full:
+        w, q = _eigh_descending(k)
+    else:
+        w, q = np.linalg.eigvalsh(k)[::-1], None
+    if w[-1] > 0.0:
+        eps = np.finfo(np.float64).eps
+        gamma = m * eps / (1.0 - m * eps)
+        bound = (gamma * trace + len(k) * eps * w[0]) / w[-1]
+        if bound <= GRAM_CERTIFIED_TOLERANCE:
+            return _Decomposition(np.sqrt(w), w, "gram_eigh", float(bound), q)
+    return None
+
+
+def _check_spectrum(spectrum) -> None:
+    if not isinstance(spectrum, Spectrum):
+        raise InvalidParameterError(f"a Mercer kernel needs a Spectrum, got {spectrum!r}")
 
 
 def _eigh_descending(k: np.ndarray):
@@ -576,42 +779,55 @@ def _jacobi_svd(g: np.ndarray, want_vectors: bool):
     return (u, s, v) if want_vectors else (None, s, None)
 
 
-def _values_only_svd(g: np.ndarray) -> np.ndarray:
-    """Singular values of the factor ``g``, descending.
+def _values_only_svd(blocks: Iterable[np.ndarray], m: int, n: int) -> np.ndarray:
+    """Singular values, descending, of the M x N factor whose row blocks
+    ``blocks`` yields in order (the factor itself may be its one block).
 
-    For a tall M x N factor they are the singular values of R from a
-    Householder QR of G, taken by tall-skinny QR (TSQR): LAPACK ``dgeqrt``
-    factors the first N rows, then ``dtpqrt`` (with ``l = 0``) folds each
-    further block of max(N, 32) rows (the last one may be shorter) into R.
-    Each fold rounds R once, so on a narrow factor N-row blocks would round
+    For a tall factor they are the singular values of R from a Householder
+    QR of G, taken by tall-skinny QR (TSQR) in one pass over the blocks:
+    LAPACK ``dgeqrt`` factors the first N rows, then ``dtpqrt`` (with
+    ``l = 0``) folds each further fold of max(N, 32) rows (the last one may
+    be shorter) into R.  Rows are copied into the fold as they arrive, so
+    the folds, and every bit of R, are the same whatever the blocks' heights.
+    Each fold rounds R once, so on a narrow factor N-row folds would round
     it about M/N times: at N = 2, M = 45 TSQR and numpy's gesdd of G then
-    differed by 4.1 N eps s_max, and by 0.1 N eps s_max with 32-row blocks.
+    differed by 4.1 N eps s_max, and by 0.1 N eps s_max with 32-row folds.
     The inner block size is min(N, 32) columns.  The workspace is
-    O(N max(N, 32)) (R, one block, T and the work array), where numpy's
+    O(N max(N, 32)) (R, one fold, T and the work array), where numpy's
     gesdd copies all of G; R's strictly lower triangle, which holds
     Householder vectors, is zeroed in place before the SVD of R.  Wide
     factors, and any BLAS other than numpy's bundled OpenBLAS, take numpy's
-    SVD of G itself.
+    SVD of G collected whole.
     """
-    m, n = g.shape
     blas = _openblas("numpy")
     if blas is None or not 0 < n <= m:
-        return np.linalg.svd(g, compute_uv=False)
+        return np.linalg.svd(_collect(blocks, m, n), compute_uv=False)
     nb, h = min(n, 32), max(n, 32)
     r = np.empty((n, n), order="F")
-    block = np.empty((h, n), order="F")
+    fold = np.empty((h, n), order="F")
     t = np.empty((nb, n), order="F")
     work = np.empty(nb * n)
-    r[...] = g[:n]
+
+    def qr(rows):
+        if dest is r:
+            return blas.dgeqrt(_COL_MAJOR, n, n, nb, r.ctypes.data, n,
+                               t.ctypes.data, nb, work.ctypes.data)
+        return blas.dtpqrt(_COL_MAJOR, rows, n, 0, nb, r.ctypes.data, n,
+                           fold.ctypes.data, h, t.ctypes.data, nb, work.ctypes.data)
+
+    failed, dest, held = 0, r, 0  # R's first N rows, then one fold at a time
     with single_threaded_blas():
-        failed = blas.dgeqrt(_COL_MAJOR, n, n, nb, r.ctypes.data, n,
-                             t.ctypes.data, nb, work.ctypes.data)
-        for i in range(n, m, h):
-            rows = min(h, m - i)
-            block[:rows] = g[i:i + rows]
-            failed = blas.dtpqrt(_COL_MAJOR, rows, n, 0, nb, r.ctypes.data, n,
-                                 block.ctypes.data, h, t.ctypes.data, nb,
-                                 work.ctypes.data) or failed
+        for g in blocks:
+            i = 0
+            while i < len(g):
+                take = min(len(dest) - held, len(g) - i)
+                dest[held:held + take] = g[i:i + take]
+                held, i = held + take, i + take
+                if held == len(dest):
+                    failed = qr(held) or failed
+                    dest, held = fold, 0
+        if held:
+            failed = qr(held) or failed
         if failed:
             raise NumericError(f"TSQR of the factor failed (info={failed})")
         for j in range(n - 1):

@@ -37,11 +37,14 @@ from overfit_lab.spectra import DECAY_KINDS
 
 # frozen output of the condnum sweep (n_grid=(8,), trials=2, master_seed=7), whose
 # values come from the certified Gram-eigenvalue route; schema drift or any
-# nondeterminism shows up as a byte difference here
+# nondeterminism shows up as a byte difference here.  Re-frozen when the
+# design streamed through 32-row blocks and K became their sum: s_min,
+# condition_number and ratio_to_theory moved by at most 3.6e-14 relative,
+# s_max by 3.6e-16, inside the certificate's bound
 GOLDEN_CONDNUM = """\
 experiment,seed,N,M,trial,spectrum,law,kernel,s_max,s_min,condition_number,ratio_to_theory,s_min_over_n_lambda_n,s_min_over_n,min_p_squared,mse,bias,variance,m_truncated,variance_full,truncation_gap,truncation_bound,bound_holds
-condnum,1082242704324474087,8,80,0,polynomial,gaussian,,9.937382405140138,0.06365397068214777,156.11567194703142,2.439307374172366,,,,,,,,,,,
-condnum,219182256276397182,8,80,1,polynomial,gaussian,,7.1943380327101965,0.05741825807979973,125.29704441245023,1.957766318944535,,,,,,,,,,,
+condnum,1082242704324474087,8,80,0,polynomial,gaussian,,9.937382405140141,0.06365397068215008,156.11567194702582,2.4393073741722784,,,,,,,,,,,
+condnum,219182256276397182,8,80,1,polynomial,gaussian,,7.1943380327101965,0.05741825807979979,125.2970444124501,1.957766318944533,,,,,,,,,,,
 """
 
 # SHA-256 of the CSV of each tiny sweep below; any change to a value, the row
@@ -60,9 +63,15 @@ condnum,219182256276397182,8,80,1,polynomial,gaussian,,7.1943380327101965,0.0574
 # blocks: mse moved by at most 3.7e-16 relative (polynomial) and 6.7e-16
 # (exponential), variance by 3.8e-16; in truncation variance by 3.8e-16,
 # variance_full by 4.6e-16, truncation_bound by 4.4e-16 and
-# truncation_gap, a difference of two variances, by 1.5e-14.  The exponential
-# learning curve takes the Jacobi path at N=32; the ntk case puts the
-# anchors in training.
+# truncation_gap, a difference of two variances, by 1.5e-14.  The
+# smin-study digest was re-frozen when each design streamed through a buffer
+# of 2 N rows (at least 32) and K became the sum of the blocks' Grams; every
+# row kept its route ("gram_eigh" at N <= 16, also for cosine and sine) and
+# moved within its certificate's bound (the ledger, ``golden_moves``):
+# s_min, condition_number and the s_min ratios by at most 2.8e-13 relative
+# (sine, N=16), s_max by 1.0e-15 and min_p_squared, its tail sums now added
+# block by block, by 9.3e-16.  The exponential learning curve takes the
+# Jacobi path at N=32; the ntk case puts the anchors in training.
 GOLDEN_SHA256 = {
     "learning_curve-polynomial": (
         dict(experiment="learning_curve", n_grid=(8, 16), trials=2, n_test=20),
@@ -75,7 +84,7 @@ GOLDEN_SHA256 = {
     ),
     "smin_study": (
         dict(experiment="smin_study", n_grid=(8, 16), trials=2),
-        "ac41f50d275f5b06a26d6e52ee3fbc8b174820062a734ff4170e2433e5ba97aa",
+        "940afc0838d96a5d8bab1773b4d0a149e4c424b7d17acbd2b88a4b014b5da398",
     ),
     "kernel_interp": (
         dict(experiment="kernel_interp", n_grid=(16, 32), trials=2, n_test=20),
@@ -93,6 +102,35 @@ GOLDEN_SHA256 = {
         "eb2e0cf58fdd0b53e86becf349ef49b6ba02ba382a6333fd7493c48e4655c89a",
     ),
 }
+
+# the CSV each digest above freezes, one file per sweep (the move ledger)
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def golden_moves(got: bytes, want: bytes) -> str:
+    """Where a sweep's CSV ``got`` moved from its golden ``want``: per
+    column, the largest relative move and the row (1-based, below the
+    header) it sits in.  A cell that is not a finite number on both sides
+    moves by inf when its text differs."""
+    got_rows, want_rows = (list(csv.DictReader(io.StringIO(b.decode())))
+                           for b in (got, want))
+    if len(got_rows) != len(want_rows) or got_rows and list(got_rows[0]) != list(want_rows[0]):
+        return f"golden moves: {len(got_rows)} rows against {len(want_rows)}, or other columns"
+    worst = {}
+    for i, (row, ref) in enumerate(zip(got_rows, want_rows), 1):
+        for col, text in ref.items():
+            if row[col] == text:
+                continue
+            try:
+                a, b = float(row[col]), float(text)
+                move = abs(a - b) / max(abs(a), abs(b))
+            except (ValueError, ZeroDivisionError):
+                move = math.inf
+            if not move <= worst.get(col, (-1.0,))[0]:
+                worst[col] = (move, i)
+    lines = [f"{col}: {move:.3g} relative at row {i}" for col, (move, i) in worst.items()]
+    return "\n".join(["golden moves:", *lines] if lines else ["golden moves: no value moved"])
+
 
 # SHA-256 of the --plot SVG of each plotting subcommand for a tiny sweep at
 # master seed 7 (the same sweeps as above where there is one); any change to a
@@ -212,10 +250,30 @@ class TestCsv:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
     def test_golden_digest(self, tmp_path, name):
+        # the digest is the byte check; the CSV committed beside it only
+        # explains a mismatch, by the largest move per column
         kw, digest = GOLDEN_SHA256[name]
+        golden = (GOLDEN_DIR / f"{name}.csv").read_bytes()
+        assert hashlib.sha256(golden).hexdigest() == digest, f"{name}.csv is stale"
         path = tmp_path / f"{name}.csv"
         write_csv(run_experiment(ExperimentConfig(master_seed=7, **kw)), path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        got = path.read_bytes()
+        assert hashlib.sha256(got).hexdigest() == digest, golden_moves(got, golden)
+
+    def test_golden_moves_name_the_moved_cell(self):
+        # a variance scaled by 1 + 1e-12 shows up as a 1e-12 move in that
+        # column, at that row, and nowhere else
+        golden = (GOLDEN_DIR / "truncation.csv").read_bytes()
+        rows = list(csv.DictReader(io.StringIO(golden.decode())))
+        rows[2]["variance"] = repr(float(rows[2]["variance"]) * (1 + 1e-12))
+        out = io.StringIO(newline="")
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        report = golden_moves(out.getvalue().encode(), golden).splitlines()
+        assert len(report) == 2 and report[1].startswith("variance: 1e-12 ")
+        assert report[1].endswith(" at row 3")
+        assert golden_moves(golden, golden).endswith("no value moved")
 
     def test_inf_sentinel(self, tmp_path):
         cfg = ExperimentConfig()
@@ -484,15 +542,17 @@ class TestCli:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_factor_exit_code(self, tmp_path, monkeypatch, capsys, bad):
         # a non-finite design entry fails the Gram route's trace check and
-        # then the factor SVD: exit 2
-        real = experiments.fill_design
+        # then the factor SVD: exit 2.  smin-study streams each design in
+        # row blocks; the entry is in the last row of the last block
+        real = experiments.design_blocks
 
-        def spoiled_fill(law, out, seed):
-            real(law, out, seed)
-            out[-1, 0] = bad
-            return out
+        def spoiled_blocks(law, M, block, seed):
+            for rows in real(law, M, block, seed):
+                if rows.stop == M:
+                    block[rows.stop - rows.start - 1, 0] = bad
+                yield rows
 
-        monkeypatch.setattr(experiments, "fill_design", spoiled_fill)
+        monkeypatch.setattr(experiments, "design_blocks", spoiled_blocks)
         code = cli.main(["smin-study", "--out", str(tmp_path / "x.csv"),
                          "--n_grid", "16", "--trials", "1"])
         assert code == 2
@@ -502,8 +562,8 @@ class TestCli:
         # a NaN reaching a TrialRecord is a numeric failure of that trial
         real = experiments.row_norm_diagnostics
 
-        def nan_diagnostics(d, n):
-            return dataclasses.replace(real(d, n), min_p_squared=float("nan"))
+        def nan_diagnostics(*args):
+            return dataclasses.replace(real(*args), min_p_squared=float("nan"))
 
         monkeypatch.setattr(experiments, "row_norm_diagnostics", nan_diagnostics)
         code = cli.main(["smin-study", "--out", str(tmp_path / "x.csv"),

@@ -345,13 +345,18 @@ def test_no_thread_outlives_the_sweep(experiment, monkeypatch):
     # learning-curve test designs are streamed on a one-thread pool scoped
     # to each trial, open while the training design is drawn; a smin-study
     # sweep starts no thread
-    real_fill, counts = experiments.fill_design, []
+    real_fill, real_blocks, counts = experiments.fill_design, experiments.design_blocks, []
 
     def fill(law, out, seed):
         counts.append(threading.active_count())
         return real_fill(law, out, seed)
 
+    def blocks(law, *args):  # counted where the stream is drawn
+        counts.append(threading.active_count())
+        yield from real_blocks(law, *args)
+
     monkeypatch.setattr(experiments, "fill_design", fill)
+    monkeypatch.setattr(experiments, "design_blocks", blocks)
     before = threading.active_count()
     run_experiment(_cfg(experiment=experiment, n_grid=(8, 16), trials=2, n_test=30))
     assert threading.active_count() == before
@@ -381,39 +386,68 @@ class TestSminStudy:
             assert 0.5 <= ratio <= 2.0
 
     @pytest.mark.parametrize("n", [16, 64, 256])
-    def test_records_match_the_sequential_path(self, n):
-        # the oracle is the sequential path the pipelined trial replaced:
+    def test_records_match_the_sequential_path(self, n, monkeypatch):
+        # the oracle is the sequential path on the whole design:
         # sample_design -> assemble_kernel -> singular_extremes -> row norms,
-        # one law after another; every field must be the same float
+        # one law after another.  The trial streams each design in row
+        # blocks, so each law must take the oracle's route, with the same
+        # bits on TSQR ("gesdd") and within the two certificates' bounds on
+        # "gram_eigh"; the tail sums of squares, added block by block, are
+        # within 2 gamma_M of the whole sums
         cfg = _cfg(experiment="smin_study", n_grid=(n,), trials=2)
         m = cfg.feature_count(n)
         s = make_spectrum(cfg.spectrum, cfg.a, m)
         lam_n = float(s.eigenvalues[n - 1])
+        eps = np.finfo(np.float64).eps
+        real_extremes, summaries = experiments.singular_extremes, []
+
+        def kept_extremes(K):
+            summaries.append(real_extremes(K))
+            return summaries[-1]
+
+        monkeypatch.setattr(experiments, "singular_extremes", kept_extremes)
         for t in range(cfg.trials):
-            expected = []
+            summaries.clear()
             with linalg.single_threaded_blas():
-                for law in FEATURE_LAWS:
+                got = TRIALS["smin_study"](cfg, n, t)
+                for law, rec, summary in zip(FEATURE_LAWS, got, summaries, strict=True):
                     seed = derive_seed(cfg.master_seed, cfg.experiment, n, t, law)
                     d = sample_design(law, m, n, seed).entries
-                    ext = singular_extremes(assemble_kernel(s, d))
+                    want = singular_extremes(assemble_kernel(s, d))
                     diag = row_norm_diagnostics(d, n)
-                    expected.append(TrialRecord(
-                        experiment="smin_study", seed=seed, N=n, M=m, trial=t,
-                        spectrum=cfg.spectrum, law=law, s_max=ext.s_max,
-                        s_min=ext.s_min, condition_number=ext.condition_number,
-                        s_min_over_n_lambda_n=ext.s_min / (n * lam_n),
-                        s_min_over_n=ext.s_min / n,
-                        min_p_squared=diag.min_p_squared,
-                    ))
-                got = TRIALS["smin_study"](cfg, n, t)
-            assert got == expected  # field by field, floats by ==
+                    assert (rec.law, rec.seed, rec.N, rec.M, rec.trial) == (law, seed, n, m, t)
+                    assert summary.path == want.path, law
+                    rtol = 0.0
+                    if want.path == "gram_eigh":
+                        rtol = summary.rel_error_bound + want.rel_error_bound + 4 * eps
+                    for field, value, tol in (
+                            ("s_max", want.s_max, rtol), ("s_min", want.s_min, rtol),
+                            ("condition_number", want.condition_number, 2 * rtol),
+                            ("s_min_over_n_lambda_n", want.s_min / (n * lam_n), rtol),
+                            ("s_min_over_n", want.s_min / n, rtol),
+                            ("min_p_squared", diag.min_p_squared,
+                             2 * m * eps / (1 - m * eps) + 8 * eps)):
+                        moved = getattr(rec, field)
+                        assert moved == value or abs(moved - value) <= tol * value, (
+                            law, field, moved, value)
 
     def test_trial_peak_memory(self):
-        # each law's draw is scaled into its G in place and dropped before
-        # the next law's draw, so a trial holds one M x N buffer per law; a
-        # prefetched next draw would make it two, a separate G three
-        n, m = 256, 2560
-        cfg = _cfg(experiment="smin_study", n_grid=(n,), trials=1)
+        # each law's design streams through one buffer of 2 N rows, scaled
+        # into G's rows in place and folded into K or TSQR's R, so a trial
+        # holds a few N x N arrays and a few M-vectors (the spectrum and its
+        # square root), never an M x N array: a whole design alone is
+        # 8 M N bytes, 5.2 MB here
+        self._assert_peak_without_design(256, 10)
+
+    def test_trial_peak_memory_at_m_much_larger_than_n(self):
+        # M = 100 N, where a whole design is 3.3 MB and the bound 0.7 MB
+        self._assert_peak_without_design(64, 100)
+
+    @staticmethod
+    def _assert_peak_without_design(n, eta):
+        cfg = _cfg(experiment="smin_study", n_grid=(n,), trials=1, eta=eta,
+                   eta_full=eta + 1)
+        m = cfg.feature_count(n)
         experiments._smin_study_trial(cfg, n, 1)  # warm up imports and caches
         tracemalloc.start()
         try:
@@ -422,7 +456,7 @@ class TestSminStudy:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 8 * m * n
+        assert peak <= 8 * 8 * (n * n + m)
 
 
 class TestKernelInterp:

@@ -167,6 +167,21 @@ def test_streamed_rows_match_one_fill(law, rows, blocks, tail, N, seed):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("law", FEATURE_LAWS)
+@pytest.mark.parametrize("block", [
+    np.empty((0, 3)),  # no row to draw into
+    np.empty((4, 3), dtype=np.float32),
+    np.empty(3),  # one row as a vector
+    [[0.0, 0.0, 0.0]],  # not an array
+], ids=["no-rows", "float32", "1-d", "list"])
+def test_design_blocks_rejects_a_bad_buffer(law, block):
+    # before anything is drawn, as a ShapeError; an empty design draws
+    # nothing and takes any buffer
+    with pytest.raises(ShapeError, match="design block"):
+        next(design_blocks(law, 5, block, seed=0))
+    assert list(design_blocks(law, 0, block, seed=0)) == []
+
+
 class TestSampleInputs:
     def test_std_normal_moments(self):
         x = sample_inputs(InputDomain("std_normal_1d"), 100_000, seed=8)[:, 0]

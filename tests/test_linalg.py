@@ -36,6 +36,7 @@ from overfit_lab.experiments import (
 from overfit_lab.features import (
     FEATURE_LAWS,
     AnalyticKernel,
+    design_blocks,
     fill_design,
     kernel_gram,
     sample_design,
@@ -523,7 +524,7 @@ class TestGramCertificate:
         assert not (fires and _gram_certified(K))
         screened = singular_extremes(K), K._full
         unscreened = KernelMatrix(K.factor, K.spectrum)
-        with mock.patch.object(linalg, "_pair_screen", return_value=False):
+        with mock.patch.object(linalg._PairScreen, "fires", return_value=False):
             plain = singular_extremes(unscreened), unscreened._full
         for got, want in zip(_record_fields(*screened), _record_fields(*plain)):
             assert (got is None and want is None) or np.array_equal(got, want)
@@ -542,22 +543,30 @@ class TestGramCertificate:
                 return real[name](*args, **kwargs)
             return call
 
-        # both trials draw every design they decompose on the calling thread;
-        # the learning-curve test factor streams on a pool thread
+        # both trials draw every design they decompose on the calling thread,
+        # the learning curve's whole and smin-study's in row blocks; the
+        # learning-curve test factor streams on a pool thread
         def tagged_fill_design(law, out, seed):
             if threading.current_thread() is threading.main_thread():
                 laws.append(law)
             return fill_design(law, out, seed)
 
+        def tagged_design_blocks(law, *args):
+            if threading.current_thread() is threading.main_thread():
+                laws.append(law)
+            yield from design_blocks(law, *args)
+
         real_extremes = experiments.singular_extremes
 
-        def kept_extremes(K):
+        def kept_extremes(K):  # a streamed design is drawn inside the call
+            summary = real_extremes(K)
             kernels[laws[-1]] = K
-            return real_extremes(K)
+            return summary
 
         for name in real:
             monkeypatch.setattr(np.linalg, name, counting(name))
         monkeypatch.setattr(experiments, "fill_design", tagged_fill_design)
+        monkeypatch.setattr(experiments, "design_blocks", tagged_design_blocks)
         monkeypatch.setattr(experiments, "singular_extremes", kept_extremes)
         cfg = ExperimentConfig(experiment="learning_curve", law="cosine",
                                n_grid=(512,), trials=1, n_test=20)
@@ -686,7 +695,7 @@ class TestTallValues:
         m = aspect * n
         d = sample_design(law, m, n, seed=7 + n).entries
         g = mercer_factor(make_spectrum("polynomial", 1.0, m), d)
-        _assert_within_gesdd(g, linalg._values_only_svd(g))
+        _assert_within_gesdd(g, linalg._values_only_svd((g,), *g.shape))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 12), rows=st.integers(0, 48), decay=st.floats(0.0, 8.0),
@@ -715,7 +724,7 @@ class TestTallValues:
         if collapse is not None:
             b[:, -1] = b[:, 0] + collapse * rng.standard_normal(m)
         g = np.sqrt(10.0 ** (-decay * np.arange(m) / m))[:, None] * b
-        _assert_within_gesdd(g, linalg._values_only_svd(g))
+        _assert_within_gesdd(g, linalg._values_only_svd((g,), *g.shape))
 
     def test_cosine_route_against_50_digits(self):
         # a cosine design at N=16, M=64 whose Gram certificate fails, so its
@@ -768,6 +777,114 @@ class TestTallValues:
         assert any(entry.name == "_values_only_svd" for entry in failure.traceback)
         # the pair screen reads the column too, and proves nothing from it
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _streamed(g, height):
+    """A ``from_blocks`` source of ``g`` through one reused buffer of
+    ``height`` rows (at most all of g's); ``passes`` counts its calls."""
+    buf = np.empty((min(height, len(g)), g.shape[1]))
+    passes = []
+
+    def blocks():
+        passes.append(1)
+        for i in range(0, len(g), len(buf)):
+            b = buf[:min(len(buf), len(g) - i)]
+            b[...] = g[i:i + len(b)]
+            yield b
+
+    return blocks, passes
+
+
+def _assert_streamed_like_one_block(g, s, height):
+    """Values of g streamed in ``height``-row blocks take the route of g
+    held whole (one block), with the same bits on TSQR and within the two
+    certificates' bounds on the Gram route; returns the number of passes."""
+    blocks, passes = _streamed(g, height)
+    got = singular_extremes(KernelMatrix.from_blocks(blocks, s, g.shape[1]))
+    want = singular_extremes(KernelMatrix(g, s))
+    assert got.path == want.path
+    a, b = got.full_singular_values, want.full_singular_values
+    if want.path == "gram_eigh":
+        eps = np.finfo(np.float64).eps
+        tol = got.rel_error_bound * a[-1] + want.rel_error_bound * b[-1] + 4 * eps * b
+        assert np.all(np.abs(a - b) <= tol)
+    else:
+        assert np.array_equal(a, b)
+    return len(passes)
+
+
+class TestStreamedValues:
+    """Values only of a ``KernelMatrix.from_blocks`` kernel, whose factor
+    arrives in row blocks, against the factor held whole."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=st.sampled_from(FEATURE_LAWS), n=st.integers(1, 40),
+           eta=st.integers(1, 12), height=st.sampled_from(["1 row", "45 rows", ">= M"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(law="cosine", n=40, eta=10, height="45 rows", seed=0)  # TSQR
+    @example(law="gaussian", n=40, eta=10, height="1 row", seed=0)  # Gram
+    def test_streamed_values_take_the_one_block_route(self, law, n, eta, height, seed):
+        # 45-row blocks sit off TSQR's fold grid (the first N rows, then
+        # max(N, 32) at a time) and off the screen's 32 leading rows
+        m = eta * n
+        s = make_spectrum("polynomial", 1.0, m)
+        g = mercer_factor(s, sample_design(law, m, n, seed).entries)
+        rows = {"1 row": 1, "45 rows": 45, ">= M": m + 3}[height]
+        passes = _assert_streamed_like_one_block(g, s, rows)
+        event(f"passes: {passes}")
+
+    def test_failed_certificate_draws_again_for_tsqr(self):
+        # column 2 is nearly columns 0 + 1: no column pair is close, so the
+        # screen never fires, and the certificate fails on K; TSQR then
+        # needs a second pass
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((200, 8))
+        b[:, 2] = b[:, 0] + b[:, 1] + 1e-5 * rng.standard_normal(200)
+        s = make_spectrum("custom", eigenvalues=np.ones(200))
+        g = mercer_factor(s, b)
+        assert not linalg._pair_screen(g) and not _gram_certified(KernelMatrix(g, s))
+        assert _assert_streamed_like_one_block(g, s, 32) == 2
+
+    def test_screen_fired_on_the_leading_rows_only_draws_again_for_k(self):
+        # columns 0 and 1 agree on the leading 32 rows only: the first
+        # block's screen fires, the screen of all of G does not, and the
+        # certificate holds, so K takes a second pass
+        rng = np.random.default_rng(6)
+        b = rng.standard_normal((200, 8))
+        b[:linalg.SCREEN_ROWS, 1] = b[:linalg.SCREEN_ROWS, 0]
+        s = make_spectrum("custom", eigenvalues=np.ones(200))
+        g = mercer_factor(s, b)
+        first = linalg._PairScreen(g[:32], 200)
+        assert first.fires() and not linalg._pair_screen(g)
+        assert _assert_streamed_like_one_block(g, s, 32) == 2
+        blocks, passes = _streamed(g, 32)
+        assert singular_extremes(KernelMatrix.from_blocks(blocks, s, 8)).path == "gram_eigh"
+
+    def test_steep_factor_is_collected_for_jacobi(self):
+        s = make_spectrum("exponential", 1.0, 64)
+        g = mercer_factor(s, sample_design("gaussian", 64, 16, seed=2).entries)
+        assert _assert_streamed_like_one_block(g, s, 20) == 1
+
+    @pytest.mark.parametrize("blocks, match", [
+        (lambda: [np.ones((10, 4))], "10 rows"),
+        (lambda: [np.ones((12, 4))], "more than"),
+        (lambda: [np.ones((11, 4), dtype=np.float32)], "float64"),
+        (lambda: [np.ones((11, 3))], "4 columns"),
+    ])
+    def test_blocks_must_hold_the_factor(self, blocks, match):
+        K = KernelMatrix.from_blocks(blocks, make_spectrum("polynomial", 1.0, 11), 4)
+        with pytest.raises(ShapeError, match=match):
+            singular_extremes(K)
+
+    def test_streamed_kernel_gives_values_only(self):
+        s = make_spectrum("polynomial", 1.0, 40)
+        g = mercer_factor(s, sample_design("gaussian", 40, 4, seed=1).entries)
+        K = KernelMatrix.from_blocks(_streamed(g, 32)[0], s, 4)
+        assert K.factor is None and K.is_mercer
+        whole = KernelMatrix(g, s).entries  # one syrk, where the stream adds two
+        np.testing.assert_allclose(K.entries, whole, rtol=0, atol=1e-14 * np.trace(whole))
+        with pytest.raises(InvalidParameterError, match="values only"):
+            min_norm_solve(K, np.ones(4))
 
 
 @pytest.fixture
