@@ -15,10 +15,10 @@ and needs none): the first block while the calling thread draws the
 training design and fits, the rest while it takes the bias, the variance
 and the extremes; no M x n_test array is formed.  Every other draw runs on
 the calling thread.  smin-study and condnum trials need K's extreme values
-only: their designs stream through one buffer of 2 N rows, scaled into G's
-rows in place, into a values-only kernel (``KernelMatrix.from_blocks``),
-so they form no M x N array; where the route must see G twice, the design
-is drawn again from its seed.  The pool keeps one rule:
+only: their designs stream through one buffer, one TSQR fold of
+max(N, 32) rows, scaled into G's rows in place, into a values-only kernel
+(``KernelMatrix.from_blocks``), so they form no M x N array; where the
+route must see G twice, the design is drawn again from its seed.  The pool keeps one rule:
 
 * the pool thread only fills, scales or reduces buffers the calling thread
   allocated (RNG fills, elementwise ufuncs and ``np.add.reduce``, which
@@ -178,7 +178,10 @@ class ExperimentConfig:
             raise InvariantViolationError("n_grid must hold positive sample sizes")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise InvariantViolationError("n_grid must be strictly increasing")
-        if self.eta_full <= self.eta:
+        if self.eta_full < 2:
+            raise InvariantViolationError("eta_full must be at least 2")
+        # only truncation reads both, and its truncated kernels need M < M_full
+        if self.experiment == "truncation" and self.eta_full <= self.eta:
             raise InvariantViolationError("eta_full must exceed eta")
         if any(e < 2 for e in self.truncation_etas):
             raise InvariantViolationError("truncation etas must be at least 2")
@@ -370,10 +373,11 @@ def _condnum_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:
 
 
 def _stream_buffer(m: int, n: int) -> np.ndarray:
-    """The buffer an M x N design streams through: 2 N rows (at least
-    SCREEN_ROWS, the pair screen's leading rows, and at most M), so a trial
-    holds O(N^2) entries of it whatever M."""
-    return np.empty((min(m, max(2 * n, SCREEN_ROWS)), n))
+    """The buffer an M x N design streams through: one fold of max(N, 32)
+    rows, as TSQR folds them (``linalg._tsqr``), which holds the pair
+    screen's SCREEN_ROWS leading rows, and at most M rows, so a trial holds
+    N max(N, 32) entries of it whatever M."""
+    return np.empty((min(m, max(n, SCREEN_ROWS)), n))
 
 
 def _factor_blocks(law: str, s, block: np.ndarray, seed, tail_sq=None):
@@ -473,11 +477,12 @@ def _smin_study_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord
     Runs all four laws regardless of cfg.law, in ``FEATURE_LAWS`` order and
     each with its own seed: the point of the study is the
     independent-vs-dependent contrast.  Each law's design streams through
-    one buffer of 2 N rows, reused across the laws (``_factor_blocks``):
-    each block gives the tail's row norms unscaled and is then scaled into
-    G's rows in place and folded into the values-only kernel's K or R
-    (``KernelMatrix.from_blocks``), so no M x N array is formed.  A route
-    that must see G twice draws the design again from its seed.
+    one buffer of max(N, 32) rows, one TSQR fold, reused across the laws
+    (``_factor_blocks``): each block gives the tail's row norms unscaled and
+    is then scaled into G's rows in place and folded into the values-only
+    kernel's K or R (``KernelMatrix.from_blocks``), so no M x N array is
+    formed.  A route that must see G twice draws the design again from its
+    seed.
     """
     m = cfg.feature_count(n)
     s = make_spectrum(cfg.spectrum, cfg.a, m)

@@ -31,20 +31,22 @@ G's.  Values are produced by one of three routes, recorded in
   is formed, and the route then skips both K and the eigensolver.
 * ``"gesdd"`` -- everything else: NumPy's divide-and-conquer SVD of G, whose
   absolute error is about eps * s_max.  Values only of a tall factor take R
-  of a Householder QR of G first, by tall-skinny QR (``_values_only_svd``), and
-  then the divide-and-conquer SVD of R; both steps are backward stable, so
-  the absolute error stays about eps * s_max.
+  of a Householder QR of G first, by tall-skinny QR (``_tsqr``), and then the
+  divide-and-conquer SVD of R, in place (``_values_only_svd``); both steps
+  are backward stable, so the absolute error stays about eps * s_max.
 
 Values only of a tall factor read G once, as a stream of row blocks
 (``KernelMatrix._tall_values``): the screen's pair sums, K = sum of
 G_b^T G_b and TSQR's R each fold one block at a time, so a factor that
 arrives in blocks (``KernelMatrix.from_blocks``) is never held whole.  The
 first block fixes the route, and one case takes a second pass over the
-blocks (see ``_tall_values``).  K from b-row blocks errs by at most
-gamma_{b + ceil(M/b) - 1} per entry, which gamma_M bounds, so the
-certificate keeps gamma_M; TSQR folds at fixed row boundaries, so its bits
-do not depend on the blocks.  A factor held in memory is one block and
-keeps the bits of the rule on G itself.
+blocks (see ``_tall_values``).  A pass holds its block, K or R, and at
+most one N x N temporary: a block's G_b^T G_b, or TSQR's fold of
+max(N, 32) rows, the height of the sweeps' blocks.  K from b-row blocks
+errs by at most gamma_{b + ceil(M/b) - 1} per entry, which gamma_M bounds,
+so the certificate keeps gamma_M; TSQR folds at fixed row boundaries, so
+its bits do not depend on the blocks.  A factor held in memory is one
+block and keeps the bits of the rule on G itself.
 
 The same bound covers the outputs of a full solve on the ``gram_eigh``
 route.  To first order in dK, the dual G K^-1 y moves by
@@ -376,7 +378,7 @@ class KernelMatrix:
         g = self._require_factor() if full else None
         m, n = self.spectrum.size, self.size
         if self._steep:
-            u, s, v = _jacobi_svd(_collect(self._blocks(), m, n), want_vectors=full)
+            u, s, v = _jacobi_svd(self._blocks(), m, n, want_vectors=full)
             return _Decomposition(s, s * s, "jacobi", None, v, u)
         if not full:
             if m >= n:
@@ -672,23 +674,25 @@ def _tap(blocks: Iterable[np.ndarray], fn: Callable[[np.ndarray], None]):
 
 
 def _collect(blocks: Iterable[np.ndarray], m: int, n: int) -> np.ndarray:
-    """The M x N factor whole: a lone block of m rows as it is, else the
-    blocks copied into a new array."""
-    g, rows = None, 0
+    """The M x N factor whole, its blocks copied into a new Fortran-ordered
+    array, which the caller may overwrite."""
+    g, rows = np.empty((m, n), order="F"), 0
     for block in blocks:
-        if g is None and len(block) == m:
-            g = block
-        else:
-            if g is None:
-                g = np.empty((m, n))
-            g[rows:rows + len(block)] = block
+        g[rows:rows + len(block)] = block
         rows += len(block)
     return g
 
 
 def _gram(blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """K = G^T G as the sum of G_b^T G_b over G's row blocks (one syrk each),
-    symmetrized and read-only; one block gives the bits of G^T G itself."""
+    """K = G^T G as the sum of G_b^T G_b over G's row blocks, read-only; one
+    block gives the bits of G^T G itself.
+
+    K comes out exactly symmetric, so it is not symmetrized: numpy takes
+    each G_b^T G_b with one syrk and copies its lower triangle into the
+    upper one (its loop without BLAS forms entries (i, j) and (j, i) from
+    the same products in the same order), and floating-point addition is
+    commutative, so a sum of exactly symmetric matrices is exactly
+    symmetric."""
     k = None
     with np.errstate(all="ignore"):  # non-finite entries fail the trace check
         for block in blocks:
@@ -696,7 +700,6 @@ def _gram(blocks: Iterable[np.ndarray]) -> np.ndarray:
                 k = block.T @ block
             else:
                 k += block.T @ block
-        k = 0.5 * (k + k.T)
     k.setflags(write=False)
     return k
 
@@ -733,34 +736,34 @@ def _eigh_descending(k: np.ndarray):
     return w[::-1].copy(), q[:, ::-1].copy()
 
 
-def _jacobi_svd(g: np.ndarray, want_vectors: bool):
-    """High-relative-accuracy SVD of a tall row-graded factor via dgejsv.
+def _jacobi_svd(blocks: Iterable[np.ndarray], m: int, n: int, want_vectors: bool):
+    """High-relative-accuracy SVD via dgejsv of the tall row-graded M x N
+    factor whose row blocks ``blocks`` yields in order.
 
     joba='F' targets matrices of the form D1*C*D2 with ill-conditioned
     diagonal scalings; singular values come back scaled by work[0]/work[1].
 
     The routine is ``LAPACKE_dgejsv_work`` of a bundled OpenBLAS, numpy's
     for values only and scipy's with vectors (see the module docstring),
-    called through ``ctypes`` inside ``single_threaded_blas`` on a Fortran
-    copy of G with what scipy's f2py wrapper ``scipy.linalg.lapack.dgejsv``
-    passes: jobr='R', jobt='N', jobp='P', the wrapper's default LWORK and an
-    IWORK of max(3, M + 3N).  LWORK picks dgejsv's blocked or unblocked inner
-    paths, so any other value moves the last bits.  The wrapper itself, and
-    with it ``scipy.linalg``, is imported only where that library or its
-    symbol is missing.
+    called through ``ctypes`` inside ``single_threaded_blas`` with what
+    scipy's f2py wrapper ``scipy.linalg.lapack.dgejsv`` passes: jobr='R',
+    jobt='N', jobp='P', the wrapper's default LWORK and an IWORK of
+    max(3, M + 3N).  LWORK picks dgejsv's blocked or unblocked inner paths,
+    so any other value moves the last bits.  dgejsv overwrites G, so it
+    factors the one Fortran copy ``_collect`` makes of the blocks, and the
+    caller's arrays are left as they were.  The wrapper itself, and with it
+    ``scipy.linalg``, is imported only where that library or its symbol is
+    missing.
     """
-    m, n = g.shape
+    a = _collect(blocks, m, n)
     package = "scipy" if want_vectors else "numpy"
     lapack = _openblas(package)
     if lapack is None:
         from scipy.linalg.lapack import dgejsv
 
         jobu, jobv = (0, 0) if want_vectors else (3, 3)
-        sva, u, v, work, _, info = dgejsv(
-            np.asfortranarray(g), joba=2, jobu=jobu, jobv=jobv
-        )
+        sva, u, v, work, _, info = dgejsv(a, joba=2, jobu=jobu, jobv=jobv)
     else:
-        a = np.array(g, dtype=np.float64, order="F")  # dgejsv overwrites it
         sva = np.empty(n)
         u = np.empty((m, n) if want_vectors else (0, 0), order="F")
         v = np.empty((n, n) if want_vectors else (0, 0), order="F")
@@ -784,24 +787,55 @@ def _values_only_svd(blocks: Iterable[np.ndarray], m: int, n: int) -> np.ndarray
     ``blocks`` yields in order (the factor itself may be its one block).
 
     For a tall factor they are the singular values of R from a Householder
-    QR of G, taken by tall-skinny QR (TSQR) in one pass over the blocks:
-    LAPACK ``dgeqrt`` factors the first N rows, then ``dtpqrt`` (with
-    ``l = 0``) folds each further fold of max(N, 32) rows (the last one may
-    be shorter) into R.  Rows are copied into the fold as they arrive, so
-    the folds, and every bit of R, are the same whatever the blocks' heights.
-    Each fold rounds R once, so on a narrow factor N-row folds would round
-    it about M/N times: at N = 2, M = 45 TSQR and numpy's gesdd of G then
-    differed by 4.1 N eps s_max, and by 0.1 N eps s_max with 32-row folds.
-    The inner block size is min(N, 32) columns.  The workspace is
-    O(N max(N, 32)) (R, one fold, T and the work array), where numpy's
-    gesdd copies all of G; R's strictly lower triangle, which holds
-    Householder vectors, is zeroed in place before the SVD of R.  Wide
-    factors, and any BLAS other than numpy's bundled OpenBLAS, take numpy's
-    SVD of G collected whole.
+    QR of G, taken by tall-skinny QR (``_tsqr``) in one pass over the
+    blocks.  R's strictly lower triangle, which holds Householder vectors,
+    is zeroed, and R's values are then taken in place by LAPACKE ``dgesdd``
+    (jobz='N') of numpy's bundled OpenBLAS with the workspace its query
+    returns, which is what ``np.linalg.svd(R, compute_uv=False)`` runs on
+    its copy of R, so the values are numpy's bit for bit.  TSQR's fold and
+    workspace are freed first, so the SVD meets R and its own workspace
+    only.  A nonzero ``info`` (a NaN in R among them) raises NumericError.
+    Wide factors, and any BLAS other than numpy's bundled OpenBLAS, take
+    numpy's SVD of G collected whole.
     """
     blas = _openblas("numpy")
     if blas is None or not 0 < n <= m:
         return np.linalg.svd(_collect(blocks, m, n), compute_uv=False)
+    s, iwork, query = np.empty(n), np.empty(8 * n, dtype=_BUNDLES["numpy"][2]), np.empty(1)
+    with single_threaded_blas():
+        r = _tsqr(blas, blocks, n)
+        for j in range(n - 1):
+            r[j + 1:, j] = 0.0
+
+        def gesdd(work, lwork):
+            return blas.dgesdd(_COL_MAJOR, b"N", n, n, r.ctypes.data, n, s.ctypes.data,
+                               None, 1, None, 1, work.ctypes.data, lwork,
+                               iwork.ctypes.data)
+
+        info = gesdd(query, -1)
+        if info == 0:
+            lwork = max(int(query[0]), 1)
+            info = gesdd(np.empty(lwork), lwork)
+    if info != 0:
+        raise NumericError(f"SVD of the factor's R failed (info={info})")
+    return s
+
+
+def _tsqr(blas: _OpenBLAS, blocks: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """R (N x N, Fortran order, Householder vectors below the diagonal) of a
+    Householder QR of the tall factor of N columns whose row blocks
+    ``blocks`` yields in order, by TSQR: LAPACK ``dgeqrt`` factors the first
+    N rows, then ``dtpqrt`` (with ``l = 0``) folds each further fold of
+    max(N, 32) rows (the last one may be shorter) into R.  Rows are copied
+    into the fold as they arrive, so the folds, and every bit of R, are the
+    same whatever the blocks' heights.  Each fold rounds R once, so on a
+    narrow factor N-row folds would round it about M/N times: at N = 2,
+    M = 45 TSQR and numpy's gesdd of G then differed by 4.1 N eps s_max, and
+    by 0.1 N eps s_max with 32-row folds.  The inner block size is
+    min(N, 32) columns.  The workspace is O(N max(N, 32)) (one fold, T and
+    the work array), where numpy's gesdd copies all of G, and is freed on
+    return.  Raises NumericError where a factorization reports an error.
+    """
     nb, h = min(n, 32), max(n, 32)
     r = np.empty((n, n), order="F")
     fold = np.empty((h, n), order="F")
@@ -816,23 +850,20 @@ def _values_only_svd(blocks: Iterable[np.ndarray], m: int, n: int) -> np.ndarray
                            fold.ctypes.data, h, t.ctypes.data, nb, work.ctypes.data)
 
     failed, dest, held = 0, r, 0  # R's first N rows, then one fold at a time
-    with single_threaded_blas():
-        for g in blocks:
-            i = 0
-            while i < len(g):
-                take = min(len(dest) - held, len(g) - i)
-                dest[held:held + take] = g[i:i + take]
-                held, i = held + take, i + take
-                if held == len(dest):
-                    failed = qr(held) or failed
-                    dest, held = fold, 0
-        if held:
-            failed = qr(held) or failed
-        if failed:
-            raise NumericError(f"TSQR of the factor failed (info={failed})")
-        for j in range(n - 1):
-            r[j + 1:, j] = 0.0
-        return np.linalg.svd(r, compute_uv=False)
+    for g in blocks:
+        i = 0
+        while i < len(g):
+            take = min(len(dest) - held, len(g) - i)
+            dest[held:held + take] = g[i:i + take]
+            held, i = held + take, i + take
+            if held == len(dest):
+                failed = qr(held) or failed
+                dest, held = fold, 0
+    if held:
+        failed = qr(held) or failed
+    if failed:
+        raise NumericError(f"TSQR of the factor failed (info={failed})")
+    return r
 
 
 _COL_MAJOR = 102  # LAPACKE's matrix_layout code for Fortran order
@@ -846,6 +877,7 @@ class _OpenBLAS(NamedTuple):
     dgeqrt: Callable[..., int]  # LAPACKE_dgeqrt_work
     dtpqrt: Callable[..., int]  # LAPACKE_dtpqrt_work
     dgejsv: Callable[..., int]  # LAPACKE_dgejsv_work
+    dgesdd: Callable[..., int]  # LAPACKE_dgesdd_work
 
 
 # package: (library in <package>.libs/, symbol suffix, LAPACK integer);
@@ -893,7 +925,8 @@ def _openblas(package: str) -> _OpenBLAS | None:
                     del os.environ["OPENBLAS_THREAD_TIMEOUT"]
         blas = _OpenBLAS(*(getattr(lib, f"scipy_{name}{suffix}") for name in (
             "openblas_get_num_threads", "openblas_set_num_threads",
-            "LAPACKE_dgeqrt_work", "LAPACKE_dtpqrt_work", "LAPACKE_dgejsv_work")))
+            "LAPACKE_dgeqrt_work", "LAPACKE_dtpqrt_work", "LAPACKE_dgejsv_work",
+            "LAPACKE_dgesdd_work")))
     except (AttributeError, IndexError, OSError, TypeError):
         return None
     ptr, char = ctypes.c_void_p, ctypes.c_char
@@ -907,7 +940,11 @@ def _openblas(package: str) -> _OpenBLAS | None:
     #  v, ldv, work, lwork, iwork)
     blas.dgejsv.argtypes = [ctypes.c_int, *[char] * 6, i, i, ptr, i, ptr, ptr, i,
                             ptr, i, ptr, i, ptr]
-    blas.dgeqrt.restype = blas.dtpqrt.restype = blas.dgejsv.restype = i
+    # (layout, jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork)
+    blas.dgesdd.argtypes = [ctypes.c_int, char, i, i, ptr, i, ptr, ptr, i, ptr, i, ptr,
+                            i, ptr]
+    for routine in (blas.dgeqrt, blas.dtpqrt, blas.dgejsv, blas.dgesdd):
+        routine.restype = i
     return blas
 
 

@@ -85,7 +85,8 @@ def mc_noise_variance(kernel, spectrum, law, sigma, draws=2000, batches=20,
 
     # the oracle takes its own SVD of the factor, not the kernel's cached one
     if kernel._steep:
-        u, s, v = _jacobi_svd(kernel.factor, want_vectors=True)
+        u, s, v = _jacobi_svd((kernel.factor,), *kernel.factor.shape,
+                               want_vectors=True)
     else:
         u, s, vh = np.linalg.svd(kernel.factor, full_matrices=False)
         v = vh.T

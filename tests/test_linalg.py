@@ -749,21 +749,43 @@ class TestTallValues:
 
     def test_svd_gets_no_more_than_n_rows(self, monkeypatch):
         # tracemalloc cannot see what numpy's LAPACK wrappers malloc, so the
-        # peak-memory tests would miss gesdd copying the M x N factor; here
-        # every SVD the library asks numpy for is of R, which has N rows
-        real_svd, shapes = np.linalg.svd, []
+        # peak-memory tests would miss gesdd copying the M x N factor.  The
+        # library asks numpy for no SVD of an array of more than N rows: with
+        # numpy's bundle it asks for none, and takes R's values in place with
+        # the bundle's dgesdd, bit for bit those of numpy's SVD of R
+        real_svd, real_openblas, shapes, rs = np.linalg.svd, linalg._openblas, [], []
 
         def recording(a, *args, **kwargs):
             if sys._getframe(1).f_globals["__name__"] == "overfit_lab.linalg":
                 shapes.append(np.shape(a))
             return real_svd(a, *args, **kwargs)
 
-        K = _smin_grid_kernel("cosine", 256)
+        def keeping_r(layout, jobz, m, n, a, lda, *rest):
+            if rest[-2] != -1:  # not the workspace query
+                r = (ctypes.c_double * (lda * n)).from_address(a)
+                rs.append(np.ctypeslib.as_array(r).reshape((n, n), order="F").copy())
+            return real_openblas("numpy").dgesdd(layout, jobz, m, n, a, lda, *rest)
+
         monkeypatch.setattr(np.linalg, "svd", recording)
+        blas = real_openblas("numpy")
+        if blas is not None:
+            monkeypatch.setattr(linalg, "_openblas", lambda package: (
+                blas._replace(dgesdd=keeping_r) if package == "numpy"
+                else real_openblas(package)))
+        K = _smin_grid_kernel("cosine", 256)
         assert singular_extremes(K).path == "gesdd"
-        assert shapes and K.factor.shape[0] > K.size
-        if linalg._openblas("numpy") is not None:
-            assert all(rows <= K.size for rows, _ in shapes), shapes
+        assert K.factor.shape[0] > K.size
+        assert all(rows <= K.size for rows, _ in shapes), shapes
+        if blas is None:
+            assert shapes
+            return
+        assert not shapes and len(rs) == 1
+        for law in ("cosine", "gaussian"):
+            g = _smin_grid_kernel(law, 256).factor
+            rs.clear()
+            s = linalg._values_only_svd((g,), *g.shape)
+            assert len(rs) == 1 and np.array_equal(rs[0], np.triu(rs[0]))
+            assert np.array_equal(s, real_svd(rs[0], compute_uv=False)), law
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_factor_fails(self, bad):
@@ -833,6 +855,27 @@ class TestStreamedValues:
         passes = _assert_streamed_like_one_block(g, s, rows)
         event(f"passes: {passes}")
 
+    @settings(max_examples=40, deadline=None)
+    @given(law=st.sampled_from(FEATURE_LAWS), n=st.integers(1, 40),
+           eta=st.integers(1, 12), height=st.sampled_from(["1 row", "45 rows", "N rows",
+                                                           ">= M"]),
+           order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1))
+    @example(law="gaussian", n=40, eta=10, height=">= M", order="C", seed=0)  # one block
+    @example(law="gaussian", n=40, eta=10, height="45 rows", order="C", seed=0)
+    @example(law="cosine", n=40, eta=10, height="N rows", order="F", seed=0)
+    def test_gram_is_exactly_symmetric(self, law, n, eta, height, order, seed):
+        # K is not symmetrized: each G_b^T G_b is a syrk with one triangle
+        # copied, and sums of exactly symmetric matrices stay symmetric
+        m = eta * n
+        s = make_spectrum("polynomial", 1.0, m)
+        g = np.asarray(mercer_factor(s, sample_design(law, m, n, seed).entries),
+                       order=order)
+        rows = {"1 row": 1, "45 rows": 45, "N rows": n, ">= M": m + 3}[height]
+        k = linalg._gram(g[i:i + rows] for i in range(0, m, rows))
+        assert np.array_equal(k, k.T) and not k.flags.writeable
+        if rows >= m:
+            assert np.array_equal(k, g.T @ g)
+
     def test_failed_certificate_draws_again_for_tsqr(self):
         # column 2 is nearly columns 0 + 1: no column pair is close, so the
         # screen never fires, and the certificate fails on K; TSQR then
@@ -864,6 +907,31 @@ class TestStreamedValues:
         s = make_spectrum("exponential", 1.0, 64)
         g = mercer_factor(s, sample_design("gaussian", 64, 16, seed=2).entries)
         assert _assert_streamed_like_one_block(g, s, 20) == 1
+
+    def test_steep_factor_is_copied_once(self, jacobi_bundles, monkeypatch):
+        # a steep factor in two blocks is collected into one Fortran array,
+        # which dgejsv (argument 9 is A) factors in place, with no copy of it
+        real_collect, real_openblas, collected, factored = (
+            linalg._collect, linalg._openblas, [], [])
+
+        def collecting(*args):
+            collected.append(real_collect(*args))
+            return collected[-1]
+
+        def dgejsv(*args):
+            factored.append(args[9])
+            return real_openblas("numpy").dgejsv(*args)
+
+        monkeypatch.setattr(linalg, "_collect", collecting)
+        monkeypatch.setattr(linalg, "_openblas", lambda package: (
+            real_openblas(package)._replace(dgejsv=dgejsv) if package == "numpy"
+            else real_openblas(package)))
+        s = make_spectrum("exponential", 1.0, 64)
+        g = mercer_factor(s, sample_design("gaussian", 64, 32, seed=2).entries)
+        assert singular_extremes(KernelMatrix.from_blocks(
+            _streamed(g, 40)[0], s, 32)).path == "jacobi"
+        assert len(collected) == 1 and collected[0].flags.f_contiguous
+        assert factored == [collected[0].ctypes.data]
 
     @pytest.mark.parametrize("blocks, match", [
         (lambda: [np.ones((10, 4))], "10 rows"),
@@ -923,7 +991,7 @@ class TestJacobiLibrary:
         seed = derive_seed(2024, "condnum", n, 0)
         g = mercer_factor(s, sample_design(GAUSSIAN, m, n, seed).entries)
         g.setflags(write=False)
-        u, sv, v = linalg._jacobi_svd(g, want_vectors)
+        u, sv, v = linalg._jacobi_svd((g,), *g.shape, want_vectors)
         job = 0 if want_vectors else 3
         # values only run numpy's bundle on one thread, which must match the
         # wrapper on one scipy thread; vectors run scipy's at its count
@@ -940,10 +1008,11 @@ class TestJacobiLibrary:
 
     def test_factor_is_left_untouched(self, jacobi_bundles):
         # dgejsv overwrites its input; a one-column factor is already in
-        # Fortran order, so only a copy keeps G
+        # Fortran order, so only the copy the blocks are collected into
+        # keeps G
         g = np.sqrt(make_spectrum("exponential", 1.0, 40).eigenvalues)[:, None]
         before = g.copy()
-        linalg._jacobi_svd(g, want_vectors=True)
+        linalg._jacobi_svd((g,), *g.shape, want_vectors=True)
         assert np.array_equal(g, before)
 
     def test_fallback_writes_the_same_bytes(self, jacobi_bundles, monkeypatch,
@@ -989,7 +1058,7 @@ class TestJacobiLibrary:
         s = make_spectrum("exponential", 1.0, m)
         g = mercer_factor(s, sample_design(
             GAUSSIAN, m, n, derive_seed(2024, "condnum", n, 0)).entries)
-        _, sv, _ = linalg._jacobi_svd(g, want_vectors=False)
+        _, sv, _ = linalg._jacobi_svd((g,), *g.shape, want_vectors=False)
         with _scipy_threads(2):
             sva, _, _, work, _, info = dgejsv(np.asfortranarray(g), joba=2,
                                               jobu=3, jobv=3)
