@@ -9,27 +9,42 @@ anchors) and draws every random number from a seed given by
 ``derive_seed``, so the (N, t) cells can run in any order or in separate
 processes and still give the same records.
 
-A learning-curve trial streams its test design on a one-thread pool, a row
-block at a time, into the residuals of the empirical MSE (the bias is exact
-and needs none): the first block while the calling thread draws the
-training design and fits, the rest while it takes the bias, the variance
-and the extremes; no M x n_test array is formed.  Every other draw runs on
-the calling thread.  smin-study and condnum trials need K's extreme values
-only: their designs stream through one buffer, one TSQR fold of
-max(N, 32) rows, scaled into G's rows in place, into a values-only kernel
-(``KernelMatrix.from_blocks``), so they form no M x N array; where the
-route must see G twice, the design is drawn again from its seed.  The pool keeps one rule:
+smin-study and condnum trials need K's extreme values only: their designs
+stream through a buffer of one TSQR fold, FOLD_ROWS rows, scaled into G's
+rows in place, into a values-only kernel (``KernelMatrix.from_blocks``), so
+they form no M x N array; where the route must see G twice, the design is
+drawn again from its seed.
 
-* the pool thread only fills, scales or reduces buffers the calling thread
-  allocated (RNG fills, elementwise ufuncs and ``np.add.reduce``, which
-  release the GIL); a large allocation there would sit in a per-thread
-  malloc arena after the trial;
-* it makes no BLAS call, so the records are the same bytes as a sequential
-  run's;
-* it calls nothing ``bench/spans.py`` wraps (``sample_design``,
-  ``assemble_kernel`` and the rest), because that tracing assumes
-  single-threaded, strictly nested calls;
-* it does not outlive its trial.
+Two trials open a one-thread pool, scoped to the trial; every other draw
+and decomposition runs on the calling thread.
+
+* A learning-curve trial streams its test design on the pool thread, a row
+  block at a time, into the residuals of the empirical MSE (the bias is
+  exact and needs none): the first block while the calling thread draws
+  the training design and fits, the rest while it takes the bias, the
+  variance and the extremes; no M x n_test array is formed.  That thread
+  only fills, scales or reduces buffers the calling thread allocated (RNG
+  fills, elementwise ufuncs and ``np.add.reduce``, which release the GIL),
+  and it makes no BLAS call, so the records are the same bytes as a
+  sequential run's.
+* An smin-study trial decomposes its four laws on two lanes: the calling
+  thread takes two and the pool thread the other two, each lane streaming
+  through its own buffer.  A lane makes BLAS and LAPACK calls (``dsyrk``,
+  ``dsyevd``, TSQR), which release the GIL, on numpy's OpenBLAS, which the
+  sweep keeps on one thread; so no call's bits depend on the thread that
+  makes it, and the records are the bytes of the two lanes run one after
+  the other.  The pool thread's allocations (K or TSQR's R and fold, the
+  cosine and sine tables) land in its own malloc arena: over four
+  smin-study sweeps of the bench grid (N = 64 to 512) a process peaked at
+  50.4-51.0 MB RSS, against 45.5-45.7 MB with the same lanes run in turn
+  on the calling thread.
+
+The pool thread calls nothing ``bench/spans.py`` wraps (``sample_design``,
+``singular_extremes``, ``row_norm_diagnostics`` and the rest), because that
+tracing assumes single-threaded, strictly nested calls; smin-study's lane
+reaches the decomposition through ``linalg.singular_extremes``, and the
+calling thread then reads each law's values through the wrapped name.  The
+pool thread does not outlive its trial.
 
 The sweep runs with numpy's OpenBLAS on one thread
 (``linalg.single_threaded_blas``): on two cores its second thread cost more
@@ -83,7 +98,7 @@ from .features import (
     sample_inputs,
 )
 from .linalg import (
-    SCREEN_ROWS,
+    FOLD_ROWS,
     KernelMatrix,
     assemble_kernel,
     mercer_factor,
@@ -93,8 +108,9 @@ from .linalg import (
     singular_extremes,
 )
 # the learning-curve trial calls the risk terms through the module, the
-# namespace bench/spans.py wraps them in
-from . import regression
+# namespace bench/spans.py wraps them in; smin-study's pool thread calls
+# linalg's singular_extremes, which bench/spans.py does not wrap
+from . import linalg, regression
 from .regression import (
     TargetModel,
     clean_labels,
@@ -373,11 +389,11 @@ def _condnum_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:
 
 
 def _stream_buffer(m: int, n: int) -> np.ndarray:
-    """The buffer an M x N design streams through: one fold of max(N, 32)
+    """The buffer an M x N design streams through: one fold of FOLD_ROWS
     rows, as TSQR folds them (``linalg._tsqr``), which holds the pair
-    screen's SCREEN_ROWS leading rows, and at most M rows, so a trial holds
-    N max(N, 32) entries of it whatever M."""
-    return np.empty((min(m, max(n, SCREEN_ROWS)), n))
+    screen's leading rows, and at most M rows, so a lane holds N FOLD_ROWS
+    entries of it whatever M."""
+    return np.empty((min(m, FOLD_ROWS), n))
 
 
 def _factor_blocks(law: str, s, block: np.ndarray, seed, tail_sq=None):
@@ -474,33 +490,44 @@ def _test_residuals(first, blocks, block, d, out):
 def _smin_study_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:
     """Smallest singular value for each feature law, normalized two ways.
 
-    Runs all four laws regardless of cfg.law, in ``FEATURE_LAWS`` order and
-    each with its own seed: the point of the study is the
-    independent-vs-dependent contrast.  Each law's design streams through
-    one buffer of max(N, 32) rows, one TSQR fold, reused across the laws
-    (``_factor_blocks``): each block gives the tail's row norms unscaled and
-    is then scaled into G's rows in place and folded into the values-only
-    kernel's K or R (``KernelMatrix.from_blocks``), so no M x N array is
-    formed.  A route that must see G twice draws the design again from its
-    seed.
+    Runs all four laws regardless of cfg.law, each with its own seed, and
+    returns their records in ``FEATURE_LAWS`` order: the point of the study
+    is the independent-vs-dependent contrast.  Each law's design streams
+    through a buffer of FOLD_ROWS rows, one TSQR fold (``_factor_blocks``):
+    each block adds the tail's unscaled row norms into the law's own
+    ``tail_sq`` and is then scaled into G's rows in place and folded into
+    the values-only kernel's K or R (``KernelMatrix.from_blocks``), so no
+    M x N array is formed.  A route that must see G twice draws the design
+    again from its seed.
+
+    The laws run on two lanes, each with its own buffer: this thread
+    decomposes gaussian then cosine, and a pool thread uniform then sine
+    (the pool rule is in the module docstring), so each lane usually forms
+    one K and runs one TSQR.  This thread then reads the pool thread's
+    extremes from its kernels' caches and takes every law's row norms.
     """
     m = cfg.feature_count(n)
     s = make_spectrum(cfg.spectrum, cfg.a, m)
     lam_n = float(s.eigenvalues[n - 1])
-    block, tail_sq = _stream_buffer(m, n), np.zeros(n)
-    records = []
-    for law in FEATURE_LAWS:
-        seed = _seed(cfg, n, t, law)
-        ext = _extremes(KernelMatrix.from_blocks(
-            partial(_factor_blocks, law, s, block, seed, tail_sq), s, n))
-        diag = row_norm_diagnostics(tail_sq, n, m)
-        records.append(_record(
-            cfg, n, m, t, seed, law=law, **ext,
-            s_min_over_n_lambda_n=ext["s_min"] / (n * lam_n),
-            s_min_over_n=ext["s_min"] / n,
-            min_p_squared=diag.min_p_squared,
-        ))
-    return records
+    seeds = {law: _seed(cfg, n, t, law) for law in FEATURE_LAWS}
+    tail_sq = {law: np.zeros(n) for law in FEATURE_LAWS}
+    lanes, kernels = (FEATURE_LAWS[0::2], FEATURE_LAWS[1::2]), {}
+    for lane in lanes:
+        block = _stream_buffer(m, n)
+        for law in lane:
+            kernels[law] = KernelMatrix.from_blocks(
+                partial(_factor_blocks, law, s, block, seeds[law], tail_sq[law]), s, n)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(list, map(linalg.singular_extremes,
+                                       [kernels[law] for law in lanes[1]]))
+        ext = {law: _extremes(kernels[law]) for law in lanes[0]}
+        worker.result()
+    ext.update((law, _extremes(kernels[law])) for law in lanes[1])  # cached
+    return [_record(cfg, n, m, t, seeds[law], law=law, **ext[law],
+                    s_min_over_n_lambda_n=ext[law]["s_min"] / (n * lam_n),
+                    s_min_over_n=ext[law]["s_min"] / n,
+                    min_p_squared=row_norm_diagnostics(tail_sq[law], n, m).min_p_squared)
+            for law in FEATURE_LAWS]
 
 
 def _kernel_domain(cfg: ExperimentConfig) -> InputDomain:

@@ -40,11 +40,15 @@ from overfit_lab.spectra import DECAY_KINDS
 # nondeterminism shows up as a byte difference here.  Re-frozen when the
 # design streamed through 32-row blocks and K became their sum: s_min,
 # condition_number and ratio_to_theory moved by at most 3.6e-14 relative,
-# s_max by 3.6e-16, inside the certificate's bound
+# s_max by 3.6e-16, inside the certificate's bound.  Re-frozen when the
+# blocks became one 80-row fold summed into K by dsyrk and K's values were
+# taken in place: s_min, condition_number and ratio_to_theory moved by at
+# most 3.6e-14 relative, s_max by 3.6e-16, under 0.5% of the certificate's
+# bound
 GOLDEN_CONDNUM = """\
 experiment,seed,N,M,trial,spectrum,law,kernel,s_max,s_min,condition_number,ratio_to_theory,s_min_over_n_lambda_n,s_min_over_n,min_p_squared,mse,bias,variance,m_truncated,variance_full,truncation_gap,truncation_bound,bound_holds
-condnum,1082242704324474087,8,80,0,polynomial,gaussian,,9.937382405140141,0.06365397068215008,156.11567194702582,2.4393073741722784,,,,,,,,,,,
-condnum,219182256276397182,8,80,1,polynomial,gaussian,,7.1943380327101965,0.05741825807979979,125.2970444124501,1.957766318944533,,,,,,,,,,,
+condnum,1082242704324474087,8,80,0,polynomial,gaussian,,9.937382405140138,0.06365397068214777,156.11567194703142,2.439307374172366,,,,,,,,,,,
+condnum,219182256276397182,8,80,1,polynomial,gaussian,,7.1943380327101965,0.05741825807979973,125.29704441245023,1.957766318944535,,,,,,,,,,,
 """
 
 # SHA-256 of the CSV of each tiny sweep below; any change to a value, the row
@@ -70,7 +74,13 @@ condnum,219182256276397182,8,80,1,polynomial,gaussian,,7.1943380327101965,0.0574
 # moved within its certificate's bound (the ledger, ``golden_moves``):
 # s_min, condition_number and the s_min ratios by at most 2.8e-13 relative
 # (sine, N=16), s_max by 1.0e-15 and min_p_squared, its tail sums now added
-# block by block, by 9.3e-16.  The exponential learning curve takes the
+# block by block, by 9.3e-16.  The smin-study digest was re-frozen again
+# when the designs streamed through one fold of up to 128 rows (all of
+# M <= 160 here), summed into K by dsyrk, and K's values were taken in
+# place on two lanes; every row kept "gram_eigh" and moved under 0.6% of
+# its certificate's bound: s_min, condition_number and the s_min ratios by
+# at most 3.0e-13 relative (sine, N=16), s_max by 1.2e-15 and
+# min_p_squared by 9.3e-16.  The exponential learning curve takes the
 # Jacobi path at N=32; the ntk case puts the anchors in training.
 GOLDEN_SHA256 = {
     "learning_curve-polynomial": (
@@ -84,7 +94,7 @@ GOLDEN_SHA256 = {
     ),
     "smin_study": (
         dict(experiment="smin_study", n_grid=(8, 16), trials=2),
-        "940afc0838d96a5d8bab1773b4d0a149e4c424b7d17acbd2b88a4b014b5da398",
+        "420c6831d56609201badb6a132c2dfcbb33f03aac631ded7075928321316bf44",
     ),
     "kernel_interp": (
         dict(experiment="kernel_interp", n_grid=(16, 32), trials=2, n_test=20),
@@ -506,18 +516,19 @@ class TestCli:
     @pytest.mark.parametrize("subcommand", ["learning-curve", "smin-study"])
     def test_pool_thread_failure_exit_code(self, tmp_path, monkeypatch, capsys,
                                            subcommand):
-        # a numeric failure while streaming the learning-curve test design
-        # on its pool thread surfaces from the trial as itself: exit 2, not a
-        # crash; the learning-curve training design, drawn on the calling
-        # thread, is drawn as usual.  smin-study opens no pool: every law is
-        # drawn on the calling thread, and a failure in its last draw exits 2
+        # a numeric failure on a trial's pool thread surfaces from the trial
+        # as itself: exit 2, not a crash.  The learning curve streams its
+        # test design there, and its training design, drawn on the calling
+        # thread, is drawn as usual.  smin-study decomposes its second lane
+        # there (uniform, then sine), and the failure is in the last draw;
+        # the calling thread's lane (gaussian, cosine) is drawn as usual
         real_fill, real_blocks = experiments.fill_design, experiments.design_blocks
         threads = []
 
         def on_main(law):
             threads.append(threading.current_thread())
-            if threading.current_thread() is not threading.main_thread() or (
-                    subcommand == "smin-study" and law == FEATURE_LAWS[-1]):
+            if threading.current_thread() is not threading.main_thread() and (
+                    subcommand == "learning-curve" or law == FEATURE_LAWS[-1]):
                 raise NumericError("synthetic draw failure")
 
         def failing_fill(law, out, seed):
@@ -535,7 +546,8 @@ class TestCli:
         assert code == 2
         assert "synthetic draw failure" in capsys.readouterr().err
         if subcommand == "smin-study":
-            assert threads == [threading.main_thread()] * len(FEATURE_LAWS)
+            assert sorted(t is threading.main_thread() for t in threads) == [
+                False, False, True, True]
         else:
             assert len(threads) > threads.count(threading.main_thread()) == 1
 

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from overfit_lab.experiments import (
 )
 from overfit_lab.features import FEATURE_LAWS, FOURIER_BLOCK, sample_design
 from overfit_lab.linalg import (
+    KernelMatrix,
     assemble_kernel,
     mercer_factor,
     row_norm_diagnostics,
@@ -350,8 +352,8 @@ class TestLearningCurve:
 @pytest.mark.parametrize("experiment", ["learning_curve", "smin_study"])
 def test_no_thread_outlives_the_sweep(experiment, monkeypatch):
     # learning-curve test designs are streamed on a one-thread pool scoped
-    # to each trial, open while the training design is drawn; a smin-study
-    # sweep starts no thread
+    # to each trial, open while the training design is drawn; smin-study
+    # decomposes two laws on such a pool, open while all four are drawn
     real_fill, real_blocks, counts = experiments.fill_design, experiments.design_blocks, []
 
     def fill(law, out, seed):
@@ -367,7 +369,7 @@ def test_no_thread_outlives_the_sweep(experiment, monkeypatch):
     before = threading.active_count()
     run_experiment(_cfg(experiment=experiment, n_grid=(8, 16), trials=2, n_test=30))
     assert threading.active_count() == before
-    assert set(counts) == {before + (experiment == "learning_curve")}
+    assert set(counts) == {before + 1}
 
 
 class TestSminStudy:
@@ -407,18 +409,19 @@ class TestSminStudy:
         s = make_spectrum(cfg.spectrum, cfg.a, m)
         lam_n = float(s.eigenvalues[n - 1])
         eps = np.finfo(np.float64).eps
-        real_extremes, summaries = experiments.singular_extremes, []
+        real_extremes, summaries = experiments.singular_extremes, {}
 
-        def kept_extremes(K):
-            summaries.append(real_extremes(K))
-            return summaries[-1]
+        def kept_extremes(K):  # a kernel's source is its law's _factor_blocks
+            summaries[K._source.args[0]] = real_extremes(K)
+            return summaries[K._source.args[0]]
 
         monkeypatch.setattr(experiments, "singular_extremes", kept_extremes)
         for t in range(cfg.trials):
             summaries.clear()
             with linalg.single_threaded_blas():
                 got = TRIALS["smin_study"](cfg, n, t)
-                for law, rec, summary in zip(FEATURE_LAWS, got, summaries, strict=True):
+                for law, rec in zip(FEATURE_LAWS, got, strict=True):
+                    summary = summaries[law]
                     seed = derive_seed(cfg.master_seed, cfg.experiment, n, t, law)
                     d = sample_design(law, m, n, seed).entries
                     want = singular_extremes(assemble_kernel(s, d))
@@ -439,31 +442,62 @@ class TestSminStudy:
                         assert moved == value or abs(moved - value) <= tol * value, (
                             law, field, moved, value)
 
+    @pytest.mark.parametrize("n", [16, 128, 512])
+    def test_lanes_match_each_law_alone(self, n):
+        # each record is the one its law gives alone on the calling thread:
+        # the law's design streamed through a buffer of its own into a
+        # values-only kernel, its extremes and its row norms, bit for bit.
+        # The two lanes share no buffer or tail sums, and numpy's OpenBLAS
+        # runs on one thread, so the bits do not depend on the thread
+        cfg = _cfg(experiment="smin_study", n_grid=(n,), trials=1)
+        m = cfg.feature_count(n)
+        s = make_spectrum(cfg.spectrum, cfg.a, m)
+        lam_n = float(s.eigenvalues[n - 1])
+        with linalg.single_threaded_blas():
+            got = TRIALS["smin_study"](cfg, n, 0)
+            for law, rec in zip(FEATURE_LAWS, got, strict=True):
+                seed = derive_seed(cfg.master_seed, cfg.experiment, n, 0, law)
+                tail_sq = np.zeros(n)
+                ext = singular_extremes(KernelMatrix.from_blocks(partial(
+                    experiments._factor_blocks, law, s, experiments._stream_buffer(m, n),
+                    seed, tail_sq), s, n))
+                assert rec == TrialRecord(
+                    experiment="smin_study", seed=seed, N=n, M=m, trial=0,
+                    spectrum=cfg.spectrum, law=law, s_max=ext.s_max, s_min=ext.s_min,
+                    condition_number=ext.condition_number,
+                    s_min_over_n_lambda_n=ext.s_min / (n * lam_n),
+                    s_min_over_n=ext.s_min / n,
+                    min_p_squared=row_norm_diagnostics(tail_sq, n, m).min_p_squared)
+
     def test_trial_peak_memory(self):
-        # each law's design streams through one buffer, one TSQR fold of
-        # max(N, 32) rows, scaled into G's rows in place and folded into K
-        # or TSQR's R, so a trial holds a few N x N arrays and a few
-        # M-vectors, never an M x N array: a whole design alone is 8 M N
-        # bytes, 5.2 MB here, and the bound 2.4 MB (2.75 MB were measured
-        # with a buffer of 2 N rows)
+        # each law's design streams through its lane's buffer of one TSQR
+        # fold, FOLD_ROWS rows, scaled into G's rows in place and folded
+        # into K or TSQR's R, so a trial holds a few N x N arrays and a few
+        # M-vectors per lane, never an M x N array: a whole design alone is
+        # 8 M N bytes, 5.2 MB here, and the bound 3.7 MB (3.4 MB were
+        # measured; 2.25 MB with one lane and a buffer of N rows)
         self._assert_peak_without_design(256, 10)
 
     def test_trial_peak_memory_at_m_much_larger_than_n(self):
-        # M = 100 N, where a whole design is 3.3 MB and the bound 0.42 MB
-        # (0.44 MB were measured with a buffer of 2 N rows)
+        # M = 100 N, where a whole design is 3.3 MB and the bound 1.0 MB
+        # (0.93 MB were measured; 0.38 MB with one lane and a buffer of
+        # max(N, 32) rows)
         self._assert_peak_without_design(64, 100)
 
     @staticmethod
     def _assert_peak_without_design(n, eta):
-        # the layout of a values-only trial: the stream buffer of h rows;
-        # TSQR's R, fold, T and work array (K and one syrk temporary on the
-        # Gram route are less); the cosine and sine rows' three
-        # FOURIER_BLOCK x N angle-addition arrays; and three M-vectors (the
-        # spectrum, its square root and one to spare), plus a tenth
+        # the layout of a values-only trial, whose two lanes may both run
+        # TSQR at once: per lane, the stream buffer of h rows, TSQR's R,
+        # fold, T and work array (K on the Gram route is less), the cosine
+        # and sine rows' three FOURIER_BLOCK x N angle-addition arrays, the
+        # spectrum's square root and numpy's 8192-entry ufunc buffer (which
+        # scaling a block into G takes); the spectrum and one M-vector to
+        # spare; plus a tenth
         cfg = _cfg(experiment="smin_study", n_grid=(n,), trials=1, eta=eta)
         m = cfg.feature_count(n)
-        h, nb = min(m, max(n, linalg.SCREEN_ROWS)), min(n, 32)
-        layout = n * (2 * h + n + 2 * nb + 3 * FOURIER_BLOCK) + 3 * m
+        h, nb = min(m, linalg.FOLD_ROWS), min(n, 32)
+        lane = n * (2 * h + n + 2 * nb + 3 * FOURIER_BLOCK) + m + 8192
+        layout = 2 * lane + 2 * m
         experiments._smin_study_trial(cfg, n, 1)  # warm up imports and caches
         tracemalloc.start()
         try:

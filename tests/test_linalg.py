@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from functools import partial
 from pathlib import Path
@@ -530,54 +531,45 @@ class TestGramCertificate:
             assert (got is None and want is None) or np.array_equal(got, want)
 
     def test_pair_bound_skips_eigh(self, monkeypatch):
-        # a cosine learning-curve trial at N=512 runs no eigensolver, and in
-        # a smin-study trial only the gaussian and uniform designs do; the
-        # cosine and sine kernels never form their Gram
-        real = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
-        laws, calls, kernels = [], [], {}
+        # a cosine learning-curve trial at N=512 forms no K and runs no
+        # eigensolver, and in a smin-study trial only the gaussian and
+        # uniform designs do: the cosine and sine kernels never form their
+        # Gram.  K is formed by ``_syrk`` (for ``entries`` too), and the
+        # eigensolvers are the in-place ``_eigvalsh`` (values only) and
+        # numpy's ``eigh`` (full).  smin-study decomposes two laws on a pool
+        # thread, so each law is tagged on the thread that draws it; the
+        # learning curve's pool thread draws its test design, which is
+        # never decomposed
+        laws, formed, solved = {}, [], []
 
-        def counting(name):
+        def counting(log, real, caller=None):
             def call(*args, **kwargs):
-                if sys._getframe(1).f_globals["__name__"] == "overfit_lab.linalg":
-                    calls.append(laws[-1])
-                return real[name](*args, **kwargs)
+                if caller is None or sys._getframe(1).f_globals["__name__"] == caller:
+                    log.append(laws[threading.get_ident()])
+                return real(*args, **kwargs)
             return call
 
-        # both trials draw every design they decompose on the calling thread,
-        # the learning curve's whole and smin-study's in row blocks; the
-        # learning-curve test factor streams on a pool thread
         def tagged_fill_design(law, out, seed):
-            if threading.current_thread() is threading.main_thread():
-                laws.append(law)
+            laws[threading.get_ident()] = law
             return fill_design(law, out, seed)
 
         def tagged_design_blocks(law, *args):
-            if threading.current_thread() is threading.main_thread():
-                laws.append(law)
+            laws[threading.get_ident()] = law
             yield from design_blocks(law, *args)
 
-        real_extremes = experiments.singular_extremes
-
-        def kept_extremes(K):  # a streamed design is drawn inside the call
-            summary = real_extremes(K)
-            kernels[laws[-1]] = K
-            return summary
-
-        for name in real:
-            monkeypatch.setattr(np.linalg, name, counting(name))
+        monkeypatch.setattr(linalg, "_syrk", counting(formed, linalg._syrk))
+        monkeypatch.setattr(linalg, "_eigvalsh", counting(solved, linalg._eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", counting(solved, np.linalg.eigh,
+                                                        caller="overfit_lab.linalg"))
         monkeypatch.setattr(experiments, "fill_design", tagged_fill_design)
         monkeypatch.setattr(experiments, "design_blocks", tagged_design_blocks)
-        monkeypatch.setattr(experiments, "singular_extremes", kept_extremes)
         cfg = ExperimentConfig(experiment="learning_curve", law="cosine",
                                n_grid=(512,), trials=1, n_test=20)
         TRIALS["learning_curve"](cfg, 512, 0)
-        assert laws == ["cosine"] and calls == []
-        assert kernels.pop("cosine")._entries is None
+        assert formed == solved == []
         cfg = ExperimentConfig(experiment="smin_study", n_grid=(512,), trials=1)
         TRIALS["smin_study"](cfg, 512, 0)
-        assert calls == ["gaussian", "uniform_subgaussian"]
-        assert {law for law, K in kernels.items() if K._entries is None} == {
-            "cosine", "sine"}
+        assert sorted(formed) == sorted(solved) == ["gaussian", "uniform_subgaussian"]
 
     def test_steep_kernel_keeps_jacobi(self):
         summary = singular_extremes(_steep_kernel())
@@ -705,18 +697,18 @@ class TestTallValues:
     @example(n=8, rows=5, decay=2.0, collapse=None, seed=1)  # M < 2N
     @example(n=8, rows=8, decay=2.0, collapse=None, seed=1)  # M = 2N
     @example(n=8, rows=21, decay=2.0, collapse=1e-6, seed=1)  # one partial fold
-    @example(n=8, rows=64, decay=2.0, collapse=None, seed=1)  # two whole folds
-    @example(n=8, rows=69, decay=2.0, collapse=1e-6, seed=1)  # then a partial one
-    @example(n=40, rows=80, decay=4.0, collapse=None, seed=1)  # N-row folds
+    @example(n=8, rows=256, decay=2.0, collapse=None, seed=1)  # two whole folds
+    @example(n=8, rows=261, decay=2.0, collapse=1e-6, seed=1)  # then a partial one
+    @example(n=160, rows=300, decay=4.0, collapse=None, seed=1)  # folds shorter than N
     @example(n=2, rows=43, decay=4.766757437591703, collapse=1e-6, seed=43)
     def test_graded_tall_factors(self, n, rows, decay, collapse, seed):
         # G = D * B with rows graded over up to 1e8 and B optionally given a
         # near-duplicate column; after R from the first N rows, the other
-        # rows fold in by blocks of max(N, 32), the last one possibly
+        # rows fold in by blocks of FOLD_ROWS, the last one possibly
         # partial.  The last example, at M = 22.5 N, is where N-row blocks
         # missed the bound
         m = n + rows
-        fold = max(n, 32)
+        fold = linalg.FOLD_ROWS
         event("no fold" if rows == 0 else "last fold whole" if rows % fold == 0
               else "last fold partial")
         rng = np.random.default_rng(seed)
@@ -725,6 +717,20 @@ class TestTallValues:
             b[:, -1] = b[:, 0] + collapse * rng.standard_normal(m)
         g = np.sqrt(10.0 ** (-decay * np.arange(m) / m))[:, None] * b
         _assert_within_gesdd(g, linalg._values_only_svd((g,), *g.shape))
+
+    @pytest.mark.parametrize("n, m", [(2, 45), (8, 261), (200, 1000), (512, 5120)])
+    @pytest.mark.parametrize("law", ["gaussian", "cosine"])
+    def test_fold_height_keeps_n_eps(self, law, n, m):
+        # with folds of FOLD_ROWS rows, TSQR's values stay within
+        # N eps s_max(G) of numpy's gesdd of G: on the narrow factor where
+        # N-row folds were 4.1 N eps off, one fold and a part, two folds
+        # and a part, and folds shorter than N (the largest gap was 0.41
+        # N eps, cosine at N = 2)
+        g = mercer_factor(make_spectrum("polynomial", 1.0, m),
+                          sample_design(law, m, n, seed=m + n).entries)
+        ref = np.linalg.svd(g, compute_uv=False)
+        s = linalg._values_only_svd((g,), m, n)
+        assert np.all(np.abs(s - ref) <= n * np.finfo(np.float64).eps * ref[0])
 
     def test_cosine_route_against_50_digits(self):
         # a cosine design at N=16, M=64 whose Gram certificate fails, so its
@@ -739,7 +745,20 @@ class TestTallValues:
         assert np.all(np.abs(summary.full_singular_values - oracle) <= bound)
 
     def test_fallback_is_gesdd_bit_for_bit(self, monkeypatch):
-        # where numpy's OpenBLAS is not found, the values are numpy's gesdd of G
+        # where numpy's OpenBLAS is not found, and for a wide factor, the
+        # values are numpy's gesdd of G; a held factor is a pass of one
+        # block, which numpy's SVD copies itself, so it is not collected
+        # into a copy of its own first
+        def no_collect(blocks, m, n):
+            raise AssertionError("a one-block pass was collected")
+
+        monkeypatch.setattr(linalg, "_collect", no_collect)
+        wide = assemble_kernel(make_spectrum("polynomial", 1.0, 4),
+                               np.random.default_rng(2).standard_normal((4, 8)))
+        ref = np.linalg.svd(wide.factor, compute_uv=False)
+        summary = singular_extremes(wide)
+        assert summary.path == "gesdd"
+        assert np.array_equal(summary.full_singular_values[:4], ref * ref)
         K = _smin_grid_kernel("cosine", 256)
         monkeypatch.setattr(linalg, "_openblas", lambda package: None)
         summary = singular_extremes(K)
@@ -864,8 +883,9 @@ class TestStreamedValues:
     @example(law="gaussian", n=40, eta=10, height="45 rows", order="C", seed=0)
     @example(law="cosine", n=40, eta=10, height="N rows", order="F", seed=0)
     def test_gram_is_exactly_symmetric(self, law, n, eta, height, order, seed):
-        # K is not symmetrized: each G_b^T G_b is a syrk with one triangle
-        # copied, and sums of exactly symmetric matrices stay symmetric
+        # K's blocks are summed into one triangle by dsyrk, which is then
+        # copied into the other, so K is exactly symmetric; one block is
+        # numpy's g.T @ g bit for bit, and so are a kernel's entries
         m = eta * n
         s = make_spectrum("polynomial", 1.0, m)
         g = np.asarray(mercer_factor(s, sample_design(law, m, n, seed).entries),
@@ -875,6 +895,37 @@ class TestStreamedValues:
         assert np.array_equal(k, k.T) and not k.flags.writeable
         if rows >= m:
             assert np.array_equal(k, g.T @ g)
+            assert np.array_equal(KernelMatrix(g, s).entries, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), rows=st.integers(0, 40), cuts=st.lists(
+               st.floats(0.0, 1.0), max_size=2), decay=st.floats(0.0, 8.0),
+           order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1))
+    @example(n=5, rows=40, cuts=[0.3, 0.6], decay=8.0, order="C", seed=0)
+    @example(n=5, rows=40, cuts=[0.5], decay=0.0, order="F", seed=0)
+    def test_streamed_gram_against_50_digits(self, n, rows, cuts, decay, order, seed):
+        # K summed in place over up to 3 row blocks is a sum of M products
+        # per entry, so it stays within gamma_M trace(K) of the exact Gram
+        m = n + rows
+        rng = np.random.default_rng(seed)
+        g = np.asarray(np.sqrt(10.0 ** (-decay * np.arange(m) / m))[:, None]
+                       * rng.standard_normal((m, n)), order=order)
+        edges = [0, *sorted(int(c * m) for c in cuts), m]
+        k = linalg._gram(g[i:j] for i, j in zip(edges, edges[1:]))
+        with mpmath.workdps(50):
+            gm = mpmath.matrix(g.tolist())
+            exact = np.array((gm.T * gm).tolist(), dtype=float)
+        eps = np.finfo(np.float64).eps
+        gamma = m * eps / (1.0 - m * eps)
+        assert np.all(np.abs(k - exact) <= gamma * np.trace(exact))
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 256, 512])
+    def test_in_place_eigenvalues_are_numpys(self, n):
+        # dsyevd in place on the triangle _syrk fills gives the bits of
+        # numpy's eigvalsh of the symmetric K
+        g = _smin_grid_kernel("gaussian", n).factor
+        got = linalg._eigvalsh(linalg._syrk((g,)))
+        assert np.array_equal(got, np.linalg.eigvalsh(linalg._gram((g,))))
 
     def test_failed_certificate_draws_again_for_tsqr(self):
         # column 2 is nearly columns 0 + 1: no column pair is close, so the
@@ -1281,6 +1332,71 @@ def test_indefinite_explicit_matrix_rejected(entries):
     for read in (singular_extremes, lambda K: min_norm_solve(K, np.ones(K.size))):
         with pytest.raises(InvariantViolationError, match="positive semi-definite"):
             read(KernelMatrix.from_entries(entries))
+
+
+def test_kernels_decompose_concurrently():
+    # kernel A's pass waits inside its decomposition until kernel B's values
+    # are taken on another thread: kernels cache their records without a
+    # lock they share (functools.cached_property before Python 3.12 takes
+    # one per decorated method, so B would wait for A and this would time
+    # out)
+    s = make_spectrum("polynomial", 1.0, 40)
+    g = mercer_factor(s, sample_design("gaussian", 40, 4, seed=1).entries)
+    entered, release = threading.Event(), threading.Event()
+
+    def held_blocks():
+        entered.set()
+        release.wait(timeout=60)
+        yield g
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        first = pool.submit(singular_extremes, KernelMatrix.from_blocks(held_blocks, s, 4))
+        try:
+            assert entered.wait(timeout=30)
+            second = pool.submit(singular_extremes, KernelMatrix(g, s))
+            want = second.result(timeout=30)
+            assert not first.done()
+        finally:
+            release.set()
+        got = first.result(timeout=30)
+    assert np.array_equal(got.full_singular_values, want.full_singular_values)
+
+
+def test_shared_kernel_under_thread_switches():
+    # more threads than cores take one kernel's values, or another's fit, at
+    # once, with the interpreter switching threads every microsecond: first
+    # reads may race to decompose, but every reader gets the bits of the
+    # same read on one thread, and numpy's BLAS thread count is back when
+    # the readers are done
+    s = make_spectrum("polynomial", 1.0, 640)
+    g = mercer_factor(s, sample_design("gaussian", 640, 64, seed=3).entries)
+    y = np.ones(64)
+    blas = linalg._openblas("numpy")
+    threads_before = blas.get_threads() if blas is not None else None
+    with linalg.single_threaded_blas():
+        want = (singular_extremes(KernelMatrix(g, s)).full_singular_values,
+                min_norm_solve(KernelMatrix(g, s), y).alpha)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            values, fit = KernelMatrix(g, s), KernelMatrix(g, s)
+
+            def read(i):
+                with linalg.single_threaded_blas():
+                    if i % 2:
+                        return min_norm_solve(fit, y).alpha
+                    return singular_extremes(values).full_singular_values
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(read, i) for i in range(8)]
+                got = [f.result(timeout=60) for f in futures]
+            for i, result in enumerate(got):
+                assert np.array_equal(result, want[i % 2])
+    finally:
+        sys.setswitchinterval(interval)
+    if blas is not None:
+        assert blas.get_threads() == threads_before
 
 
 def test_explicit_matrix_decomposes_once(monkeypatch):
