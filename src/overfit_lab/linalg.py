@@ -14,8 +14,8 @@ G's.  Values are produced by one of three routes, recorded in
   still fully accurate.
 * ``"gram_eigh"`` -- tall factors (M >= N) that are not steep.  An
   eigendecomposition of the formed Gram matrix K = G^T G (``dsyevd`` in
-  place for values only, ``eigh`` with vectors) costs a fraction of an SVD
-  of G, but forming K squares the condition number, so the result is kept
+  place on K, with or without eigenvectors, ``_syevd``) costs a fraction of
+  an SVD of G, but forming K squares the condition number, so the result is kept
   only under an a-posteriori certificate.  Forming K perturbs it by at most
   gamma_M * trace(K) in the 2-norm, with gamma_M = M eps / (1 - M eps), and
   the symmetric eigensolver is backward stable to about N eps lambda_max,
@@ -35,18 +35,18 @@ G's.  Values are produced by one of three routes, recorded in
   divide-and-conquer SVD of R, in place (``_values_only_svd``); both steps
   are backward stable, so the absolute error stays about eps * s_max.
 
-Values only of a tall factor read G once, as a stream of row blocks
-(``KernelMatrix._tall_values``): the screen's pair sums, K = sum of
+A tall factor reads G once, as a stream of row blocks, for values and for
+a fit alike (``KernelMatrix._tall``): the screen's pair sums, K = sum of
 G_b^T G_b and TSQR's R each fold one block at a time, so a factor that
 arrives in blocks (``KernelMatrix.from_blocks``) is never held whole.  The
 first block fixes the route, and one case takes a second pass over the
-blocks (see ``_tall_values``).  A pass holds its block and K or R: each
-block's G_b^T G_b is summed into K by ``dsyrk`` with no temporary, and
-the eigensolver takes K's values in place (``_syrk``, ``_eigvalsh``), while
-TSQR adds one fold of FOLD_ROWS rows, the height of the sweeps' blocks.
-Each entry of K is still a sum of M products, so it errs by at most
-gamma_M whatever the blocks, and the certificate keeps gamma_M; TSQR folds
-at fixed row boundaries, so its bits do not depend on the blocks.  A
+blocks (see ``_tall``).  A pass holds its block and K or R: each block's
+G_b^T G_b is summed into K by ``dsyrk`` with no temporary, and the
+eigensolver decomposes K in place (``_syrk``, ``_syevd``), so no route
+keeps K; TSQR adds one fold of FOLD_ROWS rows, the height of the sweeps'
+blocks.  Each entry of K is still a sum of M products, so it errs by at
+most gamma_M whatever the blocks, and the certificate keeps gamma_M; TSQR
+folds at fixed row boundaries, so its bits do not depend on the blocks.  A
 factor held in memory is one block and keeps the bits of the rule on G
 itself.
 
@@ -64,19 +64,20 @@ forming K from it.
 
 One function, ``KernelMatrix._decompose``, holds this route rule, for
 explicit matrices (``from_entries``) too: their route is ``"eigh"`` of the
-entries, rejected when an eigenvalue is below -1e-12 * max |eigenvalue|.  It
-returns one record per request kind, each cached once per kernel: values
-only (``singular_extremes``) or full, which adds K's eigenvectors and, on
-the SVD routes, G's left singular vectors.  An explicit matrix has only the
-full record.  Neither cache writes the other; each may read it.  Values
+entries (``_syevd`` on a copy, bit for bit numpy's ``eigh``), rejected when
+an eigenvalue is below -1e-12 * max |eigenvalue|.  It returns one record
+per request kind, each cached once per kernel: values only
+(``singular_extremes``) or full, which adds K's eigenvectors and, on the SVD
+routes, G's left singular vectors.  An explicit matrix has only the full
+record.  Neither cache writes the other; each may read it.  Values
 requested after a full decomposition reuse it, and a full decomposition
-after values that failed the certificate (``"gesdd"``) skips ``eigh``.  So
-the route does not depend on call order, and one kernel reports the same
-values before and after its fit.  Two kernels of one factor, one measured
-first and one fitted first, agree within the route's bound, not bit for
-bit: values-only ``dsyevd`` and ``eigh`` on ``"gram_eigh"``, TSQR and the
-full gesdd on ``"gesdd"``, and dgejsv with and without vectors on
-``"jacobi"`` differ in their last bits.
+after values that failed the certificate (``"gesdd"``) skips K.  So the
+route does not depend on call order, and one kernel reports the same values
+before and after its fit.  Two kernels of one factor, one measured first
+and one fitted first, agree within the route's bound, not bit for bit:
+``dsyevd`` without and with vectors on ``"gram_eigh"``, TSQR and the full
+gesdd on ``"gesdd"``, and dgejsv with and without vectors on ``"jacobi"``
+differ in their last bits.
 
 Pseudo-inverse solves, duals and variances all read the full record, whose
 ``keep`` mask is the pseudo-inverse cutoff policy, computed once there:
@@ -226,10 +227,11 @@ class KernelMatrix:
 
     Three constructors.  ``KernelMatrix(factor, spectrum)`` is a Mercer kernel:
     it keeps the M x N factor G = Lambda^{1/2} Psi and the ``spectrum`` it
-    came from (G has one row per eigenvalue) and builds its entries lazily
-    as G^T G.  It does not keep Psi: G is the only M x N array a kernel
-    pins, and whatever needs Psi itself (clean labels, row norms) takes it
-    from the design before the caller drops it.  ``from_entries(entries)``
+    came from (G has one row per eigenvalue), and not K: ``entries`` forms
+    G^T G anew on each read, and no route reads it.  It does not keep Psi:
+    G is the only M x N array a kernel pins, and whatever needs Psi itself
+    (clean labels, row norms) takes it from the design before the caller
+    drops it.  ``from_entries(entries)``
     wraps an explicit matrix, which holds only its entries; its ``spectrum``
     is None.  ``from_blocks(blocks, spectrum, size)`` is a Mercer kernel that
     gives values only and holds no factor: G streams in row blocks on each
@@ -252,7 +254,7 @@ class KernelMatrix:
     spectrum: Spectrum | None = None
     _factor: np.ndarray | None = None
     _source: Callable[[], Iterable[np.ndarray]] | None = None  # from_blocks
-    _entries: np.ndarray | None = None  # a Mercer kernel builds them on first use
+    _entries: np.ndarray | None = None  # from_entries
 
     def __init__(self, factor, spectrum: Spectrum):
         _check_spectrum(spectrum)
@@ -276,7 +278,7 @@ class KernelMatrix:
         ``spectrum.size`` rows in order.  A block may be overwritten once
         the next one is asked for, so one buffer can carry the whole pass.
         ``singular_extremes`` takes one pass, or two where the route must
-        see G again (``_tall_values``); no M x N array is held, except on
+        see G again (``_tall``); no M x N array is held, except on
         steep spectra and wide factors, whose SVD needs G whole and collects
         the blocks into it.  Solves, duals and fits need G in memory and
         raise InvalidParameterError.
@@ -315,8 +317,10 @@ class KernelMatrix:
 
     @property
     def entries(self) -> np.ndarray:
+        """K's N x N entries: an explicit matrix's own, or a Mercer kernel's
+        G^T G, formed anew on each read (``_gram``) and kept by no route."""
         if self._entries is None:
-            self._entries = _gram(self._blocks())
+            return _gram(self._blocks())
         return self._entries
 
     @property
@@ -383,83 +387,80 @@ class KernelMatrix:
     def _decompose(self, full: bool) -> _Decomposition:
         """The route rule (see the module docstring): ``eigh`` of an explicit
         matrix, which raises InvariantViolationError when it is not PSD;
-        Jacobi for steep spectra; else certified values/``eigh`` of K
-        for a tall factor with finite trace(K) that has not already failed the
-        certificate; else TSQR (values only) or gesdd.
-
-        Before K is formed, the pair screen (``_PairScreen``) may prove from G
-        that the certificate cannot hold; the route then goes straight to
-        TSQR or gesdd without forming K.  A skipped eigensolver is one whose
-        result would have been thrown away, so the route and every output
-        bit are those of the unscreened rule; a screen that does not fire
-        costs time only.  Values only of a tall factor take one pass over its
-        row blocks (``_tall_values``).
-        """
+        Jacobi for steep spectra; else, for a tall factor, ``_tall``, unless
+        a full request follows values that already failed the certificate;
+        else gesdd (``_svd``)."""
         if not self.is_mercer:
-            if not np.all(np.isfinite(self.entries)):
+            if not np.all(np.isfinite(self._entries)):
                 raise NumericError("kernel matrix has non-finite entries")
-            w, q = _eigh_descending(self.entries)
+            # in column-major order the copy is the entries: the lower
+            # triangle is read, as numpy's eigh reads it
+            w, q = _syevd(self._entries.T.copy(), vectors=True)
             if w[-1] < -PINV_RELATIVE_CUTOFF * np.abs(w).max():
                 raise InvariantViolationError(
                     f"kernel matrix is not positive semi-definite (eigenvalue {w[-1]:.3g})"
                 )
             return _Decomposition(None, w, "eigh", q=q)
-        g = self._require_factor() if full else None
+        if full:
+            self._require_factor()
         m, n = self.spectrum.size, self.size
         if self._steep:
             u, s, v = _jacobi_svd(self._blocks(), m, n, want_vectors=full)
             return _Decomposition(s, s * s, "jacobi", None, v, u)
-        if not full:
-            if m >= n:
-                return self._tall_values()
-            s = _values_only_svd(self._blocks(), m, n)
-            return _Decomposition(s, s * s, "gesdd")
         values = self.__dict__.get("_values")
-        if m >= n and (values is None or values.path != "gesdd") and not _pair_screen(g):
-            rec = _certified(self.entries, m, full=True)
-            if rec is not None:
-                return rec
-        u, s, vh = np.linalg.svd(g, full_matrices=False)
-        return _Decomposition(s, s * s, "gesdd", None, vh.T, u)
+        if m >= n and (values is None or values.path != "gesdd"):
+            return self._tall(full)
+        return self._svd(full, self._blocks())
 
-    def _tall_values(self) -> _Decomposition:
-        """Values only of a tall factor (M >= N) that is not steep, in one
-        pass over its row blocks.
+    def _tall(self, full: bool) -> _Decomposition:
+        """A tall factor (M >= N) that is not steep, values only or full, in
+        one pass over its row blocks: the pair screen (``_PairScreen``), then
+        K = sum of G_b^T G_b (``_syrk``) and its certificate (``_certified``),
+        else gesdd (``_svd``).
 
         The route is fixed by the first block (``_row_blocks`` gives it the
-        screen's leading rows).  The pair screen's candidates and
-        ``trace_lb`` come from those rows, and its ``ub`` only grows as rows
-        are added, so a first-block screen that does not fire proves that
-        the screen of all of G will not fire either: the pass forms
-        K = sum of G_b^T G_b (``_gram``) for the certificate.  A first-block
-        screen that fires starts TSQR (``_values_only_svd``) and sums the
-        screen over the rest of the pass.  One case takes a second pass and
-        runs the other route, as the unscreened rule would: the certificate
-        fails (TSQR then), or the screen of all of G does not fire (K then,
-        and TSQR's values stand if its certificate fails).  Forming K from
-        blocks errs by at most gamma_{b + ceil(M/b) - 1} <= gamma_M per
-        entry, so the certificate and the screen keep gamma_M.  K is one
-        triangle (``_syrk``) that its eigensolver overwrites, so it is not
-        kept as ``entries``.  A factor held in memory is one block: the
-        first-block screen is the whole screen, and every bit is that of the
-        rule on G itself.
+        screen's leading rows).  The screen's candidates and ``trace_lb``
+        come from those rows, and its ``ub`` only grows as rows are added, so
+        a first-block screen that does not fire proves that the screen of all
+        of G will not fire either: the pass forms K.  A first-block screen
+        that fires starts the SVD and sums the screen over the rest of the
+        pass.  One case takes a second pass and runs the other route, as the
+        unscreened rule would: the certificate fails (the SVD then), or the
+        screen of all of G does not fire (K then, and the SVD stands if its
+        certificate fails).  A skipped eigensolver is one whose result would
+        have been thrown away, so the route and every output bit are those
+        of the unscreened rule; a screen that does not fire costs time only.
+        Forming K from blocks errs by at most gamma_{b + ceil(M/b) - 1} <=
+        gamma_M per entry, so the certificate and the screen keep gamma_M.
+        K is one triangle that its eigensolver overwrites (``_syevd``), so no
+        route keeps it.  A factor held in memory, which a full request
+        needs, is one block: the first-block screen is the whole screen, and
+        every bit is that of the rule on G itself.
         """
         m = self.spectrum.size
         blocks = self._blocks()
         first = next(blocks)
         screen = _PairScreen(first, m)
         if not screen.fires():
-            rec = _certified(_syrk(itertools.chain([first], blocks)), m, full=False)
+            rec = _certified(_syrk(itertools.chain([first], blocks)), m, full)
             if rec is not None:
                 return rec
-            s = _values_only_svd(self._blocks(), m, self.size)
-        else:
-            s = _values_only_svd(itertools.chain([first], _tap(blocks, screen.add)),
-                                 m, self.size)
-            if not screen.fires():
-                rec = _certified(_syrk(self._blocks()), m, full=False)
-                if rec is not None:
-                    return rec
+            return self._svd(full, self._blocks())
+        svd = self._svd(full, itertools.chain([first], _tap(blocks, screen.add)))
+        if not screen.fires():
+            rec = _certified(_syrk(self._blocks()), m, full)
+            if rec is not None:
+                return rec
+        return svd
+
+    def _svd(self, full: bool, blocks: Iterable[np.ndarray]) -> _Decomposition:
+        """The ``"gesdd"`` record: numpy's SVD of the held G with vectors
+        (``full``), or values only of the pass ``blocks`` (TSQR's for a tall
+        factor, ``_values_only_svd``)."""
+        if full:
+            u, s, vh = np.linalg.svd(self._factor, full_matrices=False)
+            return _Decomposition(s, s * s, "gesdd", None, vh.T, u)
+        s = _values_only_svd(blocks, self.spectrum.size, self.size)
         return _Decomposition(s, s * s, "gesdd")
 
     def dual(self, y) -> np.ndarray:
@@ -622,7 +623,7 @@ class _PairScreen:
     gamma_M are fixed by the first block, and each pair's
     min(|g_i - g_j|^2, |g_i + g_j|^2) only grows with rows, so ``ub`` does:
     a screen that does not fire on the first block would not fire on all of
-    G in exact arithmetic (``KernelMatrix._tall_values``).  Non-finite
+    G in exact arithmetic (``KernelMatrix._tall``).  Non-finite
     values prove nothing and warn nothing.
     """
 
@@ -665,11 +666,6 @@ class _PairScreen:
             ub = float(np.min((self.diag - 2.0 * np.abs(self.a_ij)) / 2.0
                               + 4.0 * self.gamma * self.diag))
             return bool(self.trace_lb * self.margin > GRAM_CERTIFIED_TOLERANCE * ub)
-
-
-def _pair_screen(g: np.ndarray) -> bool:
-    """``_PairScreen`` of the tall factor ``g`` held whole, as one block."""
-    return _PairScreen(g, len(g)).fires()
 
 
 def _row_blocks(blocks: Iterable[np.ndarray], m: int, n: int) -> Iterator[np.ndarray]:
@@ -764,18 +760,15 @@ def _gram(blocks: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def _certified(k: np.ndarray, m: int, full: bool) -> _Decomposition | None:
-    """The ``"gram_eigh"`` record of K formed from an M-row factor:
-    ``eigh`` of ``k`` (``full``, K's ``entries``) or ``_eigvalsh`` of a
-    ``_syrk`` triangle ``k``, which it overwrites, under the certificate of
-    the module docstring, or None where trace(K) is not finite or the
-    certificate fails."""
+    """The ``"gram_eigh"`` record of K formed from an M-row factor, whose
+    ``_syrk`` triangle ``k`` ``_syevd`` decomposes in place, with K's
+    eigenvectors when ``full``, under the certificate of the module
+    docstring; None where trace(K) is not finite or the certificate
+    fails."""
     trace = float(np.trace(k))
     if not np.isfinite(trace):
         return None
-    if full:
-        w, q = _eigh_descending(k)
-    else:
-        w, q = _eigvalsh(k)[::-1], None
+    w, q = _syevd(k, full)
     if w[-1] > 0.0:
         eps = np.finfo(np.float64).eps
         gamma = m * eps / (1.0 - m * eps)
@@ -785,22 +778,32 @@ def _certified(k: np.ndarray, m: int, full: bool) -> _Decomposition | None:
     return None
 
 
-def _eigvalsh(k: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of the K whose ``_syrk`` triangle is ``k``,
-    taken in place: LAPACKE ``dsyevd`` (jobz='N') of numpy's bundled
-    OpenBLAS with the workspace its query returns and uplo='L', which on
-    K's row-major buffer reads that triangle.  ``np.linalg.eigvalsh(K)``
-    makes the same call on its copy of K, so the values are numpy's bit for
-    bit; ``k`` is overwritten.  Without the bundle, numpy's ``eigvalsh``.  A
-    nonzero ``info`` raises NumericError."""
+def _syevd(k: np.ndarray, vectors: bool):
+    """Eigenvalues, descending, of the symmetric K whose lower triangle is
+    that of ``k.T`` (the triangle ``_syrk`` fills), and with ``vectors`` its
+    eigenvectors to match, else None; ``k`` is a C-ordered N x N array that
+    the call overwrites.
+
+    LAPACKE ``dsyevd`` (jobz 'V' or 'N') of numpy's bundled OpenBLAS runs in
+    place on ``k``'s buffer, which in column-major order is ``k.T``, with
+    uplo 'L' and the workspace its query returns.  ``np.linalg.eigh(k.T)``
+    and ``eigvalsh(k.T)`` make the same call on their copy of ``k.T``, so
+    every bit is numpy's.  dsyevd leaves the eigenvectors, ascending, in
+    the columns of ``k.T``; they are returned as ``k``'s transpose, reversed,
+    a view with no copy.  Without the bundle, numpy's ``eigh`` or
+    ``eigvalsh`` of ``k.T``.  A nonzero ``info`` raises NumericError."""
     blas = _openblas("numpy")
     if blas is None:
-        return np.linalg.eigvalsh(k)
+        if vectors:
+            w, q = np.linalg.eigh(k.T)
+            return w[::-1], q[:, ::-1]
+        return np.linalg.eigvalsh(k.T)[::-1], None
     n, lapack_int = len(k), _BUNDLES["numpy"][2]
     w, query, iquery = np.empty(n), np.empty(1), np.empty(1, dtype=lapack_int)
+    jobz = b"V" if vectors else b"N"
 
     def dsyevd(work, lwork, iwork, liwork):
-        return blas.dsyevd(_COL_MAJOR, b"N", b"L", n, k.ctypes.data, n, w.ctypes.data,
+        return blas.dsyevd(_COL_MAJOR, jobz, b"L", n, k.ctypes.data, n, w.ctypes.data,
                            work.ctypes.data, lwork, iwork.ctypes.data, liwork)
 
     info = dsyevd(query, -1, iquery, -1)
@@ -808,19 +811,13 @@ def _eigvalsh(k: np.ndarray) -> np.ndarray:
         lwork, liwork = max(int(query[0]), 1), max(int(iquery[0]), 1)
         info = dsyevd(np.empty(lwork), lwork, np.empty(liwork, dtype=lapack_int), liwork)
     if info != 0:
-        raise NumericError(f"eigenvalues of the factor's Gram failed (info={info})")
-    return w
+        raise NumericError(f"eigendecomposition of the kernel failed (info={info})")
+    return w[::-1], (k[::-1].T if vectors else None)
 
 
 def _check_spectrum(spectrum) -> None:
     if not isinstance(spectrum, Spectrum):
         raise InvalidParameterError(f"a Mercer kernel needs a Spectrum, got {spectrum!r}")
-
-
-def _eigh_descending(k: np.ndarray):
-    """Eigenvalues descending and matching eigenvectors of symmetric k."""
-    w, q = np.linalg.eigh(k)
-    return w[::-1].copy(), q[:, ::-1].copy()
 
 
 def _jacobi_svd(blocks: Iterable[np.ndarray], m: int, n: int, want_vectors: bool):

@@ -1,9 +1,11 @@
 import ctypes
+import itertools
 import math
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -19,7 +21,7 @@ from conftest import gram_pair_bound
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from overfit_lab import experiments, linalg
+from overfit_lab import cli, experiments, linalg
 from overfit_lab.errors import (
     InsufficientTailError,
     InvalidParameterError,
@@ -299,18 +301,17 @@ class TestSingularExtremes:
         np.testing.assert_allclose(jac, fast, rtol=1e-8)
 
 
-def _count_linalg_eigh(monkeypatch) -> list:
-    """A list that grows by one for each ``np.linalg.eigh`` call made from
-    ``overfit_lab.linalg`` while the monkeypatch is active."""
-    real_eigh = np.linalg.eigh
-    calls = []
+def _count_syevd(monkeypatch) -> dict:
+    """Calls of ``linalg._syevd`` while the monkeypatch is active, counted
+    apart by whether they take eigenvectors: ``{False: values, True:
+    vectors}``."""
+    real_syevd, calls = linalg._syevd, {False: 0, True: 0}
 
-    def counting_eigh(*args, **kwargs):
-        if sys._getframe(1).f_globals["__name__"] == "overfit_lab.linalg":
-            calls.append(1)
-        return real_eigh(*args, **kwargs)
+    def counting_syevd(k, vectors):
+        calls[vectors] += 1
+        return real_syevd(k, vectors)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(linalg, "_syevd", counting_syevd)
     return calls
 
 
@@ -469,9 +470,9 @@ class TestGramCertificate:
         # N=256 design, so the full solve goes straight to the factor SVD
         K = _smin_grid_kernel("cosine", 256)
         assert singular_extremes(K).path == "gesdd"
-        calls = _count_linalg_eigh(monkeypatch)
+        calls = _count_syevd(monkeypatch)
         min_norm_solve(K, np.ones(256))
-        assert len(calls) == 0
+        assert calls == {False: 0, True: 0}
         assert K._full.path == "gesdd" and singular_extremes(K).path == "gesdd"
 
     @pytest.mark.parametrize("law", FEATURE_LAWS)
@@ -490,7 +491,7 @@ class TestGramCertificate:
                                                      lc_seed).entries))
         fired = []
         for K in kernels:
-            fires = linalg._pair_screen(K.factor)
+            fires = linalg._PairScreen(K.factor, len(K.factor)).fires()
             k = K.entries
             m, n = K.factor.shape
             trace = float(np.trace(k))
@@ -520,7 +521,7 @@ class TestGramCertificate:
         assert not K._steep
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            fires = linalg._pair_screen(K.factor)
+            fires = linalg._PairScreen(K.factor, len(K.factor)).fires()
         event(f"screen fires: {fires}")
         assert not (fires and _gram_certified(K))
         screened = singular_extremes(K), K._full
@@ -534,20 +535,22 @@ class TestGramCertificate:
         # a cosine learning-curve trial at N=512 forms no K and runs no
         # eigensolver, and in a smin-study trial only the gaussian and
         # uniform designs do: the cosine and sine kernels never form their
-        # Gram.  K is formed by ``_syrk`` (for ``entries`` too), and the
-        # eigensolvers are the in-place ``_eigvalsh`` (values only) and
-        # numpy's ``eigh`` (full).  smin-study decomposes two laws on a pool
+        # Gram.  K is formed by ``_syrk`` (for ``entries`` too), and every
+        # eigensolver is ``_syevd``, counted apart for values only and with
+        # vectors (a fit).  smin-study decomposes two laws on a pool
         # thread, so each law is tagged on the thread that draws it; the
         # learning curve's pool thread draws its test design, which is
         # never decomposed
-        laws, formed, solved = {}, [], []
+        laws, formed, solved = {}, [], {False: [], True: []}
+        real_syrk, real_syevd = linalg._syrk, linalg._syevd
 
-        def counting(log, real, caller=None):
-            def call(*args, **kwargs):
-                if caller is None or sys._getframe(1).f_globals["__name__"] == caller:
-                    log.append(laws[threading.get_ident()])
-                return real(*args, **kwargs)
-            return call
+        def forming(*args):
+            formed.append(laws[threading.get_ident()])
+            return real_syrk(*args)
+
+        def solving(k, vectors):
+            solved[vectors].append(laws[threading.get_ident()])
+            return real_syevd(k, vectors)
 
         def tagged_fill_design(law, out, seed):
             laws[threading.get_ident()] = law
@@ -557,19 +560,18 @@ class TestGramCertificate:
             laws[threading.get_ident()] = law
             yield from design_blocks(law, *args)
 
-        monkeypatch.setattr(linalg, "_syrk", counting(formed, linalg._syrk))
-        monkeypatch.setattr(linalg, "_eigvalsh", counting(solved, linalg._eigvalsh))
-        monkeypatch.setattr(np.linalg, "eigh", counting(solved, np.linalg.eigh,
-                                                        caller="overfit_lab.linalg"))
+        monkeypatch.setattr(linalg, "_syrk", forming)
+        monkeypatch.setattr(linalg, "_syevd", solving)
         monkeypatch.setattr(experiments, "fill_design", tagged_fill_design)
         monkeypatch.setattr(experiments, "design_blocks", tagged_design_blocks)
         cfg = ExperimentConfig(experiment="learning_curve", law="cosine",
                                n_grid=(512,), trials=1, n_test=20)
         TRIALS["learning_curve"](cfg, 512, 0)
-        assert formed == solved == []
+        assert formed == solved[False] == solved[True] == []
         cfg = ExperimentConfig(experiment="smin_study", n_grid=(512,), trials=1)
         TRIALS["smin_study"](cfg, 512, 0)
-        assert sorted(formed) == sorted(solved) == ["gaussian", "uniform_subgaussian"]
+        assert sorted(formed) == sorted(solved[False]) == ["gaussian", "uniform_subgaussian"]
+        assert solved[True] == []
 
     def test_steep_kernel_keeps_jacobi(self):
         summary = singular_extremes(_steep_kernel())
@@ -921,11 +923,40 @@ class TestStreamedValues:
 
     @pytest.mark.parametrize("n", [1, 2, 64, 256, 512])
     def test_in_place_eigenvalues_are_numpys(self, n):
-        # dsyevd in place on the triangle _syrk fills gives the bits of
-        # numpy's eigvalsh of the symmetric K
+        # _syevd in place on the triangle _syrk fills, from a C- or an
+        # F-ordered factor, gives the bits of numpy's eigh (with vectors) and
+        # eigvalsh (values only) of the symmetric K, reversed; so it does
+        # without numpy's bundled OpenBLAS, where it calls them itself
         g = _smin_grid_kernel("gaussian", n).factor
-        got = linalg._eigvalsh(linalg._syrk((g,)))
-        assert np.array_equal(got, np.linalg.eigvalsh(linalg._gram((g,))))
+        for bundle, order in itertools.product((True, False), "CF"):
+            factor = np.asarray(g, order=order)
+            with _bundled_openblas(bundle):
+                k = linalg._gram((factor,))
+                w, q = np.linalg.eigh(k)
+                got_w, got_q = linalg._syevd(linalg._syrk((factor,)), vectors=True)
+                assert np.array_equal(got_w, w[::-1]) and np.array_equal(got_q, q[:, ::-1])
+                got_w, got_q = linalg._syevd(linalg._syrk((factor,)), vectors=False)
+                assert np.array_equal(got_w, np.linalg.eigvalsh(k)[::-1]) and got_q is None
+
+    @pytest.mark.parametrize("bundle", [True, False], ids=["bundle", "no-bundle"])
+    def test_explicit_eigenvalues_are_numpys(self, bundle):
+        # an explicit matrix's record is numpy's eigh of its entries bit for
+        # bit: a kernel_gram matrix, and one whose upper triangle is skewed
+        # by 1e-13 max|K|, since numpy reads the lower one
+        x = np.random.default_rng(4).standard_normal((64, 1))
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((48, 48))
+        sym = b @ b.T
+        skew = np.triu(rng.uniform(-1.0, 1.0, sym.shape), 1) * 1e-13 * np.abs(sym).max()
+        skewed = KernelMatrix.from_entries(sym + skew)
+        assert not np.array_equal(np.linalg.eigh(skewed.entries, UPLO="U")[0],
+                                  np.linalg.eigh(skewed.entries)[0])
+        for K in (kernel_gram(AnalyticKernel("laplacian", 1), x), skewed):
+            with _bundled_openblas(bundle):
+                w, q = np.linalg.eigh(K.entries)
+                full = K._full
+            assert full.path == "eigh"
+            assert np.array_equal(full.w, w[::-1]) and np.array_equal(full.q, q[:, ::-1])
 
     def test_failed_certificate_draws_again_for_tsqr(self):
         # column 2 is nearly columns 0 + 1: no column pair is close, so the
@@ -936,7 +967,8 @@ class TestStreamedValues:
         b[:, 2] = b[:, 0] + b[:, 1] + 1e-5 * rng.standard_normal(200)
         s = make_spectrum("custom", eigenvalues=np.ones(200))
         g = mercer_factor(s, b)
-        assert not linalg._pair_screen(g) and not _gram_certified(KernelMatrix(g, s))
+        assert not linalg._PairScreen(g, len(g)).fires()
+        assert not _gram_certified(KernelMatrix(g, s))
         assert _assert_streamed_like_one_block(g, s, 32) == 2
 
     def test_screen_fired_on_the_leading_rows_only_draws_again_for_k(self):
@@ -949,7 +981,7 @@ class TestStreamedValues:
         s = make_spectrum("custom", eigenvalues=np.ones(200))
         g = mercer_factor(s, b)
         first = linalg._PairScreen(g[:32], 200)
-        assert first.fires() and not linalg._pair_screen(g)
+        assert first.fires() and not linalg._PairScreen(g, len(g)).fires()
         assert _assert_streamed_like_one_block(g, s, 32) == 2
         blocks, passes = _streamed(g, 32)
         assert singular_extremes(KernelMatrix.from_blocks(blocks, s, 8)).path == "gram_eigh"
@@ -1004,6 +1036,15 @@ class TestStreamedValues:
         np.testing.assert_allclose(K.entries, whole, rtol=0, atol=1e-14 * np.trace(whole))
         with pytest.raises(InvalidParameterError, match="values only"):
             min_norm_solve(K, np.ones(4))
+
+
+@contextmanager
+def _bundled_openblas(present):
+    """The block as it runs with numpy's bundled OpenBLAS, or, where
+    ``present`` is False, as it runs on a numpy without one."""
+    with nullcontext() if present else mock.patch.object(
+            linalg, "_openblas", lambda package: None):
+        yield
 
 
 @pytest.fixture
@@ -1405,21 +1446,64 @@ def test_explicit_matrix_decomposes_once(monkeypatch):
     # and both orders report the same values, route and rank
     x = np.random.default_rng(4).standard_normal((40, 1))
     y = np.ones(40)
-    calls = _count_linalg_eigh(monkeypatch)
+    calls = _count_syevd(monkeypatch)
     results = []
     for values_first in (True, False):
         K = kernel_gram(AnalyticKernel("laplacian", 1), x)
-        calls.clear()
+        calls.update({False: 0, True: 0})
         if values_first:
             summary, sol = singular_extremes(K), min_norm_solve(K, y)
         else:
             sol = min_norm_solve(K, y)
             summary = singular_extremes(K)
-        assert len(calls) == 1
+        assert calls == {False: 0, True: 1}
         assert summary.path == "eigh"
         results.append((summary.full_singular_values, sol.rank))
     (vals, rank), (vals_after_solve, rank_after_solve) = results
     assert np.array_equal(vals, vals_after_solve) and rank == rank_after_solve
+
+
+def test_fitted_kernel_keeps_no_gram():
+    # K is summed into one triangle that dsyevd overwrites with K's
+    # eigenvectors, so a fitted Mercer kernel keeps no N x N Gram: its first
+    # full decomposition leaves one N x N array held (1.05 N^2 values
+    # measured; 2.04 where the kernel kept its entries beside the vectors)
+    # and peaks at that array and dsyevd's workspace of 2 N^2 + 6 N + 1
+    # values (3.09 N^2 measured).  tracemalloc sees the arrays numpy hands
+    # out, not the copy and workspace numpy's own eigh allocates inside
+    n = 256
+    K = _smin_grid_kernel("gaussian", n)
+    tracemalloc.start()
+    try:
+        K._full
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert K._full.path == "gram_eigh"
+    assert held <= 1.25 * 8 * n * n and peak <= 3.25 * 8 * n * n
+    fit_ridgeless(K, np.ones(n))
+    assert K._entries is None
+
+
+def test_failed_eigensolver_is_a_numeric_error(monkeypatch, tmp_path, capsys):
+    # a nonzero info from dsyevd raises NumericError on every route that
+    # takes it (values, fit, explicit matrix), and a sweep exits 2
+    real_openblas = linalg._openblas
+    if real_openblas("numpy") is None:
+        pytest.skip("numpy's bundled scipy-openblas not found")
+    monkeypatch.setattr(linalg, "_openblas", lambda package: (
+        real_openblas(package)._replace(dsyevd=lambda *args: 1)
+        if package == "numpy" else real_openblas(package)))
+    explicit = kernel_gram(AnalyticKernel("laplacian", 1),
+                           np.random.default_rng(4).standard_normal((40, 1)))
+    for read in (lambda: singular_extremes(_smin_grid_kernel("gaussian", 64)),
+                 lambda: fit_ridgeless(_smin_grid_kernel("gaussian", 64), np.ones(64)),
+                 lambda: singular_extremes(explicit)):
+        with pytest.raises(NumericError, match="info=1"):
+            read()
+    assert cli.main(["kernel-interp", "--n-grid", "16", "--trials", "1", "--n-test", "20",
+                     "--out", str(tmp_path / "k.csv")]) == 2
+    assert "info=1" in capsys.readouterr().err
 
 
 @settings(max_examples=60, deadline=None)
