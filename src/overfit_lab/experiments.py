@@ -10,10 +10,10 @@ anchors) and draws every random number from a seed given by
 processes and still give the same records.
 
 smin-study and condnum trials need K's extreme values only: their designs
-stream through a buffer of one TSQR fold, FOLD_ROWS rows, scaled into G's
-rows in place, into a values-only kernel (``KernelMatrix.from_blocks``), so
-they form no M x N array; where the route must see G twice, the design is
-drawn again from its seed.
+stream into a values-only kernel (``KernelMatrix.from_blocks``) through the
+buffer of one TSQR fold that each pass allocates, scaled into G's rows in
+place, so they form no M x N array; where the route must see G twice, the
+design is drawn again from its seed.
 
 Two trials open a one-thread pool, scoped to the trial; every other draw
 and decomposition runs on the calling thread.
@@ -28,16 +28,16 @@ and decomposition runs on the calling thread.
   and it makes no BLAS call, so the records are the same bytes as a
   sequential run's.
 * An smin-study trial decomposes its four laws on two lanes: the calling
-  thread takes two and the pool thread the other two, each lane streaming
+  thread takes two and the pool thread the other two, each pass streaming
   through its own buffer.  A lane makes BLAS and LAPACK calls (``dsyrk``,
   ``dsyevd``, TSQR), which release the GIL, on numpy's OpenBLAS, which the
   sweep keeps on one thread; so no call's bits depend on the thread that
   makes it, and the records are the bytes of the two lanes run one after
-  the other.  The pool thread's allocations (K or TSQR's R and fold, the
-  cosine and sine tables) land in its own malloc arena: over four
-  smin-study sweeps of the bench grid (N = 64 to 512) a process peaked at
-  50.4-51.0 MB RSS, against 45.5-45.7 MB with the same lanes run in turn
-  on the calling thread.
+  the other.  The pool thread's allocations (each pass's buffer, K or
+  TSQR's R and fold, the cosine and sine tables) land in its own malloc
+  arena: over four smin-study sweeps of the bench grid (N = 64 to 512) a
+  process peaked at 50.4-51.0 MB RSS, against 45.5-45.7 MB with the same
+  lanes run in turn on the calling thread.
 
 The pool thread calls nothing ``bench/spans.py`` wraps (``sample_design``,
 ``singular_extremes``, ``row_norm_diagnostics`` and the rest), because that
@@ -98,7 +98,6 @@ from .features import (
     sample_inputs,
 )
 from .linalg import (
-    FOLD_ROWS,
     KernelMatrix,
     assemble_kernel,
     mercer_factor,
@@ -373,36 +372,29 @@ def _extremes(K) -> dict:
 def _condnum_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord]:
     """Condition number of the Mercer kernel against its predicted scale.
 
-    The design streams through one buffer into a values-only kernel
-    (``_factor_blocks``), as in smin-study.
+    The design streams into a values-only kernel (``_factor_blocks``), as
+    in smin-study.
     """
     m = cfg.feature_count(n)
     s = make_spectrum(cfg.spectrum, cfg.a, m)
     regime = "exp" if cfg.spectrum == "exponential" else "poly"
     theory = theoretical_condition_ratio(s, n, regime)
     seed = _seed(cfg, n, t)
-    block = _stream_buffer(m, n)
     ext = _extremes(KernelMatrix.from_blocks(
-        partial(_factor_blocks, cfg.law, s, block, seed), s, n))
+        partial(_factor_blocks, cfg.law, s, seed, None), s, n))
     return [_record(cfg, n, m, t, seed, **ext,
                     ratio_to_theory=ext["condition_number"] / theory)]
 
 
-def _stream_buffer(m: int, n: int) -> np.ndarray:
-    """The buffer an M x N design streams through: one fold of FOLD_ROWS
-    rows, as TSQR folds them (``linalg._tsqr``), which holds the pair
-    screen's leading rows, and at most M rows, so a lane holds N FOLD_ROWS
-    entries of it whatever M."""
-    return np.empty((min(m, FOLD_ROWS), n))
-
-
-def _factor_blocks(law: str, s, block: np.ndarray, seed, tail_sq=None):
+def _factor_blocks(law: str, s, seed, tail_sq, block: np.ndarray):
     """One pass over the Mercer factor G = Lambda^{1/2} Psi of the M x N
     design (M = s.size, N = block.shape[1]) drawn under ``law``, a row block
-    at a time: ``design_blocks`` draws each block into ``block``, which is
-    scaled into G's rows in place and yielded, so the next block overwrites
-    it.  With ``tail_sq``, the unscaled tail rows' (index >= N) column sums
-    of squares are added into it first; each pass zeroes it."""
+    at a time; bound to its first four arguments, the draw of a
+    ``KernelMatrix.from_blocks`` kernel.  ``design_blocks`` draws each block
+    into the pass's buffer ``block``, which is scaled into G's rows in place
+    and yielded, so the next block overwrites it.  Unless ``tail_sq`` is
+    None, the unscaled tail rows' (index >= N) column sums of squares are
+    added into it first; each pass zeroes it."""
     n = block.shape[1]
     root = np.sqrt(s.eigenvalues)
     if tail_sq is not None:
@@ -493,30 +485,27 @@ def _smin_study_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord
     Runs all four laws regardless of cfg.law, each with its own seed, and
     returns their records in ``FEATURE_LAWS`` order: the point of the study
     is the independent-vs-dependent contrast.  Each law's design streams
-    through a buffer of FOLD_ROWS rows, one TSQR fold (``_factor_blocks``):
-    each block adds the tail's unscaled row norms into the law's own
-    ``tail_sq`` and is then scaled into G's rows in place and folded into
-    the values-only kernel's K or R (``KernelMatrix.from_blocks``), so no
-    M x N array is formed.  A route that must see G twice draws the design
-    again from its seed.
+    through the buffer of one TSQR fold that each pass of its values-only
+    kernel allocates (``KernelMatrix.from_blocks``, drawn by
+    ``_factor_blocks``): each block adds the tail's unscaled row norms into
+    the law's own ``tail_sq`` and is then scaled into G's rows in place and
+    folded into the kernel's K or R, so no M x N array is formed.  A route
+    that must see G twice draws the design again from its seed.
 
-    The laws run on two lanes, each with its own buffer: this thread
-    decomposes gaussian then cosine, and a pool thread uniform then sine
-    (the pool rule is in the module docstring), so each lane usually forms
-    one K and runs one TSQR.  This thread then reads the pool thread's
-    extremes from its kernels' caches and takes every law's row norms.
+    The laws run on two lanes: this thread decomposes gaussian then cosine,
+    and a pool thread uniform then sine (the pool rule is in the module
+    docstring), so each lane usually forms one K and runs one TSQR.  This
+    thread then reads the pool thread's extremes from its kernels' caches
+    and takes every law's row norms.
     """
     m = cfg.feature_count(n)
     s = make_spectrum(cfg.spectrum, cfg.a, m)
     lam_n = float(s.eigenvalues[n - 1])
     seeds = {law: _seed(cfg, n, t, law) for law in FEATURE_LAWS}
     tail_sq = {law: np.zeros(n) for law in FEATURE_LAWS}
-    lanes, kernels = (FEATURE_LAWS[0::2], FEATURE_LAWS[1::2]), {}
-    for lane in lanes:
-        block = _stream_buffer(m, n)
-        for law in lane:
-            kernels[law] = KernelMatrix.from_blocks(
-                partial(_factor_blocks, law, s, block, seeds[law], tail_sq[law]), s, n)
+    kernels = {law: KernelMatrix.from_blocks(partial(
+        _factor_blocks, law, s, seeds[law], tail_sq[law]), s, n) for law in FEATURE_LAWS}
+    lanes = FEATURE_LAWS[0::2], FEATURE_LAWS[1::2]
     with ThreadPoolExecutor(max_workers=1) as pool:
         worker = pool.submit(list, map(linalg.singular_extremes,
                                        [kernels[law] for law in lanes[1]]))

@@ -43,7 +43,7 @@ first block fixes the route, and one case takes a second pass over the
 blocks (see ``_tall``).  A pass holds its block and K or R: each block's
 G_b^T G_b is summed into K by ``dsyrk`` with no temporary, and the
 eigensolver decomposes K in place (``_syrk``, ``_syevd``), so no route
-keeps K; TSQR adds one fold of FOLD_ROWS rows, the height of the sweeps'
+keeps K; TSQR adds one fold of FOLD_ROWS rows, the height of a stream's
 blocks.  Each entry of K is still a sum of M products, so it errs by at
 most gamma_M whatever the blocks, and the certificate keeps gamma_M; TSQR
 folds at fixed row boundaries, so its bits do not depend on the blocks.  A
@@ -233,16 +233,16 @@ class KernelMatrix:
     (clean labels, row norms) takes it from the design before the caller
     drops it.  ``from_entries(entries)``
     wraps an explicit matrix, which holds only its entries; its ``spectrum``
-    is None.  ``from_blocks(blocks, spectrum, size)`` is a Mercer kernel that
+    is None.  ``from_blocks(draw, spectrum, size)`` is a Mercer kernel that
     gives values only and holds no factor: G streams in row blocks on each
     pass.  Every downstream solve, prediction, and variance evaluation
     reuses the one cached full record (``_full``).  Instances are immutable
     and may be shared across threads, and kernels on different threads
     decompose at the same time.  Two first reads of one kernel's record on
     two threads may both decompose it, with the same bits; a ``from_blocks``
-    kernel then takes two passes at once, so its source must give each pass
-    its own buffer.  Whether its values or its fit comes first is then up
-    to the threads, as it is up to the caller on one thread.
+    kernel then takes two passes at once, each into its own buffer.
+    Whether its values or its fit comes first is then up to the threads, as
+    it is up to the caller on one thread.
 
     The Mercer constructor freezes a float64 array ``factor`` in place, so
     the caller's array becomes read-only: a copy would cost a second M x N
@@ -253,7 +253,7 @@ class KernelMatrix:
 
     spectrum: Spectrum | None = None
     _factor: np.ndarray | None = None
-    _source: Callable[[], Iterable[np.ndarray]] | None = None  # from_blocks
+    _source: Callable[[np.ndarray], Iterable[np.ndarray]] | None = None  # from_blocks
     _entries: np.ndarray | None = None  # from_entries
 
     def __init__(self, factor, spectrum: Spectrum):
@@ -269,26 +269,29 @@ class KernelMatrix:
         self.size = int(factor.shape[1])
 
     @classmethod
-    def from_blocks(cls, blocks: Callable[[], Iterable[np.ndarray]],
+    def from_blocks(cls, draw: Callable[[np.ndarray], Iterable[np.ndarray]],
                     spectrum: Spectrum, size: int) -> KernelMatrix:
         """A values-only Mercer kernel whose factor G streams in row blocks.
 
-        Each call ``blocks()`` starts a new pass over G: an iterable of
-        float64 blocks of ``size`` columns that together hold G's
-        ``spectrum.size`` rows in order.  A block may be overwritten once
-        the next one is asked for, so one buffer can carry the whole pass.
-        ``singular_extremes`` takes one pass, or two where the route must
-        see G again (``_tall``); no M x N array is held, except on
-        steep spectra and wide factors, whose SVD needs G whole and collects
-        the blocks into it.  Solves, duals and fits need G in memory and
-        raise InvalidParameterError.
+        Each pass over G calls ``draw(buf)`` once, with a new float64 ``buf``
+        of min(M, FOLD_ROWS) rows and ``size`` columns (M = spectrum.size)
+        allocated for that pass.  ``draw`` writes G's next rows into the head
+        of ``buf`` and yields that head, min(FOLD_ROWS, rows left) rows at a
+        time, until all M rows have passed; a block may be overwritten once
+        the next one is asked for.  Each block is checked (``_blocks``) and
+        none is copied or joined, so the first holds the pair screen's
+        leading rows.  ``singular_extremes`` takes one pass, or two where
+        the route must see G again (``_tall``); no M x N array is held,
+        except on steep spectra and wide factors, whose SVD needs G whole
+        and collects the blocks into it.  Solves, duals and fits need G in
+        memory and raise InvalidParameterError.
         """
         _check_spectrum(spectrum)
         if size < 1:
             raise ShapeError(f"a Mercer factor needs columns, got size {size}")
         kernel = cls.__new__(cls)
         kernel.spectrum = spectrum
-        kernel._source = blocks
+        kernel._source = draw
         kernel.size = int(size)
         return kernel
 
@@ -334,11 +337,29 @@ class KernelMatrix:
         return self._factor
 
     def _blocks(self) -> Iterator[np.ndarray]:
-        """A pass over G's rows (``_row_blocks``): the held factor as one
-        block, or a new pass over a ``from_blocks`` stream."""
+        """A pass over G's rows: the held factor as one block, or a
+        ``from_blocks`` draw into a new buffer, each block checked to be a
+        float64 2-d array of N columns and exactly G's next
+        min(len(buf), rows left) rows (ShapeError otherwise).  The buffer is
+        freed with the pass, once its last block is dropped."""
         if self._factor is not None:
-            return iter((self._factor,))
-        return _row_blocks(self._source(), self.spectrum.size, self.size)
+            yield self._factor
+            return
+        m, n = self.spectrum.size, self.size
+        buf, rows = np.empty((min(m, FOLD_ROWS), n)), 0
+        for block in self._source(buf):
+            if getattr(block, "dtype", None) != np.float64 or np.shape(block)[1:] != (n,):
+                raise ShapeError(f"factor blocks must be float64 arrays of {n} columns, "
+                                 f"got {getattr(block, 'dtype', type(block).__name__)} "
+                                 f"of shape {np.shape(block)}")
+            due = min(len(buf), m - rows)
+            if len(block) != due:
+                raise ShapeError(f"a factor block holds {len(block)} rows, "
+                                 f"{'more' if len(block) > due else 'fewer'} than the {due} due")
+            rows += due
+            yield block
+        if rows != m:
+            raise ShapeError(f"factor blocks hold {rows} rows, the spectrum {m}")
 
     # -- memoized spectral data ------------------------------------------------
 
@@ -418,35 +439,42 @@ class KernelMatrix:
         K = sum of G_b^T G_b (``_syrk``) and its certificate (``_certified``),
         else gesdd (``_svd``).
 
-        The route is fixed by the first block (``_row_blocks`` gives it the
-        screen's leading rows).  The screen's candidates and ``trace_lb``
-        come from those rows, and its ``ub`` only grows as rows are added, so
-        a first-block screen that does not fire proves that the screen of all
-        of G will not fire either: the pass forms K.  A first-block screen
-        that fires starts the SVD and sums the screen over the rest of the
-        pass.  One case takes a second pass and runs the other route, as the
-        unscreened rule would: the certificate fails (the SVD then), or the
-        screen of all of G does not fire (K then, and the SVD stands if its
-        certificate fails).  A skipped eigensolver is one whose result would
-        have been thrown away, so the route and every output bit are those
-        of the unscreened rule; a screen that does not fire costs time only.
-        Forming K from blocks errs by at most gamma_{b + ceil(M/b) - 1} <=
-        gamma_M per entry, so the certificate and the screen keep gamma_M.
-        K is one triangle that its eigensolver overwrites (``_syevd``), so no
-        route keeps it.  A factor held in memory, which a full request
-        needs, is one block: the first-block screen is the whole screen, and
-        every bit is that of the rule on G itself.
+        The route is fixed by the first block, which holds the screen's
+        leading rows (a stream's is min(M, FOLD_ROWS) rows).  The screen's
+        candidates and ``trace_lb`` come from those rows, and its ``ub``
+        only grows as rows are added, so a first-block screen that does not
+        fire proves that the screen of all of G will not fire either: the
+        pass forms K.  A first-block screen that fires starts the SVD and
+        sums the screen over the rest of the pass.  One case takes a second
+        pass and runs the other route, as the unscreened rule would: the
+        certificate fails (the SVD then), or the screen of all of G does not
+        fire (K then, and the SVD stands if its certificate fails).  The
+        first pass's buffer is freed before the second starts.  A skipped
+        eigensolver is one whose result would have been thrown away, so the
+        route and every output bit are those of the unscreened rule; a
+        screen that does not fire costs time only.  Forming K from blocks
+        errs by at most gamma_{b + ceil(M/b) - 1} <= gamma_M per entry, so
+        the certificate and the screen keep gamma_M.  K is one triangle that
+        its eigensolver overwrites (``_syevd``), so no route keeps it.  A
+        factor held in memory, which a full request needs, is one block: the
+        first-block screen is the whole screen, and every bit is that of the
+        rule on G itself.
         """
         m = self.spectrum.size
         blocks = self._blocks()
         first = next(blocks)
         screen = _PairScreen(first, m)
-        if not screen.fires():
-            rec = _certified(_syrk(itertools.chain([first], blocks)), m, full)
+        fired = screen.fires()
+        # a screen that fired sums its pairs over the rest of the pass
+        rest = (screen.add(block) or block for block in blocks) if fired else blocks
+        blocks = itertools.chain([first], rest)
+        del first  # so a stream's buffer is freed before a second pass
+        if not fired:
+            rec = _certified(_syrk(blocks), m, full)
             if rec is not None:
                 return rec
             return self._svd(full, self._blocks())
-        svd = self._svd(full, itertools.chain([first], _tap(blocks, screen.add)))
+        svd = self._svd(full, blocks)
         if not screen.fires():
             rec = _certified(_syrk(self._blocks()), m, full)
             if rec is not None:
@@ -595,10 +623,11 @@ def min_norm_solve(K: KernelMatrix, y) -> MinNormSolution:
 SCREEN_ROWS = 32
 SCREEN_PAIRS = 4
 
-# rows of one TSQR fold (``_tsqr``), and of the sweeps' stream blocks; at
-# least SCREEN_ROWS, so a sweep's first block holds the screen's rows.  On
-# the smin-study bench grid (N = 64-512, two lanes) 64 rows ran about 18%
-# fewer trials/s and 256 rows peaked about 6% higher in RSS
+# rows of one TSQR fold (``_tsqr``), and of a stream's blocks
+# (``KernelMatrix.from_blocks``); at least SCREEN_ROWS, so a stream's first
+# block holds the screen's rows.  On the smin-study bench grid (N = 64-512,
+# two lanes) 64 rows ran about 18% fewer trials/s and 256 rows peaked about
+# 6% higher in RSS
 FOLD_ROWS = 128
 
 
@@ -666,43 +695,6 @@ class _PairScreen:
             ub = float(np.min((self.diag - 2.0 * np.abs(self.a_ij)) / 2.0
                               + 4.0 * self.gamma * self.diag))
             return bool(self.trace_lb * self.margin > GRAM_CERTIFIED_TOLERANCE * ub)
-
-
-def _row_blocks(blocks: Iterable[np.ndarray], m: int, n: int) -> Iterator[np.ndarray]:
-    """The blocks of a ``KernelMatrix.from_blocks`` pass, checked to be
-    float64 2-d arrays of n columns holding m rows in all (ShapeError
-    otherwise).  Blocks are copied and joined, before anything is yielded,
-    until the first holds the pair screen's min(m, SCREEN_ROWS) leading
-    rows; every later block passes through as it came."""
-    lead, rows, held = min(m, SCREEN_ROWS), 0, []
-    for block in blocks:
-        if not (isinstance(block, np.ndarray) and block.dtype == np.float64
-                and block.ndim == 2 and block.shape[1] == n):
-            raise ShapeError(f"factor blocks must be float64 arrays of {n} columns, "
-                             f"got {getattr(block, 'dtype', type(block).__name__)} "
-                             f"of shape {np.shape(block)}")
-        rows += len(block)
-        if rows > m:
-            raise ShapeError(f"factor blocks hold more than the spectrum's {m} rows")
-        if held is None:
-            yield block
-        elif not held and len(block) >= lead:  # the usual first block
-            held = None
-            yield block
-        else:
-            held.append(block.copy())
-            if rows >= lead:
-                yield np.concatenate(held)
-                held = None
-    if rows != m:
-        raise ShapeError(f"factor blocks hold {rows} rows, the spectrum {m}")
-
-
-def _tap(blocks: Iterable[np.ndarray], fn: Callable[[np.ndarray], None]):
-    """``blocks``, each passed to ``fn`` before it is yielded."""
-    for block in blocks:
-        fn(block)
-        yield block
 
 
 def _collect(blocks: Iterable[np.ndarray], m: int, n: int) -> np.ndarray:

@@ -1,12 +1,40 @@
 """Shared test helpers: Monte-Carlo oracles used against closed-form paths,
 the whole-array forms the streamed MSE and the blocked variance are held
 against, the Gram pair bound the factor's pair screen is held against,
-predictions of a fitted dual and the effective rank of a spectrum."""
+predictions of a fitted dual, the effective rank of a spectrum, and a guard
+that keeps numpy's own LAPACK calls out of a traced memory bound."""
+
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 
+from overfit_lab import linalg
 from overfit_lab.errors import InvalidParameterError
 from overfit_lab.linalg import mercer_factor
+
+
+@contextmanager
+def no_numpy_lapack():
+    """The block with numpy's ``eigh``, ``eigvalsh`` and ``svd`` made to
+    raise AssertionError, where numpy's bundled OpenBLAS is found.
+
+    tracemalloc does not see what those calls malloc inside numpy (their
+    copy of the input and LAPACK's workspace), so a ``tracemalloc`` bound
+    covers every array of a route only where the route makes none of them.
+    With the bundle no route the library takes on a tall, non-steep factor
+    calls them; without it they are its fallback, and the block runs as
+    it is."""
+    if linalg._openblas("numpy") is None:
+        yield
+        return
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy's LAPACK ran where tracemalloc cannot see it")
+
+    with mock.patch.multiple(np.linalg, eigh=forbidden, eigvalsh=forbidden,
+                             svd=forbidden):
+        yield
 
 
 def predict(s, dual, test_design):

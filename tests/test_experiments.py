@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import mc_test_error
+from conftest import mc_test_error, no_numpy_lapack
 from overfit_lab import experiments, linalg, regression
 from overfit_lab.errors import (
     EmptyReportError,
@@ -291,17 +291,20 @@ class TestLearningCurve:
         # TEST_BLOCK_FLOOR) and the variance forms its left vectors N rows at
         # a time, so a trial's traced peak is G, half of G and a few N x N
         # arrays: 2.00 x 8 M N measured, with no M x n_test term; a whole
-        # test factor here would add 1.95 x 8 M N, a second M x N array 1.0
+        # test factor here would add 1.95 x 8 M N, a second M x N array 1.0.
+        # numpy's own LAPACK calls may not run in the traced trial
+        # (``no_numpy_lapack``)
         n, m, n_test = 512, 5120, 1000
         cfg = _cfg(experiment="learning_curve", n_grid=(n,), trials=1, n_test=n_test)
         experiments._learning_curve_trial(cfg, n, 1)  # warm up imports and caches
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            experiments._learning_curve_trial(cfg, n, 0)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        with no_numpy_lapack():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                experiments._learning_curve_trial(cfg, n, 0)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
         assert peak <= 2.25 * 8 * m * n
 
     def test_design_and_test_factor_freed_before_the_variance(self, monkeypatch):
@@ -445,9 +448,9 @@ class TestSminStudy:
     @pytest.mark.parametrize("n", [16, 128, 512])
     def test_lanes_match_each_law_alone(self, n):
         # each record is the one its law gives alone on the calling thread:
-        # the law's design streamed through a buffer of its own into a
-        # values-only kernel, its extremes and its row norms, bit for bit.
-        # The two lanes share no buffer or tail sums, and numpy's OpenBLAS
+        # the law's design streamed into a values-only kernel, its extremes
+        # and its row norms, bit for bit.  Each pass draws into a buffer of
+        # its own, the two lanes share no tail sums, and numpy's OpenBLAS
         # runs on one thread, so the bits do not depend on the thread
         cfg = _cfg(experiment="smin_study", n_grid=(n,), trials=1)
         m = cfg.feature_count(n)
@@ -459,8 +462,7 @@ class TestSminStudy:
                 seed = derive_seed(cfg.master_seed, cfg.experiment, n, 0, law)
                 tail_sq = np.zeros(n)
                 ext = singular_extremes(KernelMatrix.from_blocks(partial(
-                    experiments._factor_blocks, law, s, experiments._stream_buffer(m, n),
-                    seed, tail_sq), s, n))
+                    experiments._factor_blocks, law, s, seed, tail_sq), s, n))
                 assert rec == TrialRecord(
                     experiment="smin_study", seed=seed, N=n, M=m, trial=0,
                     spectrum=cfg.spectrum, law=law, s_max=ext.s_max, s_min=ext.s_min,
@@ -470,7 +472,7 @@ class TestSminStudy:
                     min_p_squared=row_norm_diagnostics(tail_sq, n, m).min_p_squared)
 
     def test_trial_peak_memory(self):
-        # each law's design streams through its lane's buffer of one TSQR
+        # each law's design streams through its pass's buffer of one TSQR
         # fold, FOLD_ROWS rows, scaled into G's rows in place and folded
         # into K or TSQR's R, so a trial holds a few N x N arrays and a few
         # M-vectors per lane, never an M x N array: a whole design alone is
@@ -487,25 +489,27 @@ class TestSminStudy:
     @staticmethod
     def _assert_peak_without_design(n, eta):
         # the layout of a values-only trial, whose two lanes may both run
-        # TSQR at once: per lane, the stream buffer of h rows, TSQR's R,
+        # TSQR at once: per lane, its pass's buffer of h rows, TSQR's R,
         # fold, T and work array (K on the Gram route is less), the cosine
         # and sine rows' three FOURIER_BLOCK x N angle-addition arrays, the
         # spectrum's square root and numpy's 8192-entry ufunc buffer (which
         # scaling a block into G takes); the spectrum and one M-vector to
-        # spare; plus a tenth
+        # spare; plus a tenth.  numpy's own LAPACK calls may not run in the
+        # traced trial (``no_numpy_lapack``)
         cfg = _cfg(experiment="smin_study", n_grid=(n,), trials=1, eta=eta)
         m = cfg.feature_count(n)
         h, nb = min(m, linalg.FOLD_ROWS), min(n, 32)
         lane = n * (2 * h + n + 2 * nb + 3 * FOURIER_BLOCK) + m + 8192
         layout = 2 * lane + 2 * m
         experiments._smin_study_trial(cfg, n, 1)  # warm up imports and caches
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            experiments._smin_study_trial(cfg, n, 0)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        with no_numpy_lapack():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                experiments._smin_study_trial(cfg, n, 0)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
         assert peak <= 1.1 * 8 * layout
 
 

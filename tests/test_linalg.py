@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from functools import partial
@@ -17,7 +18,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from conftest import gram_pair_bound
+from conftest import gram_pair_bound, no_numpy_lapack
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
@@ -822,28 +823,27 @@ class TestTallValues:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def _streamed(g, height):
-    """A ``from_blocks`` source of ``g`` through one reused buffer of
-    ``height`` rows (at most all of g's); ``passes`` counts its calls."""
-    buf = np.empty((min(height, len(g)), g.shape[1]))
+def _streamed(g):
+    """A ``from_blocks`` draw of ``g``, which copies g's rows into the head
+    of each pass's buffer; ``passes`` counts its calls."""
     passes = []
 
-    def blocks():
+    def draw(buf):
         passes.append(1)
         for i in range(0, len(g), len(buf)):
             b = buf[:min(len(buf), len(g) - i)]
             b[...] = g[i:i + len(b)]
             yield b
 
-    return blocks, passes
+    return draw, passes
 
 
-def _assert_streamed_like_one_block(g, s, height):
-    """Values of g streamed in ``height``-row blocks take the route of g
-    held whole (one block), with the same bits on TSQR and within the two
+def _assert_streamed_like_one_block(g, s):
+    """Values of g streamed in FOLD_ROWS-row blocks take the route of g held
+    whole (one block), with the same bits on TSQR and within the two
     certificates' bounds on the Gram route; returns the number of passes."""
-    blocks, passes = _streamed(g, height)
-    got = singular_extremes(KernelMatrix.from_blocks(blocks, s, g.shape[1]))
+    draw, passes = _streamed(g)
+    got = singular_extremes(KernelMatrix.from_blocks(draw, s, g.shape[1]))
     want = singular_extremes(KernelMatrix(g, s))
     assert got.path == want.path
     a, b = got.full_singular_values, want.full_singular_values
@@ -867,14 +867,19 @@ class TestStreamedValues:
     @example(law="cosine", n=40, eta=10, height="45 rows", seed=0)  # TSQR
     @example(law="gaussian", n=40, eta=10, height="1 row", seed=0)  # Gram
     def test_streamed_values_take_the_one_block_route(self, law, n, eta, height, seed):
-        # 45-row blocks sit off TSQR's fold grid (the first N rows, then
-        # max(N, 32) at a time) and off the screen's 32 leading rows
+        # a stream's blocks are FOLD_ROWS rows, the last one possibly
+        # partial.  TSQR takes blocks of any height: 1-row and 45-row
+        # blocks sit off its fold grid (the first N rows, then FOLD_ROWS at
+        # a time), and R's values keep the bits of one block
         m = eta * n
         s = make_spectrum("polynomial", 1.0, m)
         g = mercer_factor(s, sample_design(law, m, n, seed).entries)
-        rows = {"1 row": 1, "45 rows": 45, ">= M": m + 3}[height]
-        passes = _assert_streamed_like_one_block(g, s, rows)
+        passes = _assert_streamed_like_one_block(g, s)
         event(f"passes: {passes}")
+        rows = {"1 row": 1, "45 rows": 45, ">= M": m + 3}[height]
+        assert np.array_equal(
+            linalg._values_only_svd((g[i:i + rows] for i in range(0, m, rows)), m, n),
+            linalg._values_only_svd((g,), m, n))
 
     @settings(max_examples=40, deadline=None)
     @given(law=st.sampled_from(FEATURE_LAWS), n=st.integers(1, 40),
@@ -969,31 +974,32 @@ class TestStreamedValues:
         g = mercer_factor(s, b)
         assert not linalg._PairScreen(g, len(g)).fires()
         assert not _gram_certified(KernelMatrix(g, s))
-        assert _assert_streamed_like_one_block(g, s, 32) == 2
+        assert _assert_streamed_like_one_block(g, s) == 2
 
     def test_screen_fired_on_the_leading_rows_only_draws_again_for_k(self):
-        # columns 0 and 1 agree on the leading 32 rows only: the first
-        # block's screen fires, the screen of all of G does not, and the
-        # certificate holds, so K takes a second pass
+        # columns 0 and 1 agree on the leading FOLD_ROWS rows only, the
+        # first block: its screen fires, the screen of all of G does not,
+        # and the certificate holds, so K takes a second pass
         rng = np.random.default_rng(6)
         b = rng.standard_normal((200, 8))
-        b[:linalg.SCREEN_ROWS, 1] = b[:linalg.SCREEN_ROWS, 0]
+        b[:linalg.FOLD_ROWS, 1] = b[:linalg.FOLD_ROWS, 0]
         s = make_spectrum("custom", eigenvalues=np.ones(200))
         g = mercer_factor(s, b)
-        first = linalg._PairScreen(g[:32], 200)
+        first = linalg._PairScreen(g[:linalg.FOLD_ROWS], 200)
         assert first.fires() and not linalg._PairScreen(g, len(g)).fires()
-        assert _assert_streamed_like_one_block(g, s, 32) == 2
-        blocks, passes = _streamed(g, 32)
-        assert singular_extremes(KernelMatrix.from_blocks(blocks, s, 8)).path == "gram_eigh"
+        assert _assert_streamed_like_one_block(g, s) == 2
+        draw, passes = _streamed(g)
+        assert singular_extremes(KernelMatrix.from_blocks(draw, s, 8)).path == "gram_eigh"
 
     def test_steep_factor_is_collected_for_jacobi(self):
         s = make_spectrum("exponential", 1.0, 64)
         g = mercer_factor(s, sample_design("gaussian", 64, 16, seed=2).entries)
-        assert _assert_streamed_like_one_block(g, s, 20) == 1
+        assert _assert_streamed_like_one_block(g, s) == 1
 
     def test_steep_factor_is_copied_once(self, jacobi_bundles, monkeypatch):
-        # a steep factor in two blocks is collected into one Fortran array,
-        # which dgejsv (argument 9 is A) factors in place, with no copy of it
+        # a steep factor in two blocks (FOLD_ROWS rows and the rest) is
+        # collected into one Fortran array, which dgejsv (argument 9 is A)
+        # factors in place, with no copy of it
         real_collect, real_openblas, collected, factored = (
             linalg._collect, linalg._openblas, [], [])
 
@@ -1009,28 +1015,70 @@ class TestStreamedValues:
         monkeypatch.setattr(linalg, "_openblas", lambda package: (
             real_openblas(package)._replace(dgejsv=dgejsv) if package == "numpy"
             else real_openblas(package)))
-        s = make_spectrum("exponential", 1.0, 64)
-        g = mercer_factor(s, sample_design("gaussian", 64, 32, seed=2).entries)
+        s = make_spectrum("exponential", 1.0, 200)
+        g = mercer_factor(s, sample_design("gaussian", 200, 32, seed=2).entries)
         assert singular_extremes(KernelMatrix.from_blocks(
-            _streamed(g, 40)[0], s, 32)).path == "jacobi"
+            _streamed(g)[0], s, 32)).path == "jacobi"
         assert len(collected) == 1 and collected[0].flags.f_contiguous
         assert factored == [collected[0].ctypes.data]
 
     @pytest.mark.parametrize("blocks, match", [
-        (lambda: [np.ones((10, 4))], "10 rows"),
-        (lambda: [np.ones((12, 4))], "more than"),
-        (lambda: [np.ones((11, 4), dtype=np.float32)], "float64"),
-        (lambda: [np.ones((11, 3))], "4 columns"),
+        (lambda buf: [buf[:10]], "10 rows"),  # a short block
+        (lambda buf: [np.ones((12, 4))], "more than"),  # a block too tall
+        (lambda buf: [buf.astype(np.float32)], "float64"),
+        (lambda buf: [buf[:, :3]], "4 columns"),
     ])
     def test_blocks_must_hold_the_factor(self, blocks, match):
+        # each block of a pass is float64, of N columns and exactly G's next
+        # min(len(buf), rows left) rows; the buffer is M = 11 rows here
         K = KernelMatrix.from_blocks(blocks, make_spectrum("polynomial", 1.0, 11), 4)
         with pytest.raises(ShapeError, match=match):
             singular_extremes(K)
 
+    @pytest.mark.parametrize("blocks, match", [
+        (lambda buf: [buf[:100]], "100 rows, fewer than the 128"),
+        (lambda buf: [buf, buf[:71]], "71 rows, fewer than the 72"),
+        (lambda buf: [buf, buf[:72], buf[:1]], "more than the 0"),
+        (lambda buf: [buf], "hold 128 rows, the spectrum 200"),
+        (lambda buf: [], "hold 0 rows"),
+    ])
+    def test_pass_must_hold_the_factor_in_fold_blocks(self, blocks, match):
+        # a pass of M = 200 rows is a block of FOLD_ROWS = 128 rows, then
+        # one of 72, and no block more
+        assert linalg.FOLD_ROWS == 128
+        K = KernelMatrix.from_blocks(blocks, make_spectrum("polynomial", 1.0, 200), 4)
+        with pytest.raises(ShapeError, match=match):
+            singular_extremes(K)
+
+    @pytest.mark.parametrize("second", ["svd", "gram"])
+    def test_pass_frees_its_buffer_before_the_next(self, second):
+        # a route that takes a second pass has dropped every block of the
+        # first, so the first pass's buffer is gone when the second starts:
+        # after K, whose certificate fails (TSQR next), and after TSQR, when
+        # the screen fired on the first block only (K next)
+        rng = np.random.default_rng(5 if second == "svd" else 6)
+        b = rng.standard_normal((200, 8))
+        if second == "svd":
+            b[:, 2] = b[:, 0] + b[:, 1] + 1e-5 * rng.standard_normal(200)
+        else:
+            b[:linalg.FOLD_ROWS, 1] = b[:linalg.FOLD_ROWS, 0]
+        s = make_spectrum("custom", eigenvalues=np.ones(200))
+        g = mercer_factor(s, b)
+        draw, _ = _streamed(g)
+        buffers = []
+
+        def tracked(buf):
+            assert all(ref() is None for ref in buffers)
+            buffers.append(weakref.ref(buf))
+            return draw(buf)
+
+        singular_extremes(KernelMatrix.from_blocks(tracked, s, 8))
+        assert len(buffers) == 2
+
     def test_streamed_kernel_gives_values_only(self):
-        s = make_spectrum("polynomial", 1.0, 40)
-        g = mercer_factor(s, sample_design("gaussian", 40, 4, seed=1).entries)
-        K = KernelMatrix.from_blocks(_streamed(g, 32)[0], s, 4)
+        s = make_spectrum("polynomial", 1.0, 200)
+        g = mercer_factor(s, sample_design("gaussian", 200, 4, seed=1).entries)
+        K = KernelMatrix.from_blocks(_streamed(g)[0], s, 4)
         assert K.factor is None and K.is_mercer
         whole = KernelMatrix(g, s).entries  # one syrk, where the stream adds two
         np.testing.assert_allclose(K.entries, whole, rtol=0, atol=1e-14 * np.trace(whole))
@@ -1385,13 +1433,14 @@ def test_kernels_decompose_concurrently():
     g = mercer_factor(s, sample_design("gaussian", 40, 4, seed=1).entries)
     entered, release = threading.Event(), threading.Event()
 
-    def held_blocks():
+    def held_draw(buf):
         entered.set()
         release.wait(timeout=60)
-        yield g
+        buf[...] = g
+        yield buf
 
     with ThreadPoolExecutor(max_workers=2) as pool:
-        first = pool.submit(singular_extremes, KernelMatrix.from_blocks(held_blocks, s, 4))
+        first = pool.submit(singular_extremes, KernelMatrix.from_blocks(held_draw, s, 4))
         try:
             assert entered.wait(timeout=30)
             second = pool.submit(singular_extremes, KernelMatrix(g, s))
@@ -1401,6 +1450,42 @@ def test_kernels_decompose_concurrently():
             release.set()
         got = first.result(timeout=30)
     assert np.array_equal(got.full_singular_values, want.full_singular_values)
+
+
+def test_streamed_first_reads_on_two_threads():
+    # two threads take one streamed kernel's first read at once, so its two
+    # passes run together, and the first yields its first block only once
+    # the second has drawn its second block.  Each pass draws into a buffer
+    # of its own, so both threads get the bits of one read on one thread;
+    # one buffer shared by the passes would give the first pass the second
+    # pass's rows
+    s = make_spectrum("polynomial", 1.0, 300)
+    g = mercer_factor(s, sample_design("gaussian", 300, 4, seed=1).entries)
+    ahead, order = threading.Event(), itertools.count()
+
+    def draw(buf):
+        i = next(order)
+        for k, start in enumerate(range(0, len(g), len(buf))):
+            b = buf[:min(len(buf), len(g) - start)]
+            b[...] = g[start:start + len(b)]
+            if (i, k) == (1, 1):
+                ahead.set()
+            if (i, k) == (0, 0):
+                assert ahead.wait(timeout=30)
+            yield b
+
+    def read(K):
+        with linalg.single_threaded_blas():
+            return singular_extremes(K).full_singular_values
+
+    want = read(KernelMatrix.from_blocks(_streamed(g)[0], s, 4))
+    K = KernelMatrix.from_blocks(draw, s, 4)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(read, K) for _ in range(2)]
+        got = [f.result(timeout=60) for f in futures]
+    assert next(order) == 2  # both reads took a pass
+    for values in got:
+        assert np.array_equal(values, want)
 
 
 def test_shared_kernel_under_thread_switches():
@@ -1470,15 +1555,17 @@ def test_fitted_kernel_keeps_no_gram():
     # measured; 2.04 where the kernel kept its entries beside the vectors)
     # and peaks at that array and dsyevd's workspace of 2 N^2 + 6 N + 1
     # values (3.09 N^2 measured).  tracemalloc sees the arrays numpy hands
-    # out, not the copy and workspace numpy's own eigh allocates inside
+    # out, not the copy and workspace numpy's own eigh allocates inside, so
+    # numpy's eigh may not run in the traced region (``no_numpy_lapack``)
     n = 256
     K = _smin_grid_kernel("gaussian", n)
-    tracemalloc.start()
-    try:
-        K._full
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with no_numpy_lapack():
+        tracemalloc.start()
+        try:
+            K._full
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert K._full.path == "gram_eigh"
     assert held <= 1.25 * 8 * n * n and peak <= 3.25 * 8 * n * n
     fit_ridgeless(K, np.ones(n))
