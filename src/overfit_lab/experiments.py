@@ -394,18 +394,20 @@ def _factor_blocks(law: str, s, seed, tail_sq, block: np.ndarray):
     into the pass's buffer ``block``, which is scaled into G's rows in place
     and yielded, so the next block overwrites it.  Unless ``tail_sq`` is
     None, the unscaled tail rows' (index >= N) column sums of squares are
-    added into it first; each pass zeroes it."""
+    summed over the pass and written into it once the pass ends, so two
+    passes on two threads each write the one pass's sums."""
     n = block.shape[1]
     root = np.sqrt(s.eigenvalues)
-    if tail_sq is not None:
-        tail_sq[...] = 0.0
+    sums = np.zeros(n)
     for rows in design_blocks(law, s.size, block, seed):
         g = block[:rows.stop - rows.start]
         if tail_sq is not None:
             tail = g[max(n - rows.start, 0):]
-            tail_sq += np.einsum("ki,ki->i", tail, tail)
+            sums += np.einsum("ki,ki->i", tail, tail)
         g *= root[rows, None]
         yield g
+    if tail_sq is not None:
+        tail_sq[...] = sums
 
 
 # fewest entries of a learning-curve test-design block (8 MB): where half of
@@ -488,8 +490,9 @@ def _smin_study_trial(cfg: ExperimentConfig, n: int, t: int) -> list[TrialRecord
     through the buffer of one TSQR fold that each pass of its values-only
     kernel allocates (``KernelMatrix.from_blocks``, drawn by
     ``_factor_blocks``): each block adds the tail's unscaled row norms into
-    the law's own ``tail_sq`` and is then scaled into G's rows in place and
-    folded into the kernel's K or R, so no M x N array is formed.  A route
+    the pass's sums, which end in the law's own ``tail_sq``, and is then
+    scaled into G's rows in place and folded into the kernel's K or R, so
+    no M x N array is formed.  A route
     that must see G twice draws the design again from its seed.
 
     The laws run on two lanes: this thread decomposes gaussian then cosine,

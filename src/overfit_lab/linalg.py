@@ -69,20 +69,22 @@ an eigenvalue is below -1e-12 * max |eigenvalue|.  It returns one record
 per request kind, each cached once per kernel: values only
 (``singular_extremes``) or full, which adds K's eigenvectors and, on the SVD
 routes, G's left singular vectors.  An explicit matrix has only the full
-record.  Neither cache writes the other; each may read it.  Values
-requested after a full decomposition reuse it, and a full decomposition
-after values that failed the certificate (``"gesdd"``) skips K.  So the
-route does not depend on call order, and one kernel reports the same values
-before and after its fit.  Two kernels of one factor, one measured first
-and one fitted first, agree within the route's bound, not bit for bit:
-``dsyevd`` without and with vectors on ``"gram_eigh"``, TSQR and the full
-gesdd on ``"gesdd"``, and dgejsv with and without vectors on ``"jacobi"``
-differ in their last bits.
+record.  Values requested after a full decomposition reuse it; a full
+decomposition reads no values record and runs the route rule on G itself,
+so a fit takes the same route whatever was measured before it, and one
+kernel reports the same values before and after its fit.  Two kernels of
+one factor, one measured first and one fitted first, agree within the
+route's bound, not bit for bit: ``dsyevd`` without and with vectors on
+``"gram_eigh"``, TSQR and the full gesdd on ``"gesdd"``, and dgejsv with
+and without vectors on ``"jacobi"`` differ in their last bits.
 
-Pseudo-inverse solves, duals and variances all read the full record, whose
-``keep`` mask is the pseudo-inverse cutoff policy, computed once there:
-eigenvalues below 1e-12 * s_max are dropped, except on the Jacobi path,
-which keeps every positive eigenvalue.
+Pseudo-inverse solves, duals and variances all read the full record as it
+is stored.  Its ``rank`` is the pseudo-inverse cutoff policy, applied once
+where the record is made (``_full``): eigenvalues below 1e-12 * s_max are
+dropped, except on the Jacobi path, which keeps every positive eigenvalue.
+Every route returns the eigenvalues non-increasing, so the kept modes are
+the leading ``rank``, and the record's eigenvectors and left singular
+vectors hold those columns only.
 
 Two OpenBLAS libraries can be loaded, each the scipy-openblas build its
 package bundles, and ``_openblas`` resolves both the same way, through
@@ -189,7 +191,8 @@ class _Decomposition(NamedTuple):
     """A kernel's record from ``KernelMatrix._decompose``: G's singular values
     ``s`` (None for an explicit matrix) and K's eigenvalues ``w`` descending,
     the route, its bound, and on a full request K's eigenvectors ``q``, G's
-    left vectors ``u`` and the kept mask ``keep`` (``KernelMatrix._full``)."""
+    left vectors ``u`` and, once ``KernelMatrix._full`` has cut ``q`` and
+    ``u`` to the kept modes, their count ``rank``."""
 
     s: np.ndarray | None
     w: np.ndarray
@@ -197,7 +200,7 @@ class _Decomposition(NamedTuple):
     bound: float | None = None
     q: np.ndarray | None = None
     u: np.ndarray | None = None
-    keep: np.ndarray | None = None
+    rank: int | None = None
 
 
 class _once:
@@ -227,8 +230,8 @@ class KernelMatrix:
 
     Three constructors.  ``KernelMatrix(factor, spectrum)`` is a Mercer kernel:
     it keeps the M x N factor G = Lambda^{1/2} Psi and the ``spectrum`` it
-    came from (G has one row per eigenvalue), and not K: ``entries`` forms
-    G^T G anew on each read, and no route reads it.  It does not keep Psi:
+    came from (G has one row per eigenvalue), and not K: its ``entries`` are
+    None.  It does not keep Psi:
     G is the only M x N array a kernel pins, and whatever needs Psi itself
     (clean labels, row norms) takes it from the design before the caller
     drops it.  ``from_entries(entries)``
@@ -319,11 +322,10 @@ class KernelMatrix:
         return kernel
 
     @property
-    def entries(self) -> np.ndarray:
-        """K's N x N entries: an explicit matrix's own, or a Mercer kernel's
-        G^T G, formed anew on each read (``_gram``) and kept by no route."""
-        if self._entries is None:
-            return _gram(self._blocks())
+    def entries(self) -> np.ndarray | None:
+        """An explicit matrix's N x N entries; None for a Mercer kernel,
+        which holds G and not K, as ``factor`` is None for an explicit
+        matrix."""
         return self._entries
 
     @property
@@ -384,33 +386,39 @@ class KernelMatrix:
 
     @_once
     def _values(self) -> _Decomposition:
-        """Values-only record; a full record measured earlier serves as is,
-        and an explicit matrix's is its full record."""
+        """Values-only record; a full record measured earlier serves as is
+        (it keeps every value), and an explicit matrix's is its full
+        record."""
         if self.is_mercer and "_full" not in self.__dict__:
             return self._decompose(full=False)
         return self._full
 
     @_once
     def _full(self) -> _Decomposition:
-        """Full record: also K's eigenvectors, G's left singular vectors and
-        the kept mask, the pseudo-inverse cutoff policy (see the module
-        docstring).  A wide M x N factor has M modes."""
+        """Full record: also K's eigenvectors ``q`` and, on the SVD routes,
+        G's left singular vectors ``u``, of the kept modes only, and their
+        count ``rank``, the pseudo-inverse cutoff policy (see the module
+        docstring).  Every route gives ``w`` non-increasing, so the kept
+        modes are the leading ``rank``; ``q`` and ``u`` are copied once
+        here, and every reader takes them as they are.  The copies are in
+        Fortran order, the layout the golden sweeps' products were frozen
+        on: C-ordered copies move the last bits of duals and variances.  A
+        wide M x N factor has M modes."""
         rec = self._decompose(full=True)
         w = rec.w
-        if w.size == 0 or w[0] <= 0.0:
-            keep = np.zeros_like(w, dtype=bool)
-        elif rec.path == "jacobi":
-            keep = w > 0.0
-        else:
-            keep = w > PINV_RELATIVE_CUTOFF * w[0]
-        return rec._replace(keep=keep)
+        rank = 0
+        if w.size and w[0] > 0.0:
+            cutoff = 0.0 if rec.path == "jacobi" else PINV_RELATIVE_CUTOFF * w[0]
+            rank = int(np.count_nonzero(w > cutoff))
+        u = None if rec.u is None else rec.u[:, :rank].copy(order="F")
+        return rec._replace(q=rec.q[:, :rank].copy(order="F"), u=u, rank=rank)
 
     def _decompose(self, full: bool) -> _Decomposition:
         """The route rule (see the module docstring): ``eigh`` of an explicit
         matrix, which raises InvariantViolationError when it is not PSD;
-        Jacobi for steep spectra; else, for a tall factor, ``_tall``, unless
-        a full request follows values that already failed the certificate;
-        else gesdd (``_svd``)."""
+        Jacobi for steep spectra; else ``_tall`` for a tall factor and
+        gesdd (``_svd``) for a wide one.  It reads no cached record, so a
+        request runs the same rule whatever was measured before it."""
         if not self.is_mercer:
             if not np.all(np.isfinite(self._entries)):
                 raise NumericError("kernel matrix has non-finite entries")
@@ -428,8 +436,7 @@ class KernelMatrix:
         if self._steep:
             u, s, v = _jacobi_svd(self._blocks(), m, n, want_vectors=full)
             return _Decomposition(s, s * s, "jacobi", None, v, u)
-        values = self.__dict__.get("_values")
-        if m >= n and (values is None or values.path != "gesdd"):
+        if m >= n:
             return self._tall(full)
         return self._svd(full, self._blocks())
 
@@ -506,18 +513,17 @@ class KernelMatrix:
                 f"labels have length {y.size}, kernel is {self.size} x {self.size}"
             )
         full = self._full
-        keep = full.keep
-        qk = full.q[:, keep]
+        q = full.q
         if full.path == "gram_eigh":
             def solve(r):
-                return qk @ ((qk.T @ r) / full.w[keep])
+                return q @ ((q.T @ r) / full.w[:full.rank])
 
             alpha = solve(y)
             # one refinement step on the residual formed through G, which
             # removes the roundoff of forming K (see the module docstring)
             alpha += solve(y - g.T @ (g @ alpha))
             return g @ alpha
-        return full.u[:, keep] @ ((qk.T @ y) / full.s[keep])
+        return full.u @ ((q.T @ y) / full.s[:full.rank])
 
 
 def mercer_factor(s: Spectrum, entries, out=None) -> np.ndarray:
@@ -609,13 +615,13 @@ def min_norm_solve(K: KernelMatrix, y) -> MinNormSolution:
     if not np.all(np.isfinite(y)):
         raise NumericError("right-hand side has non-finite entries")
     full = K._full
-    qk = full.q[:, full.keep]
-    proj = qk.T @ y
-    alpha = qk @ (proj / full.w[full.keep])
+    q = full.q
+    proj = q.T @ y
+    alpha = q @ (proj / full.w[:full.rank])
     norm_y = float(np.linalg.norm(y))
-    residual = float(np.linalg.norm(y - qk @ proj))
+    residual = float(np.linalg.norm(y - q @ proj))
     inconsistent = norm_y > 0 and residual > 1e-8 * norm_y
-    return MinNormSolution(alpha=alpha, inconsistent=inconsistent, rank=int(full.keep.sum()))
+    return MinNormSolution(alpha=alpha, inconsistent=inconsistent, rank=full.rank)
 
 
 # leading rows a pair screen sketches, and the candidate pairs it evaluates
@@ -732,22 +738,6 @@ def _syrk(blocks: Iterable[np.ndarray]) -> np.ndarray:
         trans, lda = (_TRANS, n) if block.flags.c_contiguous else (_NO_TRANS, len(block))
         blas.dsyrk(_ROW_MAJOR, _UPPER, trans, n, len(block), 1.0, block.ctypes.data,
                    lda, 1.0, k.ctypes.data, n)
-    return k
-
-
-def _gram(blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """K = G^T G as the sum of G_b^T G_b over G's row blocks (``_syrk``),
-    read-only; one block gives the bits of G^T G itself.
-
-    The upper triangle is copied into the lower one, as numpy's
-    ``g.T @ g`` does after its syrk, so K is exactly symmetric.  (numpy's
-    loop without BLAS forms entries (i, j) and (j, i) from the same products
-    in the same order, and floating-point addition is commutative, so a sum
-    of those is exactly symmetric too.)"""
-    k = _syrk(blocks)
-    for i in range(1, len(k)):
-        k[i, :i] = k[:i, i]
-    k.setflags(write=False)
     return k
 
 

@@ -15,7 +15,7 @@ on the certified Gram route it is G alpha (see the ``linalg`` docstring).
 Everything here takes the training kernel and reads its ``spectrum`` and
 factor, ``truncation_study(K_full, sigma, M_list)`` included; the
 pseudo-inverse (kept modes and dual) is the kernel's own,
-``KernelMatrix.dual``.  The kernel does not keep the design Psi, so the
+``KernelMatrix.dual``.  The kernel does not hold the design Psi, so the
 caller takes the clean labels ``clean_labels(psi, s, t)`` = G^T theta from
 the M x N design array before dropping it; ``synthesize_labels(clean, sigma,
 seed)`` adds noise to them, and the bias regresses them.  The risk terms are
@@ -125,24 +125,22 @@ def variance_closed_form(K: KernelMatrix, sigma: float) -> float:
     """
     g = K._require_factor()
     full = K._full
-    keep = full.keep
-    if int(keep.sum()) < K.size:
+    if full.rank < K.size:
         warnings.warn(
             "kernel numerically rank deficient; variance uses the pseudo-inverse",
             RankDeficientKernelWarning,
             stacklevel=2,
         )
-    w = full.w[keep]
+    w = full.w[:full.rank]
     lam = K.spectrum.eigenvalues
-    qk = full.q[:, keep]
     weights = np.zeros(w.size)
     for start in range(0, len(g), K.size):
         rows = slice(start, start + K.size)
         if full.path == "gram_eigh":
-            uk = g[rows] @ qk
+            uk = g[rows] @ full.q
             uk /= np.sqrt(w)
         else:
-            uk = full.u[rows, keep]
+            uk = full.u[rows]
         weights += np.einsum("kj,k,kj->j", uk, lam[rows], uk)
     return float(sigma**2 * np.sum(weights / w))
 

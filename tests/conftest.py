@@ -1,8 +1,9 @@
 """Shared test helpers: Monte-Carlo oracles used against closed-form paths,
 the whole-array forms the streamed MSE and the blocked variance are held
-against, the Gram pair bound the factor's pair screen is held against,
-predictions of a fitted dual, the effective rank of a spectrum, and a guard
-that keeps numpy's own LAPACK calls out of a traced memory bound."""
+against, a Mercer kernel's formed Gram and the Gram pair bound the factor's
+pair screen is held against, predictions of a fitted dual, the effective
+rank of a spectrum, and a guard that keeps numpy's own LAPACK calls out of a
+traced memory bound."""
 
 from contextlib import contextmanager
 from unittest import mock
@@ -11,7 +12,7 @@ import numpy as np
 
 from overfit_lab import linalg
 from overfit_lab.errors import InvalidParameterError
-from overfit_lab.linalg import mercer_factor
+from overfit_lab.linalg import KernelMatrix, mercer_factor
 
 
 @contextmanager
@@ -58,14 +59,14 @@ def left_vector_variance(kernel, sigma):
     single einsum ``variance_closed_form`` made before it summed over row
     blocks."""
     full = kernel._full
-    keep = full.keep
+    w = full.w[:full.rank]
     if full.path == "gram_eigh":
-        uk = kernel.factor @ full.q[:, keep]
-        uk /= np.sqrt(full.w[keep])
+        uk = kernel.factor @ full.q
+        uk /= np.sqrt(w)
     else:
-        uk = full.u[:, keep]
+        uk = full.u
     weights = np.einsum("kj,k,kj->j", uk, kernel.spectrum.eigenvalues, uk)
-    return float(sigma**2 * np.sum(weights / full.w[keep]))
+    return float(sigma**2 * np.sum(weights / w))
 
 
 def effective_rank(s, l, N):
@@ -81,6 +82,26 @@ def effective_rank(s, l, N):
     lam = s.eigenvalues
     tail = float(np.sum(lam[l:]))  # lam[l] is lambda_{l+1} in 1-based indexing
     return tail / (N * float(lam[l]))
+
+
+def gram(source):
+    """K = G^T G of a Mercer kernel ``source``, or of the factor whose row
+    blocks ``source`` yields, summed block by block (``linalg._syrk``),
+    read-only; one block gives the bits of numpy's G^T G itself.
+
+    The upper triangle is copied into the lower one, as numpy's
+    ``g.T @ g`` does after its syrk, so K is exactly symmetric.  (numpy's
+    loop without BLAS forms entries (i, j) and (j, i) from the same products
+    in the same order, and floating-point addition is commutative, so a sum
+    of those is exactly symmetric too.)  No route forms K whole; this is the
+    reference the tests that read K take."""
+    if isinstance(source, KernelMatrix):
+        source = source._blocks()
+    k = linalg._syrk(source)
+    for i in range(1, len(k)):
+        k[i, :i] = k[:i, i]
+    k.setflags(write=False)
+    return k
 
 
 def gram_pair_bound(k):
@@ -118,8 +139,8 @@ def mc_noise_variance(kernel, spectrum, law, sigma, draws=2000, batches=20,
     else:
         u, s, vh = np.linalg.svd(kernel.factor, full_matrices=False)
         v = vh.T
-    keep = kernel._full.keep
-    uk, sk, vk = u[:, keep], s[keep], v[:, keep]
+    rank = kernel._full.rank
+    uk, sk, vk = u[:, :rank], s[:rank], v[:, :rank]
     m = spectrum.size
     sqrt_lam = np.sqrt(spectrum.eigenvalues)
     rng = np.random.default_rng(seed)

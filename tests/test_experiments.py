@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -470,6 +471,46 @@ class TestSminStudy:
                     s_min_over_n_lambda_n=ext.s_min / (n * lam_n),
                     s_min_over_n=ext.s_min / n,
                     min_p_squared=row_norm_diagnostics(tail_sq, n, m).min_p_squared)
+
+    def test_tail_sums_of_two_first_reads(self):
+        # two threads take the first read of one gaussian smin-study kernel
+        # at once, and each pass has drawn its first block before either
+        # goes on, so two passes of the law's draw run together.  Each pass
+        # sums its tail rows apart and writes them once it ends, so the
+        # tail sums are those of one read on one thread, bit for bit; passes
+        # that added into the shared sums as they went gave them twice
+        n = 256
+        cfg = _cfg(experiment="smin_study", n_grid=(n,), trials=1)
+        m = cfg.feature_count(n)
+        s = make_spectrum(cfg.spectrum, cfg.a, m)
+        seed = derive_seed(cfg.master_seed, cfg.experiment, n, 0, "gaussian")
+        both = threading.Barrier(2)
+
+        def kernel(tail_sq, together):
+            draw = partial(experiments._factor_blocks, "gaussian", s, seed, tail_sq)
+
+            def paced(buf):
+                for i, block in enumerate(draw(buf)):
+                    yield block
+                    if i == 0 and together:
+                        both.wait(timeout=30)
+
+            return KernelMatrix.from_blocks(paced, s, n)
+
+        def read(K):
+            with linalg.single_threaded_blas():
+                return singular_extremes(K)
+
+        want = np.zeros(n)
+        alone = read(kernel(want, together=False))
+        tail_sq = np.zeros(n)
+        K = kernel(tail_sq, together=True)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = [f.result(timeout=60) for f in [pool.submit(read, K) for _ in range(2)]]
+        assert alone.path == "gram_eigh"
+        assert all(np.array_equal(g.full_singular_values, alone.full_singular_values)
+                   for g in got)
+        assert np.array_equal(tail_sq, want)
 
     def test_trial_peak_memory(self):
         # each law's design streams through its pass's buffer of one TSQR

@@ -18,7 +18,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from conftest import gram_pair_bound, no_numpy_lapack
+from conftest import gram, gram_pair_bound, no_numpy_lapack
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
@@ -131,13 +131,13 @@ class TestAssembleKernel:
         s = make_spectrum("custom", eigenvalues=[4.0, 2.0, 1.0])
         d = np.eye(3)
         K = assemble_kernel(s, d)
-        np.testing.assert_allclose(K.entries, np.diag([4.0, 2.0, 1.0]), atol=0)
+        np.testing.assert_allclose(gram(K), np.diag([4.0, 2.0, 1.0]), atol=0)
 
     def test_rank_one_outer_product(self):
         s = make_spectrum("custom", eigenvalues=[4.0])
         d = np.array([[1.0, 1.0]])
         K = assemble_kernel(s, d)
-        np.testing.assert_allclose(K.entries, np.full((2, 2), 4.0), atol=0)
+        np.testing.assert_allclose(gram(K), np.full((2, 2), 4.0), atol=0)
 
     def test_matches_explicit_triple_product(self):
         # oracle: Psi^T diag(lambda) Psi formed directly
@@ -146,7 +146,7 @@ class TestAssembleKernel:
         d = rng.standard_normal((60, 12))
         K = assemble_kernel(s, d)
         oracle = d.T @ np.diag(s.eigenvalues) @ d
-        rel = np.linalg.norm(K.entries - oracle) / np.linalg.norm(oracle)
+        rel = np.linalg.norm(gram(K) - oracle) / np.linalg.norm(oracle)
         assert rel < 1e-12
 
     def test_dimension_mismatch(self):
@@ -377,8 +377,9 @@ def _gram_certified(K):
     eps = np.finfo(np.float64).eps
     m, n = K.factor.shape
     gamma = m * eps / (1.0 - m * eps)
-    trace = float(np.trace(K.entries))
-    w = np.linalg.eigvalsh(K.entries)
+    k = gram(K)
+    trace = float(np.trace(k))
+    w = np.linalg.eigvalsh(k)
     return bool(w[0] > 0.0 and (gamma * trace + n * eps * w[-1]) / w[0]
                 <= GRAM_CERTIFIED_TOLERANCE)
 
@@ -467,8 +468,9 @@ class TestGramCertificate:
         assert summary.path == "gesdd" and summary.rel_error_bound is None
 
     def test_failed_certificate_skips_eigh(self, monkeypatch):
-        # values measured first already failed the certificate on a cosine
-        # N=256 design, so the full solve goes straight to the factor SVD
+        # the pair screen proves that a cosine N=256 design fails the
+        # certificate, so the full solve skips K and goes straight to the
+        # factor SVD, as its values did
         K = _smin_grid_kernel("cosine", 256)
         assert singular_extremes(K).path == "gesdd"
         calls = _count_syevd(monkeypatch)
@@ -493,7 +495,7 @@ class TestGramCertificate:
         fired = []
         for K in kernels:
             fires = linalg._PairScreen(K.factor, len(K.factor)).fires()
-            k = K.entries
+            k = gram(K)
             m, n = K.factor.shape
             trace = float(np.trace(k))
             gamma = m * eps / (1.0 - m * eps)
@@ -617,6 +619,44 @@ def test_certified_full_solve_agrees_with_svd_route(n, aspect, decay, collapse, 
     assert max(dual_err, var_err) <= 1e-5
     oracle = _mp_dual(K.factor, y)
     assert np.linalg.norm(K.dual(y) - oracle) <= bound * np.linalg.norm(oracle)
+
+
+def _rank_7_explicit():
+    b = np.random.default_rng(17).standard_normal((12, 7))
+    return KernelMatrix.from_entries(b @ b.T)
+
+
+def _rank_15_cosine():
+    # exponential decay a = 1 at N = 16, M = 32 is not steep (e^15 < 1e8),
+    # and this cosine design loses one mode to the cutoff on gesdd
+    s = make_spectrum("exponential", 1.0, 32)
+    return assemble_kernel(s, sample_design("cosine", 32, 16, seed=0).entries)
+
+
+@pytest.mark.parametrize("make,path,rank", [
+    (_rank_7_explicit, "eigh", 7),
+    (lambda: _smin_grid_kernel("gaussian", 64), "gram_eigh", 64),
+    (_rank_15_cosine, "gesdd", 15),
+    (_steep_kernel, "jacobi", 48),
+], ids=["eigh", "gram_eigh", "gesdd", "jacobi"])
+def test_full_record_holds_the_kept_modes(make, path, rank):
+    # every route gives w non-increasing, so the cutoff keeps the leading
+    # modes: the full record's rank counts the values the cutoff keeps, and
+    # its q and u are the columns of the uncut decomposition that the kept
+    # mask selects, in Fortran order, while w and s keep every value
+    K, whole = make(), make()._decompose(full=True)
+    w = whole.w
+    assert K._full.path == whole.path == path
+    assert np.all(w[1:] <= w[:-1])
+    keep = w > (0.0 if path == "jacobi" else linalg.PINV_RELATIVE_CUTOFF * w[0])
+    full = K._full
+    assert full.rank == np.count_nonzero(keep) == rank
+    assert np.array_equal(full.w, w) and (full.s is None) == (whole.s is None)
+    assert np.array_equal(full.q, whole.q[:, keep]) and full.q.flags.f_contiguous
+    if path in ("eigh", "gram_eigh"):
+        assert full.u is None and whole.u is None
+    else:
+        assert np.array_equal(full.u, whole.u[:, keep]) and full.u.flags.f_contiguous
 
 
 @pytest.mark.parametrize("make,path", [
@@ -892,17 +932,17 @@ class TestStreamedValues:
     def test_gram_is_exactly_symmetric(self, law, n, eta, height, order, seed):
         # K's blocks are summed into one triangle by dsyrk, which is then
         # copied into the other, so K is exactly symmetric; one block is
-        # numpy's g.T @ g bit for bit, and so are a kernel's entries
+        # numpy's g.T @ g bit for bit, and so is a kernel's Gram
         m = eta * n
         s = make_spectrum("polynomial", 1.0, m)
         g = np.asarray(mercer_factor(s, sample_design(law, m, n, seed).entries),
                        order=order)
         rows = {"1 row": 1, "45 rows": 45, "N rows": n, ">= M": m + 3}[height]
-        k = linalg._gram(g[i:i + rows] for i in range(0, m, rows))
+        k = gram(g[i:i + rows] for i in range(0, m, rows))
         assert np.array_equal(k, k.T) and not k.flags.writeable
         if rows >= m:
             assert np.array_equal(k, g.T @ g)
-            assert np.array_equal(KernelMatrix(g, s).entries, k)
+            assert np.array_equal(gram(KernelMatrix(g, s)), k)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 8), rows=st.integers(0, 40), cuts=st.lists(
@@ -918,7 +958,7 @@ class TestStreamedValues:
         g = np.asarray(np.sqrt(10.0 ** (-decay * np.arange(m) / m))[:, None]
                        * rng.standard_normal((m, n)), order=order)
         edges = [0, *sorted(int(c * m) for c in cuts), m]
-        k = linalg._gram(g[i:j] for i, j in zip(edges, edges[1:]))
+        k = gram(g[i:j] for i, j in zip(edges, edges[1:]))
         with mpmath.workdps(50):
             gm = mpmath.matrix(g.tolist())
             exact = np.array((gm.T * gm).tolist(), dtype=float)
@@ -936,7 +976,7 @@ class TestStreamedValues:
         for bundle, order in itertools.product((True, False), "CF"):
             factor = np.asarray(g, order=order)
             with _bundled_openblas(bundle):
-                k = linalg._gram((factor,))
+                k = gram((factor,))
                 w, q = np.linalg.eigh(k)
                 got_w, got_q = linalg._syevd(linalg._syrk((factor,)), vectors=True)
                 assert np.array_equal(got_w, w[::-1]) and np.array_equal(got_q, q[:, ::-1])
@@ -1079,9 +1119,9 @@ class TestStreamedValues:
         s = make_spectrum("polynomial", 1.0, 200)
         g = mercer_factor(s, sample_design("gaussian", 200, 4, seed=1).entries)
         K = KernelMatrix.from_blocks(_streamed(g)[0], s, 4)
-        assert K.factor is None and K.is_mercer
-        whole = KernelMatrix(g, s).entries  # one syrk, where the stream adds two
-        np.testing.assert_allclose(K.entries, whole, rtol=0, atol=1e-14 * np.trace(whole))
+        assert K.factor is None and K.entries is None and K.is_mercer
+        whole = gram(KernelMatrix(g, s))  # one syrk, where the stream adds two
+        np.testing.assert_allclose(gram(K), whole, rtol=0, atol=1e-14 * np.trace(whole))
         with pytest.raises(InvalidParameterError, match="values only"):
             min_norm_solve(K, np.ones(4))
 
@@ -1409,7 +1449,7 @@ class TestMinNormSolve:
         d = np.array([[1.0, 1.0]])
         K = assemble_kernel(s, d)
         sol = min_norm_solve(K, [4.0, 4.0])
-        np.testing.assert_allclose(K.entries @ sol.alpha, [4.0, 4.0], rtol=1e-12)
+        np.testing.assert_allclose(gram(K) @ sol.alpha, [4.0, 4.0], rtol=1e-12)
         assert sol.rank == 1
 
 
@@ -1615,7 +1655,7 @@ def test_mercer_and_explicit_solves_agree(n, m, decay, seed):
     assume(cond <= 1e6)
     y = rng.standard_normal(n)
     mercer = min_norm_solve(K, y)
-    explicit = min_norm_solve(KernelMatrix.from_entries(K.entries), y)
+    explicit = min_norm_solve(KernelMatrix.from_entries(gram(K)), y)
     assert mercer.rank == explicit.rank == min(m, n)
     assert mercer.inconsistent == explicit.inconsistent == (m < n)
     # both routes are backward stable to about M eps ||K||, so alpha moves
